@@ -30,7 +30,7 @@ from .combinatorics import (
     gen_catalan,
     limit_moment,
 )
-from .errors import ConfigError, YoungSpecError
+from .errors import ConfigError, InsufficientPointsError, YoungSpecError
 from .limitlaw import (
     beta_product_moment,
     beta_product_samples,
@@ -369,14 +369,21 @@ def _run_law(cfg: RunConfig) -> dict:
         "grid": {"x": grid.x.tolist(), "density": grid.f.tolist(), "abs_err": grid.err.tolist()},
         "cdf": {"x": gcdf.xs.tolist(), "F": gcdf.fs.tolist()},
         "normalization": grid.integral(),
-        "edge_fits": {
-            "hard": edge_exponent_fit(grid, "lower"),
-            "hard_expected": -r / (r + 1.0),
-            "soft": edge_exponent_fit(grid, "upper"),
-            "soft_expected": 0.5,
-        },
+        "edge_fits": _edge_fits(grid, r),
         "moment_checks": checks,
     }
+
+
+def _edge_fits(grid, r: int) -> dict:
+    """Edge-exponent fits; a fit whose window holds too few grid points is null with a reason."""
+    fits = {"hard_expected": -r / (r + 1.0), "soft_expected": 0.5}
+    for key, edge in (("hard", "lower"), ("soft", "upper")):
+        try:
+            fits[key] = edge_exponent_fit(grid, edge)
+        except InsufficientPointsError as exc:
+            fits[key] = None
+            fits[key + "_reason"] = str(exc)
+    return fits
 
 
 def _run_sample_law(cfg: RunConfig) -> dict:
@@ -424,12 +431,8 @@ def _run_triangular(cfg: RunConfig) -> dict:
     ecdf = StepCDF(pooled)
     xs = np.unique(np.concatenate([np.linspace(lo, hi, 321),
                                    pooled[(pooled >= lo) & (pooled <= hi)]]))
-    dh_f = np.array([dh_cdf(float(x)) for x in np.linspace(lo, hi, 321)])
-    emp_on = ecdf.eval(np.linspace(lo, hi, 321))
-    sup = float(np.max(np.abs(emp_on - dh_f)))
-    emp_atoms = ecdf.eval(xs)
-    dh_atoms = np.array([dh_cdf(float(x)) for x in xs])
-    sup = max(sup, float(np.max(np.abs(emp_atoms - dh_atoms))))
+    dh_f = np.array([dh_cdf(float(x)) for x in xs])
+    sup = float(np.max(np.abs(ecdf.eval(xs) - dh_f)))
     return {
         "size": cfg.size,
         "replicas": cfg.replicas,

@@ -143,6 +143,7 @@ def test_law_json_and_csv(tmp_path, capsys):
     assert res["edge"] == {"exact": "4/1", "float": 4.0}
     assert abs(res["normalization"] - 1.0) < 1e-3
     assert abs(res["edge_fits"]["hard"] + 0.5) < 0.05
+    assert sorted(res["edge_fits"]) == ["hard", "hard_expected", "soft", "soft_expected"]
     for row in res["moment_checks"]:
         assert row["beta_product_matches"]
         assert row["contour_rel_err"] < 1e-8
@@ -154,6 +155,16 @@ def test_law_json_and_csv(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "x,density,abs_err"
     assert len(lines) == len(res["grid"]["x"]) + 1
+
+
+def test_law_small_grid_reports_null_edge_fits(capsys):
+    code, out = run_cli(["law", "--r", "1", "--grid", "16", "--kmax", "1"], capsys)
+    assert code == 0
+    fits = json.loads(out)["results"]["edge_fits"]
+    for key in ("hard", "soft"):
+        assert fits[key] is None
+        assert "grid points in the fit window" in fits[key + "_reason"]
+    assert fits["hard_expected"] == -0.5 and fits["soft_expected"] == 0.5
 
 
 def test_sample_law(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from youngspec.errors import InvalidRangeError, NotHermitianError
@@ -23,6 +23,16 @@ from youngspec.spectra import (
 from youngspec.streams import substream
 
 step_cdfs = st.lists(st.floats(-5, 5), min_size=1, max_size=12).map(StepCDF)
+small_steps = st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=40).map(StepCDF)
+
+
+@st.composite
+def grid_cdfs(draw):
+    xs = np.sort(draw(st.lists(st.floats(0, 1), min_size=2, max_size=20, unique=True)))
+    assume(np.all(np.diff(xs) >= np.finfo(float).tiny))  # else slopes overflow: GridCDF rejects
+    fs = np.sort(draw(st.lists(st.floats(0, 1), min_size=len(xs), max_size=len(xs))))
+    fs[0] = 0.0
+    return GridCDF(xs, fs)
 
 
 def _spec(vals):
@@ -112,6 +122,54 @@ def test_levy_identity_and_point_masses():
     assert levy_distance(f, StepCDF([2.0])) == pytest.approx(1.0, abs=1e-8)
 
 
+def _levy_feasible(f, g, eps: float) -> bool:
+    """Brute-force check of F(x-eps)-eps <= G(x) <= F(x+eps)+eps, both ways round.
+
+    Swept at the knots of both CDFs, the knots shifted by +-eps, the
+    floating-point neighbours of all of those and a dense uniform grid, on
+    values and on left limits.
+    """
+    knots = np.concatenate([f.points(), g.points()])
+    base = np.concatenate([knots, knots - eps, knots + eps])
+    sweep = np.concatenate([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf),
+                            np.linspace(base.min() - 1.0, base.max() + 1.0, 4001)])
+    for a, b in ((f, g), (g, f)):
+        for a_at, b_at in ((a.eval, b.eval), (a.eval_left, b.eval_left)):
+            here = b_at(sweep)
+            if np.any(here < a_at(sweep - eps) - eps) or np.any(here > a_at(sweep + eps) + eps):
+                return False
+    return True
+
+
+def _assert_levy_exact(f, g):
+    eps = levy_distance(f, g)
+    assert _levy_feasible(f, g, eps + 1e-12)
+    if eps > 1e-6:
+        assert not _levy_feasible(f, g, eps * (1 - 1e-6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_steps, grid_cdfs())
+def test_levy_exact_step_vs_grid(f, g):
+    _assert_levy_exact(f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_steps, small_steps)
+def test_levy_exact_step_vs_step(f, g):
+    _assert_levy_exact(f, g)
+
+
+def test_levy_exact_on_pinned_pair():
+    # a bisection over eps probing at shifted knots under-reports this pair by 3.3e-3
+    rng = np.random.default_rng(129)
+    f = StepCDF(rng.uniform(-0.2, 1.2, 33))
+    xs = np.sort(rng.uniform(0.0, 1.0, 20))
+    fs = np.sort(rng.uniform(0.0, 1.0, 20))
+    fs[0], fs[-1] = 0.0, 1.0
+    _assert_levy_exact(f, GridCDF(xs, fs))
+
+
 @settings(max_examples=40, deadline=None)
 @given(step_cdfs, step_cdfs)
 def test_levy_symmetry(f, g):
@@ -121,9 +179,9 @@ def test_levy_symmetry(f, g):
 @settings(max_examples=50, deadline=None)
 @given(step_cdfs, step_cdfs, step_cdfs)
 def test_levy_triangle_inequality(f, g, h):
-    dfh = levy_distance(f, h, tol=1e-13)
-    dfg = levy_distance(f, g, tol=1e-13)
-    dgh = levy_distance(g, h, tol=1e-13)
+    dfh = levy_distance(f, h)
+    dfg = levy_distance(f, g)
+    dgh = levy_distance(g, h)
     assert dfh <= dfg + dgh + 1e-12
 
 
@@ -145,6 +203,8 @@ def test_grid_cdf_eval():
     assert g.eval(0.5) == pytest.approx(0.125)
     assert g.eval(5.0) == 1.0
     assert g.mass == 1.0
+    with pytest.raises(ValueError):
+        GridCDF([0.0, 5e-324], [0.0, 1.0])  # slope overflows
 
 
 def test_histogram_example():
