@@ -52,6 +52,7 @@ from .spectra import (
     ks_distance,
     levy_distance,
     shape_ensemble_spectra,
+    spectra_moments,
     Spectrum,
 )
 from .streams import substream
@@ -305,18 +306,9 @@ def _run_simulate(cfg: RunConfig) -> dict:
     spectra = ensemble_spectra(base, cfg.dilation, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs)
     pooled = np.concatenate(spectra)
 
-    table = np.empty((cfg.replicas, cfg.kmax + 1))
-    for i, vals in enumerate(spectra):
-        for k in range(cfg.kmax + 1):
-            table[i, k] = 1.0 if k == 0 else float(np.mean(vals**k))
-    moments = [
-        {
-            "k": k,
-            "mean": float(table[:, k].mean()),
-            "variance": float(table[:, k].var(ddof=1)) if cfg.replicas > 1 else 0.0,
-        }
-        for k in range(cfg.kmax + 1)
-    ]
+    em = spectra_moments(spectra, cfg.kmax)
+    moments = [{"k": k, "mean": float(em.means[k]), "variance": float(em.variances[k])}
+               for k in range(cfg.kmax + 1)]
 
     rng = cfg.range if cfg.range is not None else [0.0, 1.05 * edge if edge else float(pooled.max()) * 1.05]
     hist = histogram(Spectrum(values=pooled, dim=pooled.size), cfg.bins, tuple(rng))

@@ -103,11 +103,6 @@ def truncate_standardize(dist: EntryDistribution, cutoff: float) -> EntryDistrib
     truncated second moment, known in closed form per kind. Raises when
     the cutoff removes all variance (e.g. rademacher with C <= 1).
     """
-    s2 = _truncated_second_moment(dist.kind, cutoff)
-    if s2 <= 0.0:
-        raise DegenerateTruncationError(
-            f"truncation at {cutoff} leaves {dist.kind} with zero variance"
-        )
     return dataclasses.replace(dist, trunc=float(cutoff))
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "histogram",
     "ensemble_spectra",
     "ensemble_moments",
+    "spectra_moments",
 ]
 
 
@@ -243,20 +244,23 @@ def ensemble_spectra(lam: Partition, n: int, dist: EntryDistribution, replicas: 
     return shape_ensemble_spectra(lam.dilate(n), n, dist, replicas, seed, jobs=jobs)
 
 
+def spectra_moments(spectra: list[np.ndarray], k_max: int) -> EnsembleMoments:
+    """Mean and unbiased variance over replicas of m_k = mean(lambda^k), k = 0..k_max.
+
+    A single replica has no spread; its variances are reported as 0.
+    """
+    orders = np.arange(k_max + 1)
+    table = np.array([[1.0 if k == 0 else float(np.mean(vals**k)) for vals in spectra]
+                      for k in range(k_max + 1)])
+    replicas = len(spectra)
+    variances = table.var(axis=1, ddof=1) if replicas > 1 else np.zeros(k_max + 1)
+    return EnsembleMoments(orders=orders, means=table.mean(axis=1), variances=variances,
+                           replicas=replicas)
+
+
 def ensemble_moments(lam: Partition, n: int, dist: EntryDistribution, k_max: int,
                      replicas: int, seed: int, jobs: int = 1) -> EnsembleMoments:
     """Monte Carlo mean/variance of the empirical moments m_{k,N}, k = 0..k_max."""
     if replicas < 2:
         raise ValueError(f"replicas {replicas} < 2; variance needs at least two")
-    spectra = ensemble_spectra(lam, n, dist, replicas, seed, jobs=jobs)
-    orders = np.arange(k_max + 1)
-    table = np.empty((replicas, k_max + 1))
-    for i, vals in enumerate(spectra):
-        for k in orders:
-            table[i, k] = 1.0 if k == 0 else float(np.mean(vals**k))
-    return EnsembleMoments(
-        orders=orders,
-        means=table.mean(axis=0),
-        variances=table.var(axis=0, ddof=1),
-        replicas=replicas,
-    )
+    return spectra_moments(ensemble_spectra(lam, n, dist, replicas, seed, jobs=jobs), k_max)

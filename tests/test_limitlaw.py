@@ -40,6 +40,8 @@ from youngspec.limitlaw import (
 from youngspec.spectra import StepCDF, ks_distance
 from youngspec.streams import substream
 
+from _oracle import limit_density
+
 
 def test_support_edge_values():
     assert support_edge(1) == 4
@@ -101,11 +103,18 @@ def test_density_order2_matches_closed_form():
         assert density(2, float(x), tol=1e-8) == pytest.approx(density_r2(float(x)), abs=1e-6)
 
 
-def test_density_cached_route_consistent():
-    for x in (0.05, 1.0, 5.5):
-        direct, _ = density_with_error(2, x, method="direct")
-        cached, _ = density_with_error(2, x, method="cached")
-        assert cached == pytest.approx(direct, rel=1e-6)
+def test_density_matches_meijer_g_oracle_within_error_bar():
+    # seeded points over [1e-4 L, 0.99 L] plus x = 0.505 L in the bulk;
+    # the reported error must cover the true error
+    for r in (2, 3, 4):
+        edge = float(support_edge(r))
+        rng = np.random.default_rng(4000 + r)
+        ts = np.concatenate([10.0 ** rng.uniform(-4.0, math.log10(0.99), 30), [0.505]])
+        for x in edge * ts:
+            f, err = density_with_error(r, float(x))
+            ref = limit_density(r, float(x))
+            assert abs(f - ref) <= 1e-8 * ref, (r, x, f, ref)
+            assert abs(f - ref) <= err, (r, x, f, ref, err)
 
 
 def test_density_outside_support():
@@ -244,6 +253,13 @@ def test_contour_moment_examples():
     for r in range(1, 5):
         cm = contour_moment(r, 0)
         assert cm.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_contour_moment_large_orders():
+    # on the unit circle these orders cancel from 2^((r+1)k) down to about L^k
+    for r, k in ((8, 6), (12, 6), (20, 2), (20, 6), (50, 6), (200, 6), (1000, 3)):
+        exact = float(limit_moment(r, k))
+        assert contour_moment(r, k).value == pytest.approx(exact, rel=1e-12), (r, k)
 
 
 def test_contour_moment_imag_diagnostic():
