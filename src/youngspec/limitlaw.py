@@ -17,13 +17,18 @@ up to normalization, and h_m satisfies the one-dimensional recursion
 Every level is a univariate function with known endpoint exponents:
 h_m(t) ~ t^(a_1 - 1) at 0 and ~ (1-t)^(sigma_m) at 1, sigma_m = sum of
 the first m Beta tail exponents. Each integral is evaluated piecewise
-with Gauss-Jacobi rules that absorb the endpoint power laws exactly. The
-inner levels 1..r-1 are tabulated once per order, each as one spline in
-the logit log u - log(1-u) with the endpoint powers factored out, and
-the error of the tables is validated off-node against finer quadrature.
-The density is the outer integral over the last tabulated level; the
-closed forms at r = 1, 2 and the Meijer G-function form of the law are
-the independent checks.
+with Gauss-Jacobi rules that absorb the endpoint power laws exactly,
+bridged by dyadic Gauss-Legendre panels, for a whole array of points at
+once: one numpy pass per panel over a (points x nodes) array. The inner
+levels 1..r-1 are tabulated once per order, each as one spline in the
+logit log u - log(1-u) with the endpoint powers factored out, all nodes
+of a level in one batched call; the error of the tables is validated
+off-node against finer quadrature, and a level that overflows raises
+NoConvergenceError. The density is the outer integral over the last
+tabulated level, batched over every abscissa of a grid (a single point
+is a batch of one, so both give the same bits); the closed forms at
+r = 1, 2 and the Meijer G-function form of the law are the independent
+checks.
 """
 
 from __future__ import annotations
@@ -145,67 +150,67 @@ def _gauss_jacobi(n: int, alpha: float, beta: float):
 
 # -- the one-dimensional masked Beta integral ------------------------------
 #
-# _h_value computes  integral_ell^1  B^p (1-B)^q g(ell/B) dB  where g is the
-# previous level. Work in the offset o = B - ell in [0, oml], oml = 1 - ell,
-# so both endpoint distances stay exact in floating point:
+# _h_values computes  integral_ell^1  B^p (1-B)^q g(ell/B) dB  at every
+# point of the arrays ell, oml, where g is the previous level. Work in the
+# offset o = B - ell in [0, oml], oml = 1 - ell, so both endpoint
+# distances stay exact in floating point:
 #   * o near 0:  g(ell/B) has a (1 - ell/B)^sigma = (o/B)^sigma corner,
-#     absorbed by a Gauss-Jacobi rule with left weight o^sigma;
+#     absorbed by a Gauss-Jacobi rule with left weight o^sigma on
+#     [0, delta], delta = min(ell, oml/2);
+#   * in between: plain Gauss-Legendre panels whose right ends double from
+#     delta up to oml/2, then one panel up to 7/8 oml;
 #   * o near oml: the (1-B)^q = (oml-o)^q endpoint, absorbed by a
-#     Gauss-Jacobi rule with right weight;
-#   * in between: dyadic plain Gauss-Legendre panels bridge the scales.
+#     Gauss-Jacobi rule with right weight on [7/8 oml, oml].
+# Each panel is one (points x n) array pass; the doubling loop runs over
+# the panel index and takes only the points still below oml/2, so the
+# memory held at once is one panel, not the whole panel set. Rows are
+# reduced with numpy sums, not BLAS, so the result of a point does not
+# depend on the batch it is evaluated in or on the BLAS thread count.
 
 
-def _h_value(ell: float, oml: float, p: float, q: float, prev, n: int) -> float:
+def _h_values(ell: np.ndarray, oml: np.ndarray, p: float, q: float, prev,
+              n: int) -> np.ndarray:
     sig = prev.sigma
-    delta = min(ell, 0.5 * oml)
-    total = 0.0
+    half = 0.5 * oml
+    delta = np.minimum(ell, half)
 
     # corner panel o in [0, delta]
     xi, wts = _gauss_jacobi(n, 0.0, sig)
-    o = delta * (1.0 + xi) / 2.0
-    bb = ell + o
-    omb = oml - o
-    u = ell / bb
-    vals = bb ** (p - sig) * omb**q * prev.g_reduced(u, o / bb)
-    total += (delta / 2.0) ** (sig + 1.0) * float(np.dot(wts, vals))
+    o = delta[:, None] * (1.0 + xi) / 2.0
+    bb = ell[:, None] + o
+    omb = oml[:, None] - o
+    vals = bb ** (p - sig) * omb**q * prev.g_reduced(ell[:, None] / bb, o / bb)
+    total = (delta / 2.0) ** (sig + 1.0) * (vals * wts).sum(axis=1)
 
-    # dyadic interior panels up to 7/8 of the range
     xi_gl, w_gl = _gauss_legendre(n)
-    lo = delta
-    targets = []
-    t = delta
-    while t < 0.5 * oml * (1.0 - 1e-14):
-        t = min(2.0 * t, 0.5 * oml)
-        targets.append(t)
-    targets.append(0.875 * oml)
-    for hi in targets:
-        if hi <= lo:
-            continue
-        o = (lo + hi) / 2.0 + (hi - lo) / 2.0 * xi_gl
-        bb = ell + o
-        omb = oml - o
-        u = ell / bb
-        vals = bb**p * omb**q * prev.g_full(u, o / bb)
-        total += (hi - lo) / 2.0 * float(np.dot(w_gl, vals))
-        lo = hi
+
+    def legendre(idx, lo, hi):
+        o = ((lo + hi) / 2.0)[:, None] + ((hi - lo) / 2.0)[:, None] * xi_gl
+        bb = ell[idx, None] + o
+        omb = oml[idx, None] - o
+        vals = bb**p * omb**q * prev.g_full(ell[idx, None] / bb, o / bb)
+        total[idx] += (hi - lo) / 2.0 * (vals * w_gl).sum(axis=1)
+
+    # dyadic interior panels: right ends double until they reach oml/2
+    lo = delta.copy()
+    idx = np.flatnonzero(lo < half * (1.0 - 1e-14))
+    while idx.size:
+        hi = np.minimum(2.0 * lo[idx], half[idx])
+        legendre(idx, lo[idx], hi)
+        lo[idx] = hi
+        idx = idx[hi < half[idx] * (1.0 - 1e-14)]
+    legendre(slice(None), lo, 0.875 * oml)
 
     # right panel o in [7/8 oml, oml] with the (oml - o)^q weight
     h = oml / 8.0
     xi, wts = _gauss_jacobi(n, q, 0.0)
-    omb = h * (1.0 - xi) / 2.0
-    o = oml - omb
-    bb = ell + o
-    u = ell / bb
-    vals = bb**p * prev.g_full(u, o / bb)
-    total += (h / 2.0) ** (q + 1.0) * float(np.dot(wts, vals))
+    omb = h[:, None] * (1.0 - xi) / 2.0
+    o = oml[:, None] - omb
+    bb = ell[:, None] + o
+    vals = bb**p * prev.g_full(ell[:, None] / bb, o / bb)
+    total += (h / 2.0) ** (q + 1.0) * (vals * wts).sum(axis=1)
 
     return total
-
-
-def _h_with_err(ell, oml, p, q, prev, n_lo=20, n_hi=28):
-    v1 = _h_value(ell, oml, p, q, prev, n_lo)
-    v2 = _h_value(ell, oml, p, q, prev, n_hi)
-    return v2, abs(v2 - v1)
 
 
 # -- level functions -------------------------------------------------------
@@ -287,10 +292,12 @@ class _Tables:
 def _tables(r: int) -> _Tables:
     """Build splined level functions for order r and bound their error.
 
-    Each level is sampled at the logit nodes, where u = 1/(1+e^-s) and
-    1-u = 1/(1+e^s) keep both endpoint distances exact. The error bound
-    is the worst relative deviation from a finer quadrature at 12 node
-    interval midpoints, where the spline error peaks, summed over levels.
+    Each level is sampled at all logit nodes in one batched call, where
+    u = 1/(1+e^-s) and 1-u = 1/(1+e^s) keep both endpoint distances exact.
+    The error bound is the worst relative deviation from a finer quadrature
+    at 12 node interval midpoints, where the spline error peaks, summed over
+    levels. A level whose log E is not finite at some node (at large r the
+    deepest levels overflow near u -> 0) raises NoConvergenceError.
     """
     par = _params(r)
     a1m1 = par.a[0] - 1.0
@@ -301,9 +308,10 @@ def _tables(r: int) -> _Tables:
     s_max = _TABLE_LOG10_MAX * math.log(10.0)
     s_nodes = np.linspace(-s_max, s_max, n_s)
 
-    def endpoints(s: float) -> tuple[float, float]:
-        return 1.0 / (1.0 + math.exp(-s)), 1.0 / (1.0 + math.exp(s))
+    def endpoints(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))
 
+    ell, oml = endpoints(s_nodes)
     check_rng = np.random.Generator(np.random.Philox(key=np.array([11, r], dtype=np.uint64)))
 
     for m in range(1, r):
@@ -312,20 +320,21 @@ def _tables(r: int) -> _Tables:
         prev = levels[-1]
         sig_m = par.sigma[m]
 
-        log_e = np.empty(n_s)
-        for i, s in enumerate(s_nodes):
-            ell, oml = endpoints(float(s))
-            h = _h_value(ell, oml, p, q, prev, 24)
-            log_e[i] = math.log(h) - a1m1 * math.log(ell) - sig_m * math.log(oml)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            h = _h_values(ell, oml, p, q, prev, 24)
+            log_e = np.log(h) - a1m1 * np.log(ell) - sig_m * np.log(oml)
+        bad = ~np.isfinite(log_e)
+        if np.any(bad):
+            raise NoConvergenceError(
+                f"order r={r}: level {m} of the density tables is not finite at "
+                f"{int(np.sum(bad))} of {n_s} nodes (first at logit s={s_nodes[bad][0]:.4g})")
         level = _SplineLevel(sig_m, a1m1, _LinExtSpline(s_nodes, log_e))
 
-        worst = 0.0
-        for i in check_rng.integers(0, n_s - 1, size=12):
-            ell, oml = endpoints(0.5 * float(s_nodes[i] + s_nodes[i + 1]))
-            ref = _h_value(ell, oml, p, q, prev, 36)
-            got = float(level.g_full(np.array([ell]), np.array([oml]))[0])
-            worst = max(worst, abs(got - ref) / abs(ref))
-        rel_err += worst
+        i = check_rng.integers(0, n_s - 1, size=12)
+        c_ell, c_oml = endpoints(0.5 * (s_nodes[i] + s_nodes[i + 1]))
+        ref = _h_values(c_ell, c_oml, p, q, prev, 36)
+        got = level.g_full(c_ell, c_oml)
+        rel_err += float(np.max(np.abs(got - ref) / np.abs(ref)))
         levels.append(level)
 
     return _Tables(levels=levels, rel_err=rel_err)
@@ -334,27 +343,44 @@ def _tables(r: int) -> _Tables:
 # -- density ---------------------------------------------------------------
 
 
-def density_with_error(r: int, x: float,
-                       n_pair: tuple[int, int] = (20, 28)) -> tuple[float, float]:
-    """Density of the order-r law at x with an absolute error estimate.
+# Gauss rule sizes of the outer integral; their difference is its error
+_RULE_PAIR = (20, 28)
+
+
+def _density_values(r: int, x: np.ndarray,
+                    n_pair: tuple[int, int] = _RULE_PAIR) -> tuple[np.ndarray, np.ndarray]:
+    """Density and absolute error at every abscissa of x, all inside (0, L).
 
     The outer integral over the tabulated level r-1 is evaluated at the
     two rule sizes in n_pair; the error is their difference plus the
-    tables' validated relative error times |f|. The first call for an
-    order builds its tables (r = 1 needs none).
+    tables' validated relative error times |f|.
     """
     par = _params(r)
-    if not 0.0 < x < par.edge:
-        raise OutsideSupportError(f"x = {x} outside (0, {par.edge})")
     t = x / par.edge
     omt = (par.edge - x) / par.edge
     tables = _tables(r)
     p = par.a[r - 1] - 2.0
     q = par.b[r - 1] - 1.0
-    val, qerr = _h_with_err(t, omt, p, q, tables.levels[r - 1], *n_pair)
-    f = par.norm * val
-    err = par.norm * qerr + tables.rel_err * abs(f)
+    prev = tables.levels[r - 1]
+    lo = _h_values(t, omt, p, q, prev, n_pair[0])
+    hi = _h_values(t, omt, p, q, prev, n_pair[1])
+    f = par.norm * hi
+    err = par.norm * np.abs(hi - lo) + tables.rel_err * np.abs(f)
     return f, err
+
+
+def density_with_error(r: int, x: float,
+                       n_pair: tuple[int, int] = _RULE_PAIR) -> tuple[float, float]:
+    """Density of the order-r law at x with an absolute error estimate.
+
+    The same batched evaluation as density_grid, on one abscissa. The
+    first call for an order builds its tables (r = 1 needs none).
+    """
+    par = _params(r)
+    if not 0.0 < x < par.edge:
+        raise OutsideSupportError(f"x = {x} outside (0, {par.edge})")
+    f, err = _density_values(r, np.array([float(x)]), n_pair)
+    return float(f[0]), float(err[0])
 
 
 def density(r: int, x: float, tol: float = 1e-6) -> float:
@@ -508,7 +534,12 @@ class DensityGrid:
 
 
 def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
-    """Sample the density on a graded grid (log head, linear middle, log tail)."""
+    """Sample the density on a graded grid (log head, linear middle, log tail).
+
+    All abscissae go through one batched evaluation; with ``tol`` the first
+    abscissa in grid order whose error exceeds tol * max(1, |f|) is named
+    in the ToleranceNotMetError.
+    """
     if n < 16:
         raise ValueError(f"grid size {n} < 16")
     par = _params(r)
@@ -520,13 +551,13 @@ def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
     mid = np.linspace(0.2 * edge, 0.9 * edge, n_mid, endpoint=False)
     tail = edge - edge * 10.0 ** np.linspace(-1.0, -6.0, n_tail)
     xs = np.unique(np.concatenate([head, mid, tail]))
-    fs = np.empty_like(xs)
-    errs = np.empty_like(xs)
-    for i, xx in enumerate(xs):
-        fs[i], errs[i] = density_with_error(r, float(xx))
-        if tol is not None and errs[i] > tol * max(1.0, abs(fs[i])):
+    fs, errs = _density_values(r, xs)
+    if tol is not None:
+        over = np.flatnonzero(errs > tol * np.maximum(1.0, np.abs(fs)))
+        if over.size:
+            i = over[0]
             raise ToleranceNotMetError(
-                f"density error {errs[i]:.3e} at x={xx:.6g} exceeds tol {tol:.1e}")
+                f"density error {errs[i]:.3e} at x={xs[i]:.6g} exceeds tol {tol:.1e}")
     return DensityGrid(r=r, edge=edge, x=xs, f=fs, err=errs)
 
 

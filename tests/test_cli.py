@@ -226,6 +226,15 @@ def test_numerical_failure_exit_code(capsys):
     assert code == 3
 
 
+def test_law_large_order_overflow_is_numerical_failure(capsys):
+    # at r = 120 the deepest table levels overflow near u -> 0; that must be
+    # a typed failure with exit 3, not a traceback from the spline fit
+    code = main(["law", "--r", "120", "--grid", "64"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure" in err and "r=120" in err
+
+
 def test_simulate_square_case_levy_convergence(capsys):
     # documented example seed; the pooled spectrum at N=50 must sit close
     # to the square-case limit law

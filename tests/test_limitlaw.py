@@ -1,11 +1,13 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.special import roots_jacobi, roots_legendre
 
 from youngspec.combinatorics import catalan, dh_moment, limit_moment
 from youngspec.errors import (
@@ -17,6 +19,8 @@ from youngspec.errors import (
 )
 from youngspec.limitlaw import (
     LimitLaw,
+    _h_values,
+    _tables,
     beta_product_moment,
     beta_product_sample,
     beta_product_samples,
@@ -106,7 +110,7 @@ def test_density_order2_matches_closed_form():
 def test_density_matches_meijer_g_oracle_within_error_bar():
     # seeded points over [1e-4 L, 0.99 L] plus x = 0.505 L in the bulk;
     # the reported error must cover the true error
-    for r in (2, 3, 4):
+    for r in (2, 3, 4, 5, 6):
         edge = float(support_edge(r))
         rng = np.random.default_rng(4000 + r)
         ts = np.concatenate([10.0 ** rng.uniform(-4.0, math.log10(0.99), 30), [0.505]])
@@ -115,6 +119,81 @@ def test_density_matches_meijer_g_oracle_within_error_bar():
             ref = limit_density(r, float(x))
             assert abs(f - ref) <= 1e-8 * ref, (r, x, f, ref)
             assert abs(f - ref) <= err, (r, x, f, ref, err)
+
+
+def _h_value_reference(ell, oml, p, q, prev, n):
+    """Per-point form of limitlaw._h_values: the same panels, one at a time."""
+    sig = prev.sigma
+    delta = min(ell, 0.5 * oml)
+    xi, wts = roots_jacobi(n, 0.0, sig) if sig else roots_legendre(n)
+    o = delta * (1.0 + xi) / 2.0
+    bb = ell + o
+    total = (delta / 2.0) ** (sig + 1.0) * float(np.dot(
+        wts, bb ** (p - sig) * (oml - o) ** q * prev.g_reduced(ell / bb, o / bb)))
+    xi, wts = roots_legendre(n)
+    ends, t = [], delta
+    while t < 0.5 * oml * (1.0 - 1e-14):
+        t = min(2.0 * t, 0.5 * oml)
+        ends.append(t)
+    lo = delta
+    for hi in ends + [0.875 * oml]:
+        o = (lo + hi) / 2.0 + (hi - lo) / 2.0 * xi
+        bb = ell + o
+        total += (hi - lo) / 2.0 * float(np.dot(
+            wts, bb**p * (oml - o) ** q * prev.g_full(ell / bb, o / bb)))
+        lo = hi
+    h = oml / 8.0
+    xi, wts = roots_jacobi(n, q, 0.0)
+    o = oml - h * (1.0 - xi) / 2.0
+    bb = ell + o
+    return total + (h / 2.0) ** (q + 1.0) * float(np.dot(wts, bb**p * prev.g_full(ell / bb, o / bb)))
+
+
+def test_batched_quadrature_matches_per_point_panels():
+    # only the summation order differs from the per-point rule, so the
+    # agreement is at the level of rounding of a few dozen positive terms
+    r = 4
+    prev = _tables(r).levels[r - 1]
+    s = np.linspace(-21.0, 21.0, 57)
+    ell, oml = 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))
+    p, q = 4.0 / 5.0 - 2.0, 4.0 / 20.0 - 1.0  # the outer integral's exponents
+    for n in (20, 28, 36):
+        got = _h_values(ell, oml, p, q, prev, n)
+        ref = [_h_value_reference(float(a), float(b), p, q, prev, n) for a, b in zip(ell, oml)]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+def test_density_grid_equals_pointwise_density_bit_for_bit():
+    # the grid and the single-point call share one batched evaluator, so a
+    # point's value must not depend on the batch it is evaluated in
+    for r in (1, 2, 3, 4):
+        grid = density_grid(r, 64)
+        pairs = [density_with_error(r, float(x)) for x in grid.x]
+        assert np.array_equal(grid.f, [f for f, _ in pairs]), r
+        assert np.array_equal(grid.err, [e for _, e in pairs]), r
+
+
+def test_density_grid_tol_names_first_offending_abscissa():
+    grid = density_grid(3, 64)
+    tol = 1e-12
+    first = int(np.flatnonzero(grid.err > tol * np.maximum(1.0, np.abs(grid.f)))[0])
+    with pytest.raises(ToleranceNotMetError, match=re.escape(f"at x={grid.x[first]:.6g} ")):
+        density_grid(3, 64, tol=tol)
+
+
+def test_density_large_order_approaches_triangular_law():
+    # X/r tends to the triangular law on [0, e]: r f(r y) -> dh_density(y),
+    # with a relative gap below 1.5/r that shrinks from r = 50 to r = 100
+    ys = (0.05, 0.2, 0.5, 1.0, 1.5, 2.0)
+    gaps = {}
+    for r in (50, 100):
+        for y in ys:
+            f, _ = density_with_error(r, r * y)
+            ref = dh_density(y) / r
+            assert abs(f - ref) <= (1.5 / r) * ref, (r, y, f, ref)
+            gaps[r, y] = abs(f - ref) / ref
+    for y in ys:
+        assert gaps[100, y] < gaps[50, y], (y, gaps[50, y], gaps[100, y])
 
 
 def test_density_outside_support():
