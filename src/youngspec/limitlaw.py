@@ -4,29 +4,26 @@ The law of order r is supported on [0, L] with L = (r+1)^(r+1)/r^r and
 equals in distribution U(0, L) * prod_{j=1..r} Beta(j/(r+1), j/(r(r+1))).
 Four independent evaluation routes live here and cross-validate each
 other: exact rational moments of the Beta product, a truncated Stieltjes
-series valid for |z| > L, the density as an iterated multiplicative
-convolution of the factor densities, and Monte Carlo sampling of the
-product representation.
+series valid for |z| > L, the closed-form parametric density and CDF, and
+Monte Carlo sampling of the product representation.
 
-Density machinery
------------------
-Writing P for the Beta product and t = x/L, the density is
-    f(x) = const * h_r(t),   h_m(t) = E[ 1{B_1..B_m >= t} / (B_1..B_m) ]
-up to normalization, and h_m satisfies the one-dimensional recursion
-    h_m(t) = integral_t^1 B^(a_m - 2) (1-B)^(b_m - 1) h_{m-1}(t/B) dB.
-Every level is a univariate function with known endpoint exponents:
-h_m(t) ~ t^(a_1 - 1) at 0 and ~ (1-t)^(sigma_m) at 1, sigma_m = sum of
-the first m Beta tail exponents. Each integral is evaluated piecewise
-with Gauss-Jacobi rules that absorb the endpoint power laws exactly,
-bridged by dyadic Gauss-Legendre panels, for a whole array of points at
-once: one numpy pass per panel over a (points x nodes) array. The inner
-levels 1..r-1 are tabulated once per order, each as one spline in the
-logit log u - log(1-u) with the endpoint powers factored out, all nodes
-of a level in one batched call; the error of the tables is validated
-off-node against finer quadrature, and a level that overflows raises
-NoConvergenceError. The density is the outer integral over the last
-tabulated level, batched over every abscissa of a grid (a single point
-is a batch of one, so both give the same bits); the closed forms at
+Parametric density
+------------------
+The Stieltjes transform is algebraic: G(z) = (1 - B^-r)/r with
+B^(r+1) - z B + z = 0. On the cut the root B is the apex of the triangle
+(0, 1, B) whose angles are theta at 0, r theta at B and pi - (r+1) theta
+at 1, so the law of sines gives |B| and |B - 1| with no solver. With
+phi = pi/(r+1) - theta in (0, pi/(r+1)), the angle from the hard edge,
+    x(phi) = sin((r+1)phi)^(r+1) / (sin theta sin(r theta)^r),
+    f      = sin(r theta)^(r+1) / (r pi sin((r+1)phi)^r),
+    F      = (r+1)phi/pi + sin((r+1)phi) sin(r theta) / (r pi sin theta),
+and x sweeps (0, L) monotonically. Everything is evaluated in logs, so
+large r cannot overflow, and each sine argument is reduced by its nearer
+edge, so neither edge cancels. The angle of an abscissa is found by one
+vectorised bisection on log x(phi) and a Newton polish, for a whole grid
+at once (a single point is a batch of one, so both give the same bits);
+the error bar is the a-posteriori root residual plus rounding, carried
+into f. Moments are Gauss-Legendre sums in phi. The closed forms at
 r = 1, 2 and the Meijer G-function form of the law are the independent
 checks.
 """
@@ -40,9 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     InsufficientPointsError,
@@ -116,8 +111,6 @@ class _Params:
     edge: float
     a: tuple[float, ...]      # Beta first parameters j/(r+1)
     b: tuple[float, ...]      # Beta second parameters j/(r(r+1))
-    sigma: tuple[float, ...]  # cumulative sums of b, sigma[m] for m = 0..r
-    norm: float               # 1 / (L * prod Beta(a_j, b_j))
 
 
 @lru_cache(maxsize=None)
@@ -126,268 +119,122 @@ def _params(r: int) -> _Params:
         raise InvalidOrderError(f"r = {r} < 1")
     a = tuple(j / (r + 1) for j in range(1, r + 1))
     b = tuple(j / (r * (r + 1)) for j in range(1, r + 1))
-    sigma = [0.0]
-    for bj in b:
-        sigma.append(sigma[-1] + bj)
-    log_norm = -math.log(float(support_edge(r)))
-    for aj, bj in zip(a, b):
-        log_norm -= math.lgamma(aj) + math.lgamma(bj) - math.lgamma(aj + bj)
-    return _Params(r=r, edge=float(support_edge(r)), a=a, b=b,
-                   sigma=tuple(sigma), norm=math.exp(log_norm))
+    return _Params(r=r, edge=float(support_edge(r)), a=a, b=b)
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int):
-    return roots_legendre(n)
-
-
-@lru_cache(maxsize=None)
-def _gauss_jacobi(n: int, alpha: float, beta: float):
-    if alpha == 0.0 and beta == 0.0:
-        return roots_legendre(n)
-    return roots_jacobi(n, alpha, beta)
-
-
-# -- the one-dimensional masked Beta integral ------------------------------
+# -- the parametric law ----------------------------------------------------
 #
-# _h_values computes  integral_ell^1  B^p (1-B)^q g(ell/B) dB  at every
-# point of the arrays ell, oml, where g is the previous level. Work in the
-# offset o = B - ell in [0, oml], oml = 1 - ell, so both endpoint
-# distances stay exact in floating point:
-#   * o near 0:  g(ell/B) has a (1 - ell/B)^sigma = (o/B)^sigma corner,
-#     absorbed by a Gauss-Jacobi rule with left weight o^sigma on
-#     [0, delta], delta = min(ell, oml/2);
-#   * in between: plain Gauss-Legendre panels whose right ends double from
-#     delta up to oml/2, then one panel up to 7/8 oml;
-#   * o near oml: the (1-B)^q = (oml-o)^q endpoint, absorbed by a
-#     Gauss-Jacobi rule with right weight on [7/8 oml, oml].
-# Each panel is one (points x n) array pass; the doubling loop runs over
-# the panel index and takes only the points still below oml/2, so the
-# memory held at once is one panel, not the whole panel set. Rows are
-# reduced with numpy sums, not BLAS, so the result of a point does not
-# depend on the batch it is evaluated in or on the BLAS thread count.
+# The working variable is t = (r+1) phi / pi in (0, 1) and s = 1 - t,
+# which is exact for t >= 1/2. The angles (r+1)phi = pi t, theta =
+# pi s/(r+1) and r theta are each reduced by their nearer end of [0, pi]
+# before the sine is taken, so every sine keeps full relative accuracy at
+# both edges. With a, b, c the sines of (r+1)phi, theta, r theta, the
+# derivatives are written without differences of large terms, so nothing
+# cancels at the soft edge, where a, b, c all vanish:
+#   d log x/dt = pi/(r+1) * N / (a b c),  N = (c - r b)^2 + 4 r b c h^2,
+#   d log f/dt = -pi r b / (a c),         h = sin((r+1)theta/2),
+# and dF/dt = f x d log x/dt with f x = a c / (r pi b).
+
+_EPS = float(np.finfo(float).eps)
+_T_MAX = 1.0 - _EPS / 2.0  # largest float below 1, so s > 0
+_BISECTIONS = 60
+_NEWTON_STEPS = 3
+_MOMENT_NODES = 64
 
 
-def _h_values(ell: np.ndarray, oml: np.ndarray, p: float, q: float, prev,
-              n: int) -> np.ndarray:
-    sig = prev.sigma
-    half = 0.5 * oml
-    delta = np.minimum(ell, half)
-
-    # corner panel o in [0, delta]
-    xi, wts = _gauss_jacobi(n, 0.0, sig)
-    o = delta[:, None] * (1.0 + xi) / 2.0
-    bb = ell[:, None] + o
-    omb = oml[:, None] - o
-    vals = bb ** (p - sig) * omb**q * prev.g_reduced(ell[:, None] / bb, o / bb)
-    total = (delta / 2.0) ** (sig + 1.0) * (vals * wts).sum(axis=1)
-
-    xi_gl, w_gl = _gauss_legendre(n)
-
-    def legendre(idx, lo, hi):
-        o = ((lo + hi) / 2.0)[:, None] + ((hi - lo) / 2.0)[:, None] * xi_gl
-        bb = ell[idx, None] + o
-        omb = oml[idx, None] - o
-        vals = bb**p * omb**q * prev.g_full(ell[idx, None] / bb, o / bb)
-        total[idx] += (hi - lo) / 2.0 * (vals * w_gl).sum(axis=1)
-
-    # dyadic interior panels: right ends double until they reach oml/2
-    lo = delta.copy()
-    idx = np.flatnonzero(lo < half * (1.0 - 1e-14))
-    while idx.size:
-        hi = np.minimum(2.0 * lo[idx], half[idx])
-        legendre(idx, lo[idx], hi)
-        lo[idx] = hi
-        idx = idx[hi < half[idx] * (1.0 - 1e-14)]
-    legendre(slice(None), lo, 0.875 * oml)
-
-    # right panel o in [7/8 oml, oml] with the (oml - o)^q weight
-    h = oml / 8.0
-    xi, wts = _gauss_jacobi(n, q, 0.0)
-    omb = h[:, None] * (1.0 - xi) / 2.0
-    o = oml[:, None] - omb
-    bb = ell[:, None] + o
-    vals = bb**p * prev.g_full(ell[:, None] / bb, o / bb)
-    total += (h / 2.0) ** (q + 1.0) * (vals * wts).sum(axis=1)
-
-    return total
+def _sines(r: int, t: np.ndarray) -> np.ndarray:
+    """Rows a, b, c = sin((r+1)phi), sin(theta), sin(r theta) at t."""
+    s = 1.0 - t
+    r_theta = np.where(r * s <= 0.5 * (r + 1), r * s, 1.0 + r * t)  # in units of pi/(r+1)
+    return np.sin(np.pi * np.stack([np.minimum(t, s), s / (r + 1), r_theta / (r + 1)]))
 
 
-# -- level functions -------------------------------------------------------
+def _log_x(r: int, sin: np.ndarray) -> np.ndarray:
+    # both ratios stay O(1) at the soft edge
+    return (r + 1) * np.log(sin[0] / sin[2]) + np.log(sin[2] / sin[1])
 
 
-class _BaseLevel:
-    """Empty product: h_0 = 1."""
-
-    sigma = 0.0
-
-    @staticmethod
-    def g_full(u, omu):
-        return np.ones_like(np.asarray(u, dtype=float))
-
-    @staticmethod
-    def g_reduced(u, omu):
-        return np.ones_like(np.asarray(u, dtype=float))
+def _dlogx_dt(r: int, t: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    a, b, c = sin
+    h = np.sin(0.5 * np.pi * (1.0 - t))
+    return np.pi / (r + 1) * ((c - r * b) ** 2 + 4.0 * r * b * c * h * h) / (a * b * c)
 
 
-class _LinExtSpline:
-    """Cubic spline with linear continuation outside the sample range."""
-
-    def __init__(self, t: np.ndarray, y: np.ndarray):
-        self._spl = CubicSpline(t, y)
-        self.t0, self.t1 = float(t[0]), float(t[-1])
-        self.y0, self.y1 = float(y[0]), float(y[-1])
-        self.d0 = float(self._spl(self.t0, 1))
-        self.d1 = float(self._spl(self.t1, 1))
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.asarray(self._spl(np.clip(t, self.t0, self.t1)), dtype=float)
-        lo = t < self.t0
-        hi = t > self.t1
-        if np.any(lo):
-            out = np.where(lo, self.y0 + self.d0 * (t - self.t0), out)
-        if np.any(hi):
-            out = np.where(hi, self.y1 + self.d1 * (t - self.t1), out)
-        return out
+def _invert(r: int, log_x: np.ndarray) -> np.ndarray:
+    """t with log x(t) = log_x: bisection on the monotone log x, then Newton in log t."""
+    lo = np.zeros_like(log_x)
+    hi = np.full_like(log_x, _T_MAX)
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        below = _log_x(r, _sines(r, mid)) < log_x
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    t = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        sin = _sines(r, t)
+        step = (log_x - _log_x(r, sin)) / (t * _dlogx_dt(r, t, sin))
+        t = np.clip(t * np.exp(step), lo, hi)
+    return t
 
 
-class _SplineLevel:
-    """Tabulated h_m with the endpoint power laws factored out.
+def _law(r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Density, its absolute error bar and the CDF at every abscissa of x in (0, L).
 
-    Stores E(u) = h_m(u) * u^(1 - a_1) * (1-u)^(-sigma_m) as one spline of
-    log E in the logit s = log u - log(1-u), which is nearly linear at both
-    ends and smooth across the bulk, so no branch switch is needed.
+    The error bar is a-posteriori: the root's log-residual plus a rounding
+    bound of log x(t) moves t by at most twice their sum over d log x/dt
+    (the factor 2 covers the curvature on the flank of the double root at
+    the soft edge, while the shift stays below s), which moves log f by
+    |d log f/dt| times that; the rounding of log f itself is added.
     """
+    log_x = np.log(x)
+    t = _invert(r, log_x)
+    sin = _sines(r, t)
+    a, b, c = sin
+    log_ac = np.log(a / c)
+    log_c = np.log(c)
+    log_f = log_c - r * log_ac - math.log(r * math.pi)
+    f = np.exp(log_f)
+    cdf = t + a * c / (r * math.pi * b)
 
-    def __init__(self, sigma: float, a1m1: float, spline: _LinExtSpline):
-        self.sigma = sigma
-        self.a1m1 = a1m1
-        self._spline = spline
-
-    def _core(self, u, omu):
-        return np.exp(self._spline(np.log(u) - np.log(omu)))
-
-    def g_reduced(self, u, omu):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return u**self.a1m1 * self._core(u, omu)
-
-    def g_full(self, u, omu):
-        omu = np.atleast_1d(np.asarray(omu, dtype=float))
-        return omu**self.sigma * self.g_reduced(u, omu)
-
-
-# table nodes: equally spaced in s = logit(u) over |s| <= 9.5 ln 10
-_TABLE_PTS_PER_DECADE = 45
-_TABLE_LOG10_MAX = 9.5
-
-
-@dataclass
-class _Tables:
-    levels: list
-    rel_err: float
+    round_x = 4.0 * _EPS * ((r + 1) * (1.0 + np.abs(log_ac)) + 2.0 + np.abs(log_x))
+    round_f = 4.0 * _EPS * (r * (1.0 + np.abs(log_ac)) + 1.0 + np.abs(log_c) + np.abs(log_f))
+    shift = 2.0 * (np.abs(_log_x(r, sin) - log_x) + round_x) / _dlogx_dt(r, t, sin)
+    err = f * (np.pi * r * b / (a * c) * shift + round_f)
+    return f, err, cdf
 
 
 @lru_cache(maxsize=None)
-def _tables(r: int) -> _Tables:
-    """Build splined level functions for order r and bound their error.
+def _mass_nodes(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes of t on (0, 1): log x there and the weighted mass dF.
 
-    Each level is sampled at all logit nodes in one batched call, where
-    u = 1/(1+e^-s) and 1-u = 1/(1+e^s) keep both endpoint distances exact.
-    The error bound is the worst relative deviation from a finer quadrature
-    at 12 node interval midpoints, where the spline error peaks, summed over
-    levels. A level whose log E is not finite at some node (at large r the
-    deepest levels overflow near u -> 0) raises NoConvergenceError.
+    x^k dF/dt is smooth at both edges, so the rule converges geometrically.
     """
-    par = _params(r)
-    a1m1 = par.a[0] - 1.0
-    levels: list = [_BaseLevel()]
-    rel_err = 0.0
-
-    n_s = int(2 * _TABLE_LOG10_MAX * _TABLE_PTS_PER_DECADE)
-    s_max = _TABLE_LOG10_MAX * math.log(10.0)
-    s_nodes = np.linspace(-s_max, s_max, n_s)
-
-    def endpoints(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))
-
-    ell, oml = endpoints(s_nodes)
-    check_rng = np.random.Generator(np.random.Philox(key=np.array([11, r], dtype=np.uint64)))
-
-    for m in range(1, r):
-        p = par.a[m - 1] - 2.0
-        q = par.b[m - 1] - 1.0
-        prev = levels[-1]
-        sig_m = par.sigma[m]
-
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            h = _h_values(ell, oml, p, q, prev, 24)
-            log_e = np.log(h) - a1m1 * np.log(ell) - sig_m * np.log(oml)
-        bad = ~np.isfinite(log_e)
-        if np.any(bad):
-            raise NoConvergenceError(
-                f"order r={r}: level {m} of the density tables is not finite at "
-                f"{int(np.sum(bad))} of {n_s} nodes (first at logit s={s_nodes[bad][0]:.4g})")
-        level = _SplineLevel(sig_m, a1m1, _LinExtSpline(s_nodes, log_e))
-
-        i = check_rng.integers(0, n_s - 1, size=12)
-        c_ell, c_oml = endpoints(0.5 * (s_nodes[i] + s_nodes[i + 1]))
-        ref = _h_values(c_ell, c_oml, p, q, prev, 36)
-        got = level.g_full(c_ell, c_oml)
-        rel_err += float(np.max(np.abs(got - ref) / np.abs(ref)))
-        levels.append(level)
-
-    return _Tables(levels=levels, rel_err=rel_err)
+    xi, w = leggauss(_MOMENT_NODES)
+    t = 0.5 * (1.0 + xi)
+    sin = _sines(r, t)
+    a, b, c = sin
+    mass = 0.5 * w * a * c / (r * math.pi * b) * _dlogx_dt(r, t, sin)
+    return _log_x(r, sin), mass
 
 
 # -- density ---------------------------------------------------------------
 
 
-# Gauss rule sizes of the outer integral; their difference is its error
-_RULE_PAIR = (20, 28)
-
-
-def _density_values(r: int, x: np.ndarray,
-                    n_pair: tuple[int, int] = _RULE_PAIR) -> tuple[np.ndarray, np.ndarray]:
-    """Density and absolute error at every abscissa of x, all inside (0, L).
-
-    The outer integral over the tabulated level r-1 is evaluated at the
-    two rule sizes in n_pair; the error is their difference plus the
-    tables' validated relative error times |f|.
-    """
-    par = _params(r)
-    t = x / par.edge
-    omt = (par.edge - x) / par.edge
-    tables = _tables(r)
-    p = par.a[r - 1] - 2.0
-    q = par.b[r - 1] - 1.0
-    prev = tables.levels[r - 1]
-    lo = _h_values(t, omt, p, q, prev, n_pair[0])
-    hi = _h_values(t, omt, p, q, prev, n_pair[1])
-    f = par.norm * hi
-    err = par.norm * np.abs(hi - lo) + tables.rel_err * np.abs(f)
-    return f, err
-
-
-def density_with_error(r: int, x: float,
-                       n_pair: tuple[int, int] = _RULE_PAIR) -> tuple[float, float]:
+def density_with_error(r: int, x: float) -> tuple[float, float]:
     """Density of the order-r law at x with an absolute error estimate.
 
-    The same batched evaluation as density_grid, on one abscissa. The
-    first call for an order builds its tables (r = 1 needs none).
+    The same batched evaluation as density_grid, on one abscissa.
     """
     par = _params(r)
     if not 0.0 < x < par.edge:
         raise OutsideSupportError(f"x = {x} outside (0, {par.edge})")
-    f, err = _density_values(r, np.array([float(x)]), n_pair)
+    f, err, _ = _law(r, np.array([float(x)]))
     return float(f[0]), float(err[0])
 
 
 def density(r: int, x: float, tol: float = 1e-6) -> float:
     """Density value with reported absolute error at most ``tol``."""
     f, err = density_with_error(r, x)
-    if err > tol:
-        f, err = density_with_error(r, x, n_pair=(40, 56))
     if err > tol:
         raise ToleranceNotMetError(f"density error estimate {err:.3e} exceeds tol {tol:.1e}")
     return f
@@ -437,100 +284,23 @@ class DensityGrid:
     f: np.ndarray
     err: np.ndarray
 
-    def _head_fit(self) -> tuple[np.ndarray, float, float]:
-        """Three-term expansion f = x^(-p) (c0 + c1 x^s + c2 x^(2s)) near 0.
-
-        The exponents are fixed by the law (p = r/(r+1), s = 1/(r+1));
-        the coefficients are matched at three spread grid points.
-        """
-        p = self.r / (self.r + 1.0)
-        s = 1.0 / (self.r + 1.0)
-        i1 = int(np.searchsorted(self.x, 4.0 * self.x[0]))
-        i2 = int(np.searchsorted(self.x, 16.0 * self.x[0]))
-        i1 = min(max(i1, 1), len(self.x) - 2)
-        i2 = min(max(i2, i1 + 1), len(self.x) - 1)
-        pts = self.x[[0, i1, i2]]
-        vals = self.f[[0, i1, i2]]
-        mat = np.array([[xx ** (-p) * xx ** (i * s) for i in range(3)] for xx in pts])
-        try:
-            coef = np.linalg.solve(mat, vals)
-        except np.linalg.LinAlgError:
-            coef = np.array([np.nan, 0.0, 0.0])
-        if not np.isfinite(coef[0]) or coef[0] <= 0:
-            coef = np.array([vals[0] * pts[0] ** p, 0.0, 0.0])
-        return coef, p, s
-
-    def _head_moment(self, k: int, upto: float) -> float:
-        coef, p, s = self._head_fit()
-        return float(sum(c * upto ** (k + 1.0 - p + i * s) / (k + 1.0 - p + i * s)
-                         for i, c in enumerate(coef)))
-
-    def _tail_moment(self, k: int) -> float:
-        gap = self.edge - self.x[-1]
-        d = self.f[-1] / math.sqrt(gap)
-        return self.edge**k * d * (2.0 / 3.0) * gap**1.5
-
-    def _segment_integrals(self, k: int) -> np.ndarray:
-        """Per-segment integrals of x^k f reconstructed in log coordinates.
-
-        log(x^k f) is splined against log x away from the upper edge
-        (linear there for the singular head) and against log(L - x) near
-        it (linear for the square-root vanishing); each segment is then
-        integrated by a fixed Gauss-Legendre rule. No density values
-        beyond the stored grid are used.
-        """
-        g = self.x**k * self.f
-        if np.any(g <= 0):
-            return 0.5 * (g[:-1] + g[1:]) * np.diff(self.x)
-        d = self.edge - self.x
-        split = int(np.searchsorted(self.x, 0.85 * self.edge))
-        split = min(max(split, 2), len(self.x) - 2)
-        nodes, wts = _gauss_legendre(7)
-        out = np.empty(len(self.x) - 1)
-
-        s = np.log(self.x[: split + 1])
-        spl = CubicSpline(s, np.log(g[: split + 1]))
-        a, b = s[:-1], s[1:]
-        mid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * nodes[None, :]
-        vals = np.exp(spl(mid) + mid)
-        out[:split] = 0.5 * (b - a) * (vals @ wts)
-
-        t = np.log(d[split:])[::-1]  # ascending in log-distance
-        spl_e = CubicSpline(t, np.log(g[split:])[::-1])
-        a, b = t[:-1], t[1:]
-        mid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * nodes[None, :]
-        vals = np.exp(spl_e(mid) + mid)
-        out[split:] = (0.5 * (b - a) * (vals @ wts))[::-1]
-        return out
-
     def moment(self, k: int) -> float:
-        """integral of x^k against the gridded density, edge-corrected."""
-        inner = float(np.sum(self._segment_integrals(k)))
-        return self._head_moment(k, self.x[0]) + inner + self._tail_moment(k)
+        """k-th moment of the law, a Gauss-Legendre sum in the edge angle."""
+        log_x, mass = _mass_nodes(self.r)
+        return float(np.sum(mass * np.exp(k * log_x)))
 
     def integral(self) -> float:
         return self.moment(0)
 
     def cdf(self) -> GridCDF:
-        """Piecewise-linear CDF, extended analytically below the first abscissa."""
-        coef, p, s = self._head_fit()
+        """Piecewise-linear interpolant of the law's CDF at the grid abscissae.
 
-        def head_cdf(xx: float) -> float:
-            return float(sum(c * xx ** (1.0 - p + i * s) / (1.0 - p + i * s)
-                             for i, c in enumerate(coef)))
-
-        ext = self.x[0] * 10.0 ** np.arange(-5.0, -0.4, 0.5)
-        xs = [0.0] + [float(e) for e in ext] + [float(v) for v in self.x]
-        fs = [0.0] + [head_cdf(e) for e in ext]
-        acc = head_cdf(self.x[0])
-        fs.append(acc)
-        segs = self._segment_integrals(0)
-        for sgm in segs:
-            acc += float(sgm)
-            fs.append(acc)
-        xs.append(self.edge)
-        fs.append(acc + self._tail_moment(0))
-        return GridCDF(np.array(xs), np.array(fs))
+        Knots are 0, a head extension x[0] * 10^(-5..-0.5) below the grid,
+        the grid itself and L; the values come from the closed-form F.
+        """
+        xs = np.concatenate([self.x[0] * 10.0 ** np.arange(-5.0, -0.4, 0.5), self.x])
+        _, _, cdf = _law(self.r, xs)
+        return GridCDF(np.concatenate([[0.0], xs, [self.edge]]), np.concatenate([[0.0], cdf, [1.0]]))
 
 
 def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
@@ -551,7 +321,7 @@ def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
     mid = np.linspace(0.2 * edge, 0.9 * edge, n_mid, endpoint=False)
     tail = edge - edge * 10.0 ** np.linspace(-1.0, -6.0, n_tail)
     xs = np.unique(np.concatenate([head, mid, tail]))
-    fs, errs = _density_values(r, xs)
+    fs, errs, _ = _law(r, xs)
     if tol is not None:
         over = np.flatnonzero(errs > tol * np.maximum(1.0, np.abs(fs)))
         if over.size:
@@ -765,20 +535,17 @@ def dh_density(x: float) -> float:
 def dh_cdf(x: float) -> float:
     """CDF of the triangular limit law.
 
-    In the angle variable the mass element simplifies to
-    (1 - sin(2v)/v + sin(v)^2/v^2) / pi, which is smooth on (0, pi).
+    In the angle variable the mass element is
+    (1 - sin(2v)/v + sin(v)^2/v^2) / pi = d(v - sin(v)^2/v) / pi, and
+    x(v) falls as v rises, so F(x(v)) = integral over (v, pi) of it,
+    which is 1 - v/pi + sin(v)^2/(pi v).
     """
     if x <= 0.0:
         return 0.0
     if x >= math.e:
         return 1.0
     v = _dh_param_from_x(x)
-
-    def mass(w: float) -> float:
-        return (1.0 - math.sin(2.0 * w) / w + (math.sin(w) / w) ** 2) / math.pi
-
-    val, _ = quad(mass, v, math.pi, limit=200)
-    return float(val)
+    return 1.0 - v / math.pi + math.sin(v) ** 2 / (math.pi * v)
 
 
 # -- edge exponents ----------------------------------------------------------

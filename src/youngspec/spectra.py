@@ -9,7 +9,6 @@ come from spectra; the limit law supplies a piecewise-linear grid CDF.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +232,8 @@ def shape_ensemble_spectra(shape: Partition, scale: int, dist: EntryDistribution
         raise ValueError(f"replicas {replicas} < 1")
     tasks = [(shape.parts, scale, dist, seed, i) for i in range(replicas)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_replica_eigenvalues, tasks))
     return [_replica_eigenvalues(t) for t in tasks]

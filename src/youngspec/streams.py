@@ -8,17 +8,18 @@ draw identical numbers regardless of scheduling order.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 __all__ = ["substream"]
 
 _MASK64 = (1 << 64) - 1
 
 
-def substream(seed: int, index: int = 0) -> np.random.Generator:
+def substream(seed: int, index: int = 0) -> Generator:
     """Independent generator for replica ``index`` under master ``seed``."""
     if seed < 0:
         raise ValueError(f"seed {seed} < 0")
     if index < 0:
         raise ValueError(f"substream index {index} < 0")
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))

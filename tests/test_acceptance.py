@@ -110,7 +110,7 @@ def test_criterion_04_closed_form_density_agreement():
         pts2 = np.linspace(0.05 * edge2, 0.95 * edge2, 20)
         worst2 = max(abs(density(2, float(x), tol=1e-8) - density_r2(float(x))) for x in pts2)
     ok = worst1 < 1e-8 and worst2 < 1e-6 and t.elapsed < 120.0
-    report(4, "convolution density matches closed forms (r=1 @1e-8, r=2 @1e-6, 20 pts each)",
+    report(4, "parametric density matches closed forms (r=1 @1e-8, r=2 @1e-6, 20 pts each)",
            ok, f"max diffs {worst1:.1e} / {worst2:.1e}, {t.elapsed:.1f}s")
     assert ok
 

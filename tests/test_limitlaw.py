@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import roots_jacobi, roots_legendre
 
 from youngspec.combinatorics import catalan, dh_moment, limit_moment
 from youngspec.errors import (
@@ -19,8 +18,6 @@ from youngspec.errors import (
 )
 from youngspec.limitlaw import (
     LimitLaw,
-    _h_values,
-    _tables,
     beta_product_moment,
     beta_product_sample,
     beta_product_samples,
@@ -44,7 +41,7 @@ from youngspec.limitlaw import (
 from youngspec.spectra import StepCDF, ks_distance
 from youngspec.streams import substream
 
-from _oracle import limit_density
+from _oracle import limit_cdf, limit_density
 
 
 def test_support_edge_values():
@@ -110,7 +107,7 @@ def test_density_order2_matches_closed_form():
 def test_density_matches_meijer_g_oracle_within_error_bar():
     # seeded points over [1e-4 L, 0.99 L] plus x = 0.505 L in the bulk;
     # the reported error must cover the true error
-    for r in (2, 3, 4, 5, 6):
+    for r in range(2, 11):
         edge = float(support_edge(r))
         rng = np.random.default_rng(4000 + r)
         ts = np.concatenate([10.0 ** rng.uniform(-4.0, math.log10(0.99), 30), [0.505]])
@@ -121,46 +118,21 @@ def test_density_matches_meijer_g_oracle_within_error_bar():
             assert abs(f - ref) <= err, (r, x, f, ref, err)
 
 
-def _h_value_reference(ell, oml, p, q, prev, n):
-    """Per-point form of limitlaw._h_values: the same panels, one at a time."""
-    sig = prev.sigma
-    delta = min(ell, 0.5 * oml)
-    xi, wts = roots_jacobi(n, 0.0, sig) if sig else roots_legendre(n)
-    o = delta * (1.0 + xi) / 2.0
-    bb = ell + o
-    total = (delta / 2.0) ** (sig + 1.0) * float(np.dot(
-        wts, bb ** (p - sig) * (oml - o) ** q * prev.g_reduced(ell / bb, o / bb)))
-    xi, wts = roots_legendre(n)
-    ends, t = [], delta
-    while t < 0.5 * oml * (1.0 - 1e-14):
-        t = min(2.0 * t, 0.5 * oml)
-        ends.append(t)
-    lo = delta
-    for hi in ends + [0.875 * oml]:
-        o = (lo + hi) / 2.0 + (hi - lo) / 2.0 * xi
-        bb = ell + o
-        total += (hi - lo) / 2.0 * float(np.dot(
-            wts, bb**p * (oml - o) ** q * prev.g_full(ell / bb, o / bb)))
-        lo = hi
-    h = oml / 8.0
-    xi, wts = roots_jacobi(n, q, 0.0)
-    o = oml - h * (1.0 - xi) / 2.0
-    bb = ell + o
-    return total + (h / 2.0) ** (q + 1.0) * float(np.dot(wts, bb**p * prev.g_full(ell / bb, o / bb)))
-
-
-def test_batched_quadrature_matches_per_point_panels():
-    # only the summation order differs from the per-point rule, so the
-    # agreement is at the level of rounding of a few dozen positive terms
-    r = 4
-    prev = _tables(r).levels[r - 1]
-    s = np.linspace(-21.0, 21.0, 57)
-    ell, oml = 1.0 / (1.0 + np.exp(-s)), 1.0 / (1.0 + np.exp(s))
-    p, q = 4.0 / 5.0 - 2.0, 4.0 / 20.0 - 1.0  # the outer integral's exponents
-    for n in (20, 28, 36):
-        got = _h_values(ell, oml, p, q, prev, n)
-        ref = [_h_value_reference(float(a), float(b), p, q, prev, n) for a, b in zip(ell, oml)]
-        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+def test_grid_cdf_and_integral_match_meijer_g_cdf_oracle():
+    # the CDF knots below, at and above the first grid abscissa x[0] = 1e-7 L
+    # and in the bulk, and the total mass, against the G-function CDF
+    for r in range(4, 11):
+        grid = density_grid(r)
+        cdf = grid.cdf()
+        edge = grid.edge
+        knots = [1, 10, 11, int(np.searchsorted(cdf.xs, 0.151 * edge)),
+                 int(np.searchsorted(cdf.xs, 0.6 * edge))]
+        assert cdf.xs[knots[2]] == grid.x[0]
+        for i in knots:
+            x = float(cdf.xs[i])
+            ref = limit_cdf(r, x)
+            assert abs(cdf.fs[i] - ref) <= 1e-12, (r, x, cdf.fs[i], ref)
+        assert abs(grid.integral() - 1.0) <= 1e-12, (r, grid.integral())
 
 
 def test_density_grid_equals_pointwise_density_bit_for_bit():
@@ -175,7 +147,7 @@ def test_density_grid_equals_pointwise_density_bit_for_bit():
 
 def test_density_grid_tol_names_first_offending_abscissa():
     grid = density_grid(3, 64)
-    tol = 1e-12
+    tol = 1e-13
     first = int(np.flatnonzero(grid.err > tol * np.maximum(1.0, np.abs(grid.f)))[0])
     with pytest.raises(ToleranceNotMetError, match=re.escape(f"at x={grid.x[first]:.6g} ")):
         density_grid(3, 64, tol=tol)
@@ -316,7 +288,7 @@ def test_beta_product_degenerates_to_square_case():
 
 
 def test_grid_cdf_matches_sampler_at_higher_orders():
-    # end-to-end: convolution-density CDF vs the independent sampling route
+    # end-to-end: closed-form CDF grid vs the independent sampling route
     for r in (3, 4):
         s = beta_product_samples(r, 10**6, substream(909, r))
         ks = ks_distance(StepCDF(s), cdf_grid(r))
@@ -445,7 +417,7 @@ def test_inversion_recovers_square_density():
 
 
 def test_inversion_recovers_order2_density():
-    # boundary transform built by quadrature against the convolution density,
+    # boundary transform built by quadrature against the parametric density,
     # inverted and compared with the independent closed form
     grid = density_grid(2, n=896)
     spline = CubicSpline(grid.x, grid.f)
