@@ -13,12 +13,9 @@ from .combinatorics import (
     limit_moment,
 )
 from .limitlaw import (
-    BetaProductSampler,
     ContourMoment,
     DensityGrid,
-    LimitLaw,
     beta_product_moment,
-    beta_product_sample,
     beta_product_samples,
     cdf_grid,
     contour_moment,
@@ -40,7 +37,6 @@ from .matrices import (
     CovarianceMatrix,
     EntryDistribution,
     ShapedMatrix,
-    block_index,
     covariance,
     sample_shaped,
     truncate_standardize,
@@ -48,11 +44,6 @@ from .matrices import (
 from .partitions import (
     Partition,
     balance_ratio,
-    conjugate,
-    contains,
-    dilate,
-    has_box,
-    make_partition,
     render,
     square,
     staircase,
@@ -63,8 +54,6 @@ from .spectra import (
     Histogram,
     Spectrum,
     StepCDF,
-    empirical_cdf,
-    empirical_moment,
     eigenvalues,
     ensemble_moments,
     ensemble_spectra,

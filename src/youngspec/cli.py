@@ -43,7 +43,7 @@ from .limitlaw import (
     support_edge,
 )
 from .matrices import ENTRY_KINDS, EntryDistribution, truncate_standardize
-from .partitions import Partition, balance_ratio, make_partition, render, staircase
+from .partitions import Partition, balance_ratio, render, staircase
 from .spectra import (
     Histogram,
     StepCDF,
@@ -53,7 +53,6 @@ from .spectra import (
     levy_distance,
     shape_ensemble_spectra,
     spectra_moments,
-    Spectrum,
 )
 from .streams import substream
 
@@ -244,7 +243,7 @@ def _frac(x: Fraction) -> str:
 
 
 def _run_shape(cfg: RunConfig) -> dict:
-    lam = make_partition(cfg.parts)
+    lam = Partition(cfg.parts)
     shown = lam.dilate(cfg.dilation) if cfg.dilation else lam
     out = {
         "parts": list(lam.parts),
@@ -301,7 +300,7 @@ def _run_simulate(cfg: RunConfig) -> dict:
         base = staircase(cfg.r)
         edge = float(support_edge(cfg.r))
     else:
-        base = make_partition(cfg.parts)
+        base = Partition(cfg.parts)
         edge = None
     spectra = ensemble_spectra(base, cfg.dilation, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs)
     pooled = np.concatenate(spectra)
@@ -311,7 +310,7 @@ def _run_simulate(cfg: RunConfig) -> dict:
                for k in range(cfg.kmax + 1)]
 
     rng = cfg.range if cfg.range is not None else [0.0, 1.05 * edge if edge else float(pooled.max()) * 1.05]
-    hist = histogram(Spectrum(values=pooled, dim=pooled.size), cfg.bins, tuple(rng))
+    hist = histogram(pooled, cfg.bins, tuple(rng))
 
     results = {
         "shape": list(base.parts),
@@ -383,7 +382,7 @@ def _run_sample_law(cfg: RunConfig) -> dict:
     rng = substream(cfg.seed, 0)
     draws = beta_product_samples(r, cfg.samples, rng)
     edge = float(support_edge(r))
-    hist = histogram(Spectrum(values=draws, dim=draws.size), cfg.bins, (0.0, 1.05 * edge))
+    hist = histogram(draws, cfg.bins, (0.0, 1.05 * edge))
     mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
     grid = density_grid(r, n=512)
     gcdf = grid.cdf()
@@ -415,7 +414,7 @@ def _run_triangular(cfg: RunConfig) -> dict:
             "limit": float(ref),
             "rel_err": abs(mk - float(ref)) / float(ref),
         })
-    hist = histogram(Spectrum(values=pooled, dim=pooled.size), cfg.bins, (0.0, 1.05 * np.e))
+    hist = histogram(pooled, cfg.bins, (0.0, 1.05 * np.e))
     mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
     dh_vals = [dh_density(float(x)) for x in mids]
 

@@ -50,7 +50,6 @@ from .errors import (
 from .spectra import GridCDF
 
 __all__ = [
-    "LimitLaw",
     "support_edge",
     "stieltjes",
     "stieltjes_hyp",
@@ -64,7 +63,6 @@ __all__ = [
     "mp_cdf",
     "density_r2",
     "beta_product_moment",
-    "beta_product_sample",
     "beta_product_samples",
     "ContourMoment",
     "contour_moment",
@@ -86,20 +84,6 @@ def support_edge(r: int) -> Fraction:
     if r < 1:
         raise InvalidOrderError(f"r = {r} < 1")
     return Fraction((r + 1) ** (r + 1), r**r)
-
-
-@dataclass(frozen=True)
-class LimitLaw:
-    """Order parameter and support edge of the limiting law."""
-
-    r: int
-    edge_exact: Fraction
-    edge: float
-
-    @classmethod
-    def for_order(cls, r: int) -> "LimitLaw":
-        ex = support_edge(r)
-        return cls(r=r, edge_exact=ex, edge=float(ex))
 
 
 # -- shared per-order parameters -----------------------------------------
@@ -223,12 +207,17 @@ def _mass_nodes(r: int) -> tuple[np.ndarray, np.ndarray]:
 def density_with_error(r: int, x: float) -> tuple[float, float]:
     """Density of the order-r law at x with an absolute error estimate.
 
-    The same batched evaluation as density_grid, on one abscissa.
+    The same batched evaluation as density_grid, on one abscissa. Near the
+    hard edge f grows like x^(-r/(r+1)); where f or its error bar exceeds
+    the float range, OutsideDomainError is raised instead of returning inf.
     """
     par = _params(r)
     if not 0.0 < x < par.edge:
         raise OutsideSupportError(f"x = {x} outside (0, {par.edge})")
-    f, err, _ = _law(r, np.array([float(x)]))
+    with np.errstate(over="ignore"):
+        f, err, _ = _law(r, np.array([float(x)]))
+    if not (np.isfinite(f[0]) and np.isfinite(err[0])):
+        raise OutsideDomainError(f"density of order {r} at x = {x} exceeds the float range")
     return float(f[0]), float(err[0])
 
 
@@ -256,7 +245,9 @@ def mp_cdf(x: float) -> float:
         return 0.0
     if x >= 4.0:
         return 1.0
-    return (2.0 / math.pi) * (math.asin(math.sqrt(x) / 2.0) + math.sqrt(x * (4.0 - x)) / 4.0)
+    # atan2 keeps full accuracy at x -> 4, where asin(sqrt(x)/2) is ill-conditioned
+    return (2.0 / math.pi) * (math.atan2(math.sqrt(x), math.sqrt(4.0 - x))
+                              + math.sqrt(x * (4.0 - x)) / 4.0)
 
 
 def density_r2(w: float) -> float:
@@ -436,35 +427,13 @@ def beta_product_moment(r: int, k: int) -> Fraction:
     return val
 
 
-@dataclass(frozen=True)
-class BetaProductSampler:
-    """U(0, L) times r independent Beta factors with the law's parameters."""
-
-    r: int
-    alphas: tuple[float, ...]
-    betas: tuple[float, ...]
-    scale: float
-
-    @classmethod
-    def for_order(cls, r: int) -> "BetaProductSampler":
-        par = _params(r)
-        return cls(r=r, alphas=par.a, betas=par.b, scale=par.edge)
-
-    def samples(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        out = rng.uniform(0.0, self.scale, size=n)
-        for aj, bj in zip(self.alphas, self.betas):
-            out *= rng.beta(aj, bj, size=n)
-        return out
-
-
 def beta_product_samples(r: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent draws of the rescaled Beta product."""
-    return BetaProductSampler.for_order(r).samples(n, rng)
-
-
-def beta_product_sample(r: int, rng: np.random.Generator) -> float:
-    """One draw of the rescaled Beta product."""
-    return float(beta_product_samples(r, 1, rng)[0])
+    """n independent draws of U(0, L) times r Beta factors with the law's parameters."""
+    par = _params(r)
+    out = rng.uniform(0.0, par.edge, size=n)
+    for aj, bj in zip(par.a, par.b):
+        out *= rng.beta(aj, bj, size=n)
+    return out
 
 
 # -- contour (projection) moments -------------------------------------------

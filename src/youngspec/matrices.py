@@ -2,7 +2,9 @@
 
 Entries are i.i.d. with mean zero and unit second absolute moment; the
 diagram acts as a hard mask (exact structural zeros). The covariance
-matrix is W = X X* / N for a dilation/scale parameter N.
+matrix is W = X X* / N for a dilation/scale parameter N. Real entry kinds
+stay float64 throughout, so W and its spectrum are computed in real
+arithmetic; only complex-gaussian is complex128.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTruncationError, EmptyPartitionError, IndexOutOfRangeError
+from .errors import DegenerateTruncationError, EmptyPartitionError
 from .partitions import Partition
 from .streams import substream
 
@@ -25,7 +27,6 @@ __all__ = [
     "truncate_standardize",
     "sample_shaped",
     "covariance",
-    "block_index",
 ]
 
 ENTRY_KINDS = ("complex-gaussian", "real-gaussian", "rademacher", "centered-uniform")
@@ -79,20 +80,20 @@ class EntryDistribution:
             im = rng.standard_normal(shape)
             return (re + 1j * im) / math.sqrt(2.0)
         if self.kind == "real-gaussian":
-            return rng.standard_normal(shape).astype(complex)
+            return rng.standard_normal(shape)
         if self.kind == "rademacher":
-            return (2.0 * rng.integers(0, 2, size=shape) - 1.0).astype(complex)
+            return 2.0 * rng.integers(0, 2, size=shape) - 1.0
         if self.kind == "centered-uniform":
-            return rng.uniform(-_SQRT3, _SQRT3, size=shape).astype(complex)
+            return rng.uniform(-_SQRT3, _SQRT3, size=shape)
         raise ValueError(self.kind)
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Draw an array of entries; complex dtype regardless of kind."""
+        """Draw an array of entries: complex128 for complex-gaussian, float64 otherwise."""
         x = self._base_draw(rng, shape)
         if self.trunc is None:
             return x
         s = math.sqrt(_truncated_second_moment(self.kind, self.trunc))
-        kept = np.where(np.abs(x) < self.trunc, x, 0.0 + 0.0j)
+        kept = np.where(np.abs(x) < self.trunc, x, 0.0)
         return kept / s
 
 
@@ -108,44 +109,34 @@ def truncate_standardize(dist: EntryDistribution, cutoff: float) -> EntryDistrib
 
 @dataclass(frozen=True)
 class ShapedMatrix:
-    """Dense complex matrix whose support is exactly a Young diagram."""
+    """Dense matrix whose support is exactly a Young diagram (real or complex entries)."""
 
     shape: Partition
     entries: np.ndarray
-    seed_info: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Hermitian PSD matrix W = X X* / N built from a shaped sample."""
+    """Hermitian PSD matrix W = X X* / N built from a shaped sample (real for real entries)."""
 
     dim: int
     scale: int
     entries: np.ndarray
 
 
-def sample_shaped(lam: Partition, dist: EntryDistribution, stream) -> ShapedMatrix:
+def sample_shaped(lam: Partition, dist: EntryDistribution,
+                  stream: tuple[int, int]) -> ShapedMatrix:
     """Draw a lam-shaped matrix with i.i.d. entries on the diagram boxes.
 
-    ``stream`` is either a numpy Generator or a (seed, index) pair; the
-    pair form records provenance and is bit-reproducible.
+    ``stream`` is a (seed, index) pair naming the substream, so every draw
+    is bit-reproducible.
     """
     if not lam:
         raise EmptyPartitionError("cannot sample a matrix with empty shape")
-    seed_info = None
-    if isinstance(stream, tuple):
-        seed_info = (int(stream[0]), int(stream[1]))
-        rng = substream(*seed_info)
-    else:
-        rng = stream
-    rows = lam.length()
     cols = lam.parts[0]
-    draws = dist.sample(rng, (rows, cols))
-    mask = np.zeros((rows, cols), dtype=bool)
-    for i, p in enumerate(lam.parts):
-        mask[i, :p] = True
-    entries = np.where(mask, draws, 0.0 + 0.0j)
-    return ShapedMatrix(shape=lam, entries=entries, seed_info=seed_info)
+    draws = dist.sample(substream(*stream), (lam.length(), cols))
+    mask = np.arange(cols) < np.array(lam.parts)[:, None]
+    return ShapedMatrix(shape=lam, entries=np.where(mask, draws, 0.0))
 
 
 def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
@@ -155,10 +146,3 @@ def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
     m = x.entries @ x.entries.conj().T / n
     m = (m + m.conj().T) / 2.0
     return CovarianceMatrix(dim=m.shape[0], scale=n, entries=m)
-
-
-def block_index(i: int, n: int) -> int:
-    """Block label ceil(i/n) of a row or column index under dilation n."""
-    if i < 1 or n < 1:
-        raise IndexOutOfRangeError(f"index {i} or dilation {n} out of range")
-    return -(-i // n)

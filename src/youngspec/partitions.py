@@ -22,11 +22,6 @@ from .errors import (
 
 __all__ = [
     "Partition",
-    "make_partition",
-    "conjugate",
-    "contains",
-    "has_box",
-    "dilate",
     "staircase",
     "square",
     "balance_ratio",
@@ -123,28 +118,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition{self._parts}"
-
-
-def make_partition(parts: Sequence[int]) -> Partition:
-    """Normalize an integer sequence into a partition."""
-    return Partition(parts)
-
-
-def conjugate(lam: Partition) -> Partition:
-    return lam.conjugate()
-
-
-def contains(mu: Partition, lam: Partition) -> bool:
-    """True iff mu_i <= lam_i for all i."""
-    return lam.contains(mu)
-
-
-def has_box(lam: Partition, i: int, j: int) -> bool:
-    return lam.has_box(i, j)
-
-
-def dilate(lam: Partition, n: int) -> Partition:
-    return lam.dilate(n)
 
 
 def staircase(r: int) -> Partition:

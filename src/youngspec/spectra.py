@@ -24,8 +24,6 @@ __all__ = [
     "Histogram",
     "EnsembleMoments",
     "eigenvalues",
-    "empirical_cdf",
-    "empirical_moment",
     "levy_distance",
     "ks_distance",
     "histogram",
@@ -44,7 +42,7 @@ class Spectrum:
 
 
 def eigenvalues(w: CovarianceMatrix, herm_tol: float = 1e-10) -> Spectrum:
-    """Full real spectrum of a Hermitian matrix, ascending."""
+    """Full real spectrum of a Hermitian (or real symmetric) matrix, ascending."""
     m = w.entries
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"matrix shape {m.shape} is not square")
@@ -56,7 +54,7 @@ def eigenvalues(w: CovarianceMatrix, herm_tol: float = 1e-10) -> Spectrum:
         vals = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failures are exotic
         raise SolverFailureError(str(exc)) from exc
-    return Spectrum(values=np.sort(vals.real), dim=m.shape[0])
+    return Spectrum(values=vals, dim=m.shape[0])
 
 
 class StepCDF:
@@ -128,19 +126,6 @@ class GridCDF:
         return np.concatenate([[self.xs[0]], self.xs]), np.concatenate([[0.0], self.fs])
 
 
-def empirical_cdf(s: Spectrum) -> StepCDF:
-    return StepCDF(s.values)
-
-
-def empirical_moment(s: Spectrum, k: int) -> float:
-    """(1/dim) * sum of eigenvalues^k."""
-    if k < 0:
-        raise ValueError(f"order {k} < 0")
-    if k == 0:
-        return 1.0
-    return float(np.mean(s.values**k))
-
-
 def levy_distance(f, g) -> float:
     """Exact Levy metric between two CDFs by the rotated-graph algorithm.
 
@@ -184,12 +169,13 @@ class Histogram:
         return float(np.sum(self.density * np.diff(self.edges)))
 
 
-def histogram(s: Spectrum, bins: int, value_range: tuple[float, float]) -> Histogram:
+def histogram(values, bins: int, value_range: tuple[float, float]) -> Histogram:
+    """Density histogram of ``values`` on ``bins`` equal bins over ``value_range``."""
     lo, hi = value_range
     if bins < 1 or not lo < hi:
         raise InvalidRangeError(f"bad histogram spec: bins={bins}, range=({lo}, {hi})")
     edges = np.linspace(lo, hi, bins + 1)
-    vals = np.asarray(s.values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     total = vals.size
     if total == 0:
         zero = np.zeros(bins)

@@ -1,6 +1,9 @@
 import json
+import os
+import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -108,11 +111,16 @@ def test_simulate_schema_and_determinism(tmp_path, capsys):
 
 
 def test_simulate_jobs_equivalence(capsys):
-    base = ["simulate", "--r", "1", "--dilation", "6", "--replicas", "4",
-            "--seed", "3", "--kmax", "2", "--bins", "6"]
-    _, out1 = run_cli(base + ["--jobs", "1"], capsys)
-    _, out2 = run_cli(base + ["--jobs", "2"], capsys)
-    assert payload_without_clock(json.loads(out1)) == payload_without_clock(json.loads(out2))
+    cases = [
+        ["simulate", "--r", "1", "--dilation", "6", "--replicas", "4",
+         "--seed", "3", "--kmax", "2", "--bins", "6"],
+        ["triangular", "--size", "12", "--replicas", "3", "--entries", "real-gaussian",
+         "--seed", "3", "--bins", "6"],
+    ]
+    for base in cases:
+        _, out1 = run_cli(base + ["--jobs", "1"], capsys)
+        _, out2 = run_cli(base + ["--jobs", "2"], capsys)
+        assert payload_without_clock(json.loads(out1)) == payload_without_clock(json.loads(out2))
 
 
 def test_simulate_with_explicit_parts(capsys):
@@ -272,6 +280,31 @@ def test_cli_import_leaves_out_scipy_and_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_trace_hooks_run(tmp_path):
+    # perfbench wraps the program's functions by name; a traced job must still run
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    matrix_spans = {"matrices.sample_shaped", "matrices.covariance", "spectra.eigenvalues"}
+    jobs = [
+        (["simulate", "--r", "2", "--dilation", "6", "--replicas", "2", "--seed", "1",
+          "--kmax", "2", "--bins", "4"], matrix_spans),
+        (["law", "--r", "2", "--grid", "64", "--kmax", "2"], {"limitlaw.density_grid"}),
+        (["sample-law", "--r", "2", "--samples", "500", "--seed", "2", "--bins", "4"],
+         {"limitlaw.beta_product_samples", "spectra.levy_distance"}),
+        (["triangular", "--size", "12", "--replicas", "2", "--entries", "real-gaussian",
+          "--seed", "3", "--bins", "4"], matrix_spans),
+    ]
+    for argv, wanted in jobs:
+        report, trace = tmp_path / "report.json", tmp_path / "spans.pkl"
+        proc = subprocess.run([sys.executable, str(repo / "perfbench" / "job.py"), str(report),
+                               "--trace", str(trace), "--", *argv],
+                              env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert json.loads(report.read_text())["rc"] == 0, argv
+        names = {span[0] for span in pickle.loads(trace.read_bytes())["spans"]}
+        assert wanted <= names, (argv, wanted - names)
 
 
 def test_build_record_direct():

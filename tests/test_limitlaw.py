@@ -1,8 +1,10 @@
 import cmath
 import math
 import re
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,9 +19,7 @@ from youngspec.errors import (
     ToleranceNotMetError,
 )
 from youngspec.limitlaw import (
-    LimitLaw,
     beta_product_moment,
-    beta_product_sample,
     beta_product_samples,
     cdf_grid,
     contour_moment,
@@ -50,8 +50,7 @@ def test_support_edge_values():
     assert support_edge(3) == Fraction(256, 27)
     edges = [float(support_edge(r)) for r in range(1, 9)]
     assert all(a < b for a, b in zip(edges, edges[1:]))
-    law = LimitLaw.for_order(2)
-    assert law.edge == pytest.approx(6.75)
+    assert float(support_edge(2)) == 6.75
 
 
 # -- Stieltjes ----------------------------------------------------------
@@ -116,6 +115,16 @@ def test_density_matches_meijer_g_oracle_within_error_bar():
             ref = limit_density(r, float(x))
             assert abs(f - ref) <= 1e-8 * ref, (r, x, f, ref)
             assert abs(f - ref) <= err, (r, x, f, ref, err)
+
+
+def test_density_beyond_float_range_raises():
+    # f ~ x^(-r/(r+1)) overflows at the smallest subnormal for r = 120
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, err = density_with_error(120, 1e-300)
+        assert math.isfinite(f) and math.isfinite(err)
+        with pytest.raises(OutsideDomainError):
+            density_with_error(120, 5e-324)
 
 
 def test_grid_cdf_and_integral_match_meijer_g_cdf_oracle():
@@ -222,6 +231,17 @@ def test_cdf_grid_square_case_closed_form():
         assert float(g.eval(x)) == pytest.approx(mp_cdf(x), abs=1e-5)
 
 
+def test_mp_cdf_accurate_at_soft_edge():
+    # asin(sqrt(x)/2) near 1 loses digits as x -> 4; the atan2 form does not
+    def ref(x):
+        x = mpmath.mpf(x)
+        return 2 / mpmath.pi * (mpmath.asin(mpmath.sqrt(x) / 2) + mpmath.sqrt(x * (4 - x)) / 4)
+
+    with mpmath.workdps(40):
+        for x in (3.997, 3.9999, 4.0 - 1e-8):
+            assert abs(mp_cdf(x) - float(ref(x))) <= 4.5e-16, x
+
+
 def test_cdf_grid_validates_size():
     with pytest.raises(ValueError):
         cdf_grid(1, grid_size=8)
@@ -261,7 +281,8 @@ def test_beta_product_sampler_bounds_and_moments():
     sq = s2**2
     se2 = sq.std() / math.sqrt(len(sq))
     assert abs(sq.mean() - 5.0) < 4 * se2
-    assert isinstance(beta_product_sample(3, substream(2024, 2)), float)
+    s3 = beta_product_samples(3, 1, substream(2024, 2))
+    assert s3.shape == (1,) and 0.0 <= s3[0] <= float(support_edge(3))
 
 
 def test_beta_product_monte_carlo_matches_exact_moments():

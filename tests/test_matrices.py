@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from youngspec.errors import DegenerateTruncationError, EmptyPartitionError, IndexOutOfRangeError
+from youngspec.errors import DegenerateTruncationError, EmptyPartitionError
 from youngspec.matrices import (
     ENTRY_KINDS,
     EntryDistribution,
-    block_index,
+    ShapedMatrix,
     covariance,
     sample_shaped,
     truncate_standardize,
 )
-from youngspec.partitions import dilate, has_box, make_partition, square, staircase
+from youngspec.partitions import Partition, square, staircase
+from youngspec.spectra import eigenvalues
 from youngspec.streams import substream
 
 
@@ -31,7 +32,7 @@ def test_square_has_no_structural_zeros():
 
 
 def test_zero_pattern_all_kinds():
-    lam = dilate(make_partition((3, 1)), 2)
+    lam = Partition((3, 1)).dilate(2)
     mask = np.array([[lam.has_box(i, j) for j in range(1, lam.parts[0] + 1)]
                      for i in range(1, lam.length() + 1)])
     for kind in ENTRY_KINDS:
@@ -51,27 +52,18 @@ def test_sampling_determinism():
 
 def test_sample_empty_shape_raises():
     with pytest.raises(EmptyPartitionError):
-        sample_shaped(make_partition(()), EntryDistribution("rademacher"), (0, 0))
-
-
-def test_block_index():
-    assert block_index(1, 3) == 1
-    assert block_index(7, 3) == 3
-    assert block_index(6, 3) == 2
-    with pytest.raises(IndexOutOfRangeError):
-        block_index(0, 3)
-    with pytest.raises(IndexOutOfRangeError):
-        block_index(3, 0)
+        sample_shaped(Partition(()), EntryDistribution("rademacher"), (0, 0))
 
 
 def test_block_index_matches_diagram():
-    # dilated staircase boxes are exactly the pairs with block sums <= r+1
+    # dilated staircase boxes are exactly the pairs whose block labels
+    # ceil(i/n) + ceil(j/n) sum to at most r+1
     r, n = 3, 2
-    lam = dilate(staircase(r), n)
+    lam = staircase(r).dilate(n)
     for i in range(1, r * n + 2):
         for j in range(1, r * n + 2):
-            in_diagram = has_box(lam, i, j)
-            in_blocks = block_index(i, n) + block_index(j, n) <= r + 1
+            in_diagram = lam.has_box(i, j)
+            in_blocks = -(-i // n) + -(-j // n) <= r + 1
             if i <= r * n and j <= r * n:
                 assert in_diagram == in_blocks
             else:
@@ -144,16 +136,14 @@ def test_all_kinds_unit_variance():
 
 
 def test_covariance_scalar():
-    lam = make_partition((1,))
-    x = sample_shaped(lam, EntryDistribution("rademacher"), (0, 0))
-    x = type(x)(shape=lam, entries=np.array([[2.0 + 0j]]), seed_info=None)
-    w = covariance(x, 1)
+    lam = Partition((1,))
+    w = covariance(ShapedMatrix(shape=lam, entries=np.array([[2.0 + 0j]])), 1)
     assert w.entries.shape == (1, 1)
     assert w.entries[0, 0] == pytest.approx(4.0)
 
 
 def test_covariance_trace_identity():
-    lam = dilate(staircase(3), 2)
+    lam = staircase(3).dilate(2)
     x = sample_shaped(lam, EntryDistribution("complex-gaussian"), (17, 0))
     w = covariance(x, 2)
     lhs = np.trace(w.entries).real
@@ -162,11 +152,11 @@ def test_covariance_trace_identity():
 
 
 def test_covariance_zero_row():
-    lam = make_partition((2, 2, 2))
+    lam = Partition((2, 2, 2))
     x = sample_shaped(lam, EntryDistribution("real-gaussian"), (2, 0))
     ent = x.entries.copy()
     ent[1, :] = 0.0
-    w = covariance(type(x)(shape=lam, entries=ent, seed_info=None), 1)
+    w = covariance(ShapedMatrix(shape=lam, entries=ent), 1)
     assert np.all(w.entries[1, :] == 0) and np.all(w.entries[:, 1] == 0)
 
 
@@ -175,7 +165,7 @@ def test_covariance_hermitian_psd_all_kinds():
     for kind in ENTRY_KINDS:
         for _ in range(25):
             rng_idx += 1
-            lam = dilate(staircase(2), 3)
+            lam = staircase(2).dilate(3)
             x = sample_shaped(lam, EntryDistribution(kind), (99, rng_idx))
             w = covariance(x, 3)
             asym = np.abs(w.entries - w.entries.conj().T).max()
@@ -197,3 +187,27 @@ def test_first_moment_identity_finite_size():
     traces = np.array(traces)
     se = traces.std(ddof=1) / math.sqrt(len(traces))
     assert abs(traces.mean() - 1.5) < 4 * se
+
+
+def test_entry_dtypes():
+    # real kinds stay real through sampling and the Gram product
+    lam = staircase(3).dilate(2)
+    for kind in ENTRY_KINDS:
+        want = np.complex128 if kind == "complex-gaussian" else np.float64
+        for dist in (EntryDistribution(kind), truncate_standardize(EntryDistribution(kind), 2.5)):
+            x = sample_shaped(lam, dist, (61, 0))
+            assert x.entries.dtype == want, kind
+            assert covariance(x, 2).entries.dtype == want, kind
+
+
+def test_real_spectrum_matches_complex_arithmetic():
+    # same draws, eigvalsh in real and in complex arithmetic
+    lam = staircase(4).dilate(10)
+    for kind in ("real-gaussian", "rademacher", "centered-uniform"):
+        x = sample_shaped(lam, EntryDistribution(kind), (62, 3))
+        real = eigenvalues(covariance(x, 10)).values
+        cast = ShapedMatrix(shape=lam, entries=x.entries.astype(complex))
+        ref = eigenvalues(covariance(cast, 10)).values
+        assert real.dtype == np.float64
+        assert np.all(np.diff(real) >= 0)
+        assert np.abs(real - ref).max() <= 1e-12 * np.abs(ref).max(), kind

@@ -15,11 +15,6 @@ from youngspec.errors import (
 from youngspec.partitions import (
     Partition,
     balance_ratio,
-    conjugate,
-    contains,
-    dilate,
-    has_box,
-    make_partition,
     render,
     square,
     staircase,
@@ -31,96 +26,96 @@ partitions = st.lists(st.integers(0, 12), max_size=12).map(
 
 
 def test_trailing_zeros_normalized():
-    assert make_partition((5, 4, 4, 1, 0, 0)).parts == (5, 4, 4, 1)
-    assert make_partition((5, 4, 4, 1)).parts == (5, 4, 4, 1)
+    assert Partition((5, 4, 4, 1, 0, 0)).parts == (5, 4, 4, 1)
+    assert Partition((5, 4, 4, 1)).parts == (5, 4, 4, 1)
 
 
 def test_empty_partition():
-    assert make_partition(()).parts == ()
-    assert make_partition((0, 0)).parts == ()
-    assert not make_partition(())
+    assert Partition(()).parts == ()
+    assert Partition((0, 0)).parts == ()
+    assert not Partition(())
 
 
 def test_rejects_increasing():
     with pytest.raises(NotWeaklyDecreasingError):
-        make_partition((1, 2))
+        Partition((1, 2))
 
 
 def test_rejects_negative():
     with pytest.raises(NegativePartError):
-        make_partition((3, -1))
+        Partition((3, -1))
 
 
 def test_conjugate_example():
-    assert conjugate(make_partition((5, 4, 4, 1))).parts == (4, 3, 3, 3, 1)
-    assert conjugate(make_partition(())).parts == ()
+    assert Partition((5, 4, 4, 1)).conjugate().parts == (4, 3, 3, 3, 1)
+    assert Partition(()).conjugate().parts == ()
 
 
 def test_conjugate_involution_example():
-    lam = make_partition((7, 2, 2))
-    assert conjugate(conjugate(lam)) == lam
+    lam = Partition((7, 2, 2))
+    assert lam.conjugate().conjugate() == lam
 
 
 @given(partitions)
 def test_conjugate_involution(lam):
-    assert conjugate(conjugate(lam)) == lam
+    assert lam.conjugate().conjugate() == lam
 
 
 @given(partitions)
 def test_conjugate_length_and_weight(lam):
-    conj = conjugate(lam)
+    conj = lam.conjugate()
     assert conj.weight() == lam.weight()
     if lam:
         assert conj.length() == lam.parts[0]
 
 
 def test_contains_examples():
-    lam = make_partition((5, 4, 4, 1))
-    assert contains(make_partition((3, 1)), lam)
-    assert not contains(make_partition((5, 5)), lam)
-    assert contains(make_partition(()), lam)
-    assert make_partition((3, 1)) <= lam
+    lam = Partition((5, 4, 4, 1))
+    assert lam.contains(Partition((3, 1)))
+    assert not lam.contains(Partition((5, 5)))
+    assert lam.contains(Partition(()))
+    assert Partition((3, 1)) <= lam
 
 
 @given(partitions, partitions)
 def test_contains_conjugation_duality(mu, lam):
-    assert contains(mu, lam) == contains(conjugate(mu), conjugate(lam))
+    assert lam.contains(mu) == lam.conjugate().contains(mu.conjugate())
 
 
 def test_has_box_examples():
-    lam = make_partition((5, 4, 4, 1))
-    assert has_box(lam, 2, 4)
-    assert not has_box(lam, 4, 2)
+    lam = Partition((5, 4, 4, 1))
+    assert lam.has_box(2, 4)
+    assert not lam.has_box(4, 2)
     with pytest.raises(IndexOutOfRangeError):
-        has_box(lam, 0, 1)
+        lam.has_box(0, 1)
 
 
 def test_has_box_transpose_symmetry():
-    lam = make_partition((5, 4, 4, 1))
-    conj = conjugate(lam)
+    lam = Partition((5, 4, 4, 1))
+    conj = lam.conjugate()
     for i in range(1, 7):
         for j in range(1, 7):
-            assert has_box(lam, i, j) == has_box(conj, j, i)
+            assert lam.has_box(i, j) == conj.has_box(j, i)
 
 
 def test_dilate_example():
-    lam = make_partition((5, 4, 4, 1))
-    tripled = dilate(lam, 3)
+    lam = Partition((5, 4, 4, 1))
+    tripled = lam.dilate(3)
     assert tripled.parts == (15, 15, 15, 12, 12, 12, 12, 12, 12, 3, 3, 3)
     assert tripled.weight() == 126 == 9 * 14
 
 
 def test_dilate_identity():
-    lam = make_partition((3, 1))
-    assert dilate(lam, 1) == lam
+    lam = Partition((3, 1))
+    assert lam.dilate(1) == lam
     with pytest.raises(InvalidDilationError):
-        dilate(lam, 0)
+        lam.dilate(0)
 
 
 @given(st.lists(st.integers(0, 5), max_size=4).map(lambda xs: Partition(sorted(xs, reverse=True))),
        st.integers(1, 5))
 def test_dilate_length_weight(lam, n):
-    d = dilate(lam, n)
+    d = lam.dilate(n)
     assert d.length() == n * lam.length()
     assert d.weight() == n * n * lam.weight()
 
@@ -139,9 +134,9 @@ def test_balance_ratio_examples():
     for n in (1, 2, 7):
         assert balance_ratio(staircase(3), n) == 2
     assert balance_ratio(square(4), 3) == 4
-    assert balance_ratio(make_partition((1,)), 1) == 1
+    assert balance_ratio(Partition((1,)), 1) == 1
     with pytest.raises(EmptyPartitionError):
-        balance_ratio(make_partition(()), 1)
+        balance_ratio(Partition(()), 1)
 
 
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=6)
@@ -154,4 +149,4 @@ def test_balance_ratio_independent_of_dilation(lam, n1, n2):
 
 def test_render():
     assert render(staircase(3), glyph="#") == "###\n##\n#"
-    assert "empty" in render(make_partition(()))
+    assert "empty" in render(Partition(()))

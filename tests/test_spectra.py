@@ -6,19 +6,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from youngspec.errors import InvalidRangeError, NotHermitianError
-from youngspec.matrices import CovarianceMatrix, EntryDistribution, covariance, sample_shaped
-from youngspec.partitions import dilate, make_partition, staircase
+from youngspec.matrices import (
+    CovarianceMatrix,
+    EntryDistribution,
+    ShapedMatrix,
+    covariance,
+    sample_shaped,
+)
+from youngspec.partitions import Partition, staircase
 from youngspec.spectra import (
     GridCDF,
-    Spectrum,
     StepCDF,
     eigenvalues,
-    empirical_cdf,
-    empirical_moment,
     ensemble_moments,
     histogram,
     ks_distance,
     levy_distance,
+    spectra_moments,
 )
 from youngspec.streams import substream
 
@@ -35,11 +39,6 @@ def grid_cdfs(draw):
     return GridCDF(xs, fs)
 
 
-def _spec(vals):
-    vals = np.asarray(vals, dtype=float)
-    return Spectrum(values=np.sort(vals), dim=len(vals))
-
-
 def test_eigenvalues_diagonal():
     w = CovarianceMatrix(dim=2, scale=1, entries=np.diag([2.0, 3.0]).astype(complex))
     s = eigenvalues(w)
@@ -47,15 +46,13 @@ def test_eigenvalues_diagonal():
 
 
 def test_eigenvalues_scalar_case():
-    lam = make_partition((1,))
-    x = sample_shaped(lam, EntryDistribution("rademacher"), (0, 0))
-    x = type(x)(shape=lam, entries=np.array([[2.0 + 0j]]), seed_info=None)
+    x = ShapedMatrix(shape=Partition((1,)), entries=np.array([[2.0 + 0j]]))
     s = eigenvalues(covariance(x, 1))
     assert np.allclose(s.values, [4.0])
 
 
 def test_eigenvalue_trace_identity():
-    x = sample_shaped(dilate(staircase(2), 3), EntryDistribution("complex-gaussian"), (8, 1))
+    x = sample_shaped(staircase(2).dilate(3), EntryDistribution("complex-gaussian"), (8, 1))
     w = covariance(x, 3)
     s = eigenvalues(w)
     tr = np.trace(w.entries).real
@@ -66,7 +63,7 @@ def test_eigenvalue_trace_identity():
 
 def test_eigenpair_residuals():
     # residual contract of the delegated solver on a sampled covariance
-    x = sample_shaped(dilate(staircase(3), 4), EntryDistribution("complex-gaussian"), (12, 0))
+    x = sample_shaped(staircase(3).dilate(4), EntryDistribution("complex-gaussian"), (12, 0))
     w = covariance(x, 4).entries
     vals, vecs = np.linalg.eigh(w)
     norm = np.linalg.norm(w, 2)
@@ -83,36 +80,41 @@ def test_eigenvalues_rejects_non_hermitian():
 
 
 def test_empirical_cdf_examples():
-    f = empirical_cdf(_spec([1, 2, 3]))
+    f = StepCDF([3, 1, 2])
     assert f.eval(2.0) == pytest.approx(2 / 3)
     assert f.eval(0.5) == 0.0
     assert f.eval(3.0) == 1.0
-    g = empirical_cdf(_spec([1, 1, 5]))
+    g = StepCDF([1, 5, 1])
     assert g.eval(1.0) == pytest.approx(2 / 3)
 
 
+def _moments(vals, k_max):
+    return spectra_moments([np.asarray(vals, dtype=float)], k_max).means
+
+
 def test_empirical_moment_examples():
-    s = _spec([1, 2, 3])
-    assert empirical_moment(s, 2) == pytest.approx(14 / 3)
-    assert empirical_moment(s, 0) == 1.0
+    m = _moments([1, 2, 3], 2)
+    assert m[2] == pytest.approx(14 / 3)
+    assert m[0] == 1.0
 
 
 def test_empirical_moment_matrix_power_oracle():
-    x = sample_shaped(dilate(staircase(3), 2), EntryDistribution("real-gaussian"), (55, 0))
+    x = sample_shaped(staircase(3).dilate(2), EntryDistribution("real-gaussian"), (55, 0))
     w = covariance(x, 2)
     s = eigenvalues(w)
     m = w.entries
     w3 = m @ m @ m
     oracle = np.trace(w3).real / w.dim
-    assert abs(empirical_moment(s, 3) - oracle) <= 1e-8 * abs(oracle)
+    assert abs(_moments(s.values, 3)[3] - oracle) <= 1e-8 * abs(oracle)
 
 
 def test_empirical_moment_consistency_with_cdf():
-    s = _spec([0.5, 1.5, 1.5, 4.0])
-    f = empirical_cdf(s)
+    vals = [0.5, 1.5, 1.5, 4.0]
+    f = StepCDF(vals)
+    m = _moments(vals, 3)
     for k in range(4):
         via_cdf = np.sum(f.atoms**k * f.multiplicities) / f.total
-        assert empirical_moment(s, k) == pytest.approx(via_cdf, rel=1e-12)
+        assert m[k] == pytest.approx(via_cdf, rel=1e-12)
 
 
 def test_levy_identity_and_point_masses():
@@ -208,24 +210,24 @@ def test_grid_cdf_eval():
 
 
 def test_histogram_example():
-    h = histogram(_spec([1, 1, 3]), 2, (0.0, 4.0))
+    h = histogram([1, 1, 3], 2, (0.0, 4.0))
     assert np.allclose(h.density, [2 / (3 * 2), 1 / (3 * 2)])
     assert h.mass_in_range() == pytest.approx(1.0)
     assert h.below == 0 and h.above == 0
 
 
 def test_histogram_overflow_and_empty():
-    h = histogram(_spec([0.5, 5.0]), 4, (0.0, 4.0))
+    h = histogram([0.5, 5.0], 4, (0.0, 4.0))
     assert h.above == 1 and h.total == 2
-    empty = histogram(Spectrum(values=np.array([]), dim=0), 3, (0.0, 1.0))
+    empty = histogram(np.array([]), 3, (0.0, 1.0))
     assert empty.total == 0 and np.all(empty.density == 0)
     with pytest.raises(InvalidRangeError):
-        histogram(_spec([1.0]), 0, (0.0, 1.0))
+        histogram([1.0], 0, (0.0, 1.0))
 
 
 def test_spectrum_shape_for_dilated_staircase():
     r, n = 2, 5
-    x = sample_shaped(dilate(staircase(r), n), EntryDistribution("complex-gaussian"), (3, 0))
+    x = sample_shaped(staircase(r).dilate(n), EntryDistribution("complex-gaussian"), (3, 0))
     s = eigenvalues(covariance(x, n))
     assert s.dim == r * n == len(s.values)
     assert s.values.min() >= -1e-10 * s.values.max()
