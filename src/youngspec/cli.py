@@ -87,6 +87,9 @@ class RunConfig:
     vertices: int | None = None
 
 
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -101,7 +104,8 @@ def _parse_float_pair(text: str) -> list[float]:
     return [float(toks[0]), float(toks[1])]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` maps a subcommand to values replacing its flag defaults."""
     parser = argparse.ArgumentParser(
         prog="youngspec",
         description="Diagram-shaped random matrix simulation and limit-law evaluation",
@@ -172,6 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
+    for name, values in (defaults or {}).items():
+        sub.choices[name].set_defaults(**values)
     return parser
 
 
@@ -222,6 +228,15 @@ def _validate(cfg: RunConfig) -> None:
         _require(cfg.replicas is not None and cfg.replicas >= 1, "triangular requires --replicas >= 1")
         _require(cfg.bins >= 1, "--bins must be >= 1")
         _require(cfg.window[0] < cfg.window[1], "--window lo must be < hi")
+    # the shape and the entry law reject bad parts and degenerate truncations themselves
+    try:
+        lam = None if cfg.parts is None else Partition(cfg.parts)
+        if sc in ("simulate", "triangular"):
+            _entry_distribution(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if sc == "simulate" and lam is not None:
+        _require(lam.weight() > 0, "simulate requires --parts with a positive part")
 
 
 def _hist_payload(h: Histogram) -> dict:
@@ -416,14 +431,13 @@ def _run_triangular(cfg: RunConfig) -> dict:
         })
     hist = histogram(pooled, cfg.bins, (0.0, 1.05 * np.e))
     mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
-    dh_vals = [dh_density(float(x)) for x in mids]
+    dh_vals = dh_density(mids).tolist()
 
     lo, hi = cfg.window
     ecdf = StepCDF(pooled)
     xs = np.unique(np.concatenate([np.linspace(lo, hi, 321),
                                    pooled[(pooled >= lo) & (pooled <= hi)]]))
-    dh_f = np.array([dh_cdf(float(x)) for x in xs])
-    sup = float(np.max(np.abs(ecdf.eval(xs) - dh_f)))
+    sup = float(np.max(np.abs(ecdf.eval(xs) - dh_cdf(xs))))
     return {
         "size": cfg.size,
         "replicas": cfg.replicas,
@@ -474,31 +488,23 @@ def build_record(cfg: RunConfig) -> dict:
     }
 
 
-def _hist_csv(hist: dict) -> str:
+def _csv(header: list[str], *columns: list) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["bin_left", "bin_right", "count", "density"])
-    for left, right, cnt, dens in zip(hist["edges"][:-1], hist["edges"][1:],
-                                      hist["counts"], hist["density"]):
-        w.writerow([repr(left), repr(right), repr(cnt), repr(dens)])
-    return buf.getvalue()
-
-
-def _grid_csv(grid: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["x", "density", "abs_err"])
-    for x, f, e in zip(grid["x"], grid["density"], grid["abs_err"]):
-        w.writerow([repr(x), repr(f), repr(e)])
+    w.writerow(header)
+    w.writerows([repr(v) for v in row] for row in zip(*columns))
     return buf.getvalue()
 
 
 def render_output(record: dict, cfg: RunConfig) -> str:
     if cfg.format == "csv":
         if cfg.subcommand == "law":
-            return _grid_csv(record["results"]["grid"])
+            grid = record["results"]["grid"]
+            return _csv(["x", "density", "abs_err"], grid["x"], grid["density"], grid["abs_err"])
         if "histogram" in record["results"]:
-            return _hist_csv(record["results"]["histogram"])
+            hist = record["results"]["histogram"]
+            return _csv(["bin_left", "bin_right", "count", "density"],
+                        hist["edges"][:-1], hist["edges"][1:], hist["counts"], hist["density"])
         raise ConfigError(f"no CSV form for subcommand {cfg.subcommand}")
     if cfg.format == "text" and cfg.subcommand == "shape":
         res = record["results"]
@@ -515,50 +521,38 @@ def render_output(record: dict, cfg: RunConfig) -> str:
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def _merge_config_file(argv: list[str], parser: argparse.ArgumentParser) -> argparse.Namespace:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    args = parser.parse_args(argv)
-    if known.config:
-        with open(known.config) as fp:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with a --config file's values as the chosen subcommand's defaults.
+
+    So every typed flag, abbreviated or not, wins; keys the subcommand lacks are ignored.
+    """
+    args = build_parser().parse_args(argv)
+    if not (args.config and args.subcommand):
+        return args
+    try:
+        with open(args.config) as fp:
             stored = json.load(fp)
-        if not isinstance(stored, dict):
-            raise ConfigError("config file must hold a JSON object")
-        if "subcommand" in stored and args.subcommand and stored["subcommand"] != args.subcommand:
-            raise ConfigError(
-                f"config file is for {stored['subcommand']!r}, not {args.subcommand!r}")
-        valid = {f.name for f in dataclasses.fields(RunConfig)}
-        explicit = _explicit_dests(argv, parser)
-        for key, val in stored.items():
-            if key not in valid:
-                raise ConfigError(f"unknown config key {key!r}")
-            if key == "subcommand":
-                continue
-            if hasattr(args, key) and key not in explicit:
-                setattr(args, key, val)
-    return args
-
-
-def _explicit_dests(argv: list[str], parser: argparse.ArgumentParser) -> set[str]:
-    """Flag dests the user actually typed (these beat config-file values)."""
-    out = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            out.add(tok[2:].split("=")[0].replace("-", "_"))
-    return out
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    if not isinstance(stored, dict):
+        raise ConfigError("config file must hold a JSON object")
+    if stored.get("subcommand", args.subcommand) != args.subcommand:
+        raise ConfigError(f"config file is for {stored['subcommand']!r}, not {args.subcommand!r}")
+    unknown = [key for key in stored if key not in _FIELDS]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    own = {k: v for k, v in stored.items() if k != "subcommand" and hasattr(args, k)}
+    return build_parser({args.subcommand: own}).parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = _merge_config_file(argv, parser)
+        args = _parse_args(argv)
         if not args.subcommand:
-            parser.print_help()
+            build_parser().print_help()
             return 2
-        fields = {f.name for f in dataclasses.fields(RunConfig)}
-        cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
+        cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in _FIELDS})
         record = build_record(cfg)
         text = render_output(record, cfg)
     except ConfigError as exc:

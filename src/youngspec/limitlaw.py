@@ -26,6 +26,10 @@ the error bar is the a-posteriori root residual plus rounding, carried
 into f. Moments are Gauss-Legendre sums in phi. The closed forms at
 r = 1, 2 and the Meijer G-function form of the law are the independent
 checks.
+
+The triangular-matrix (Dykema-Haagerup) law on (0, e) is the r -> infinity
+member of the family, the limit of x/r. dh_density and dh_cdf take a scalar
+or an array and invert its angle with the same vectorised bisection.
 """
 
 from __future__ import annotations
@@ -86,26 +90,6 @@ def support_edge(r: int) -> Fraction:
     return Fraction((r + 1) ** (r + 1), r**r)
 
 
-# -- shared per-order parameters -----------------------------------------
-
-
-@dataclass(frozen=True)
-class _Params:
-    r: int
-    edge: float
-    a: tuple[float, ...]      # Beta first parameters j/(r+1)
-    b: tuple[float, ...]      # Beta second parameters j/(r(r+1))
-
-
-@lru_cache(maxsize=None)
-def _params(r: int) -> _Params:
-    if r < 1:
-        raise InvalidOrderError(f"r = {r} < 1")
-    a = tuple(j / (r + 1) for j in range(1, r + 1))
-    b = tuple(j / (r * (r + 1)) for j in range(1, r + 1))
-    return _Params(r=r, edge=float(support_edge(r)), a=a, b=b)
-
-
 # -- the parametric law ----------------------------------------------------
 #
 # The working variable is t = (r+1) phi / pi in (0, 1) and s = 1 - t,
@@ -144,15 +128,21 @@ def _dlogx_dt(r: int, t: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return np.pi / (r + 1) * ((c - r * b) ** 2 + 4.0 * r * b * c * h * h) / (a * b * c)
 
 
-def _invert(r: int, log_x: np.ndarray) -> np.ndarray:
-    """t with log x(t) = log_x: bisection on the monotone log x, then Newton in log t."""
-    lo = np.zeros_like(log_x)
-    hi = np.full_like(log_x, _T_MAX)
-    for _ in range(_BISECTIONS):
+def _bisect(increasing_fn, target: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            steps: int = _BISECTIONS) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets [lo, hi] of the roots of increasing_fn = target, halved ``steps`` times."""
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        below = _log_x(r, _sines(r, mid)) < log_x
+        below = increasing_fn(mid) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
+    return lo, hi
+
+
+def _invert(r: int, log_x: np.ndarray) -> np.ndarray:
+    """t with log x(t) = log_x: bisection on the monotone log x, then Newton in log t."""
+    lo, hi = _bisect(lambda t: _log_x(r, _sines(r, t)), log_x,
+                     np.zeros_like(log_x), np.full_like(log_x, _T_MAX))
     t = 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
         sin = _sines(r, t)
@@ -211,9 +201,9 @@ def density_with_error(r: int, x: float) -> tuple[float, float]:
     hard edge f grows like x^(-r/(r+1)); where f or its error bar exceeds
     the float range, OutsideDomainError is raised instead of returning inf.
     """
-    par = _params(r)
-    if not 0.0 < x < par.edge:
-        raise OutsideSupportError(f"x = {x} outside (0, {par.edge})")
+    edge = float(support_edge(r))
+    if not 0.0 < x < edge:
+        raise OutsideSupportError(f"x = {x} outside (0, {edge})")
     with np.errstate(over="ignore"):
         f, err, _ = _law(r, np.array([float(x)]))
     if not (np.isfinite(f[0]) and np.isfinite(err[0])):
@@ -303,8 +293,7 @@ def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
     """
     if n < 16:
         raise ValueError(f"grid size {n} < 16")
-    par = _params(r)
-    edge = par.edge
+    edge = float(support_edge(r))
     n_head = int(0.45 * n)
     n_mid = int(0.35 * n)
     n_tail = n - n_head - n_mid
@@ -324,8 +313,6 @@ def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
 
 def cdf_grid(r: int, grid_size: int = 1024, tol: float = 1e-3) -> GridCDF:
     """Piecewise-linear CDF of the order-r law on [0, L(r)]."""
-    if grid_size < 16:
-        raise ValueError(f"grid size {grid_size} < 16")
     return density_grid(r, n=grid_size, tol=tol).cdf()
 
 
@@ -349,11 +336,11 @@ def stieltjes(r: int, z: complex, tol: float = 1e-12, margin: float = 1e-9,
 
     Converges only for |z| > L(r); points at or inside the circle raise.
     """
-    par = _params(r)
+    edge = float(support_edge(r))
     z = complex(z)
-    if abs(z) <= par.edge * (1.0 + margin):
-        raise OutsideDomainError(f"|z| = {abs(z):.6g} not above L(r) = {par.edge:.6g}")
-    qq = par.edge / abs(z)
+    if abs(z) <= edge * (1.0 + margin):
+        raise OutsideDomainError(f"|z| = {abs(z):.6g} not above L(r) = {edge:.6g}")
+    qq = edge / abs(z)
     total = 0.0 + 0.0j
     term = 1.0 / z
     k = 0
@@ -374,14 +361,14 @@ def stieltjes_hyp(r: int, z: complex, tol: float = 1e-12,
     G = (1 - F(L/z)) / (r+1) with F of type (r, r-1); the numerator
     parameters are -j/(r+1), the denominator ones -j/r.
     """
-    par = _params(r)
+    edge = float(support_edge(r))
     z = complex(z)
-    if abs(z) <= par.edge:
-        raise OutsideDomainError(f"|z| = {abs(z):.6g} not above L(r) = {par.edge:.6g}")
+    if abs(z) <= edge:
+        raise OutsideDomainError(f"|z| = {abs(z):.6g} not above L(r) = {edge:.6g}")
     alphas = [-j / (r + 1.0) for j in range(1, r + 1)]
     betas = [-j / float(r) for j in range(1, r)]
-    w = par.edge / z
-    qq = par.edge / abs(z)
+    w = edge / z
+    qq = edge / abs(z)
     term = 1.0 + 0.0j
     total = 0.0 + 0.0j
     k = 0
@@ -413,12 +400,9 @@ def stieltjes_mp(z: complex) -> complex:
 
 def beta_product_moment(r: int, k: int) -> Fraction:
     """Exact k-th moment of U(0, L) * prod Beta(j/(r+1), j/(r(r+1)))."""
-    if r < 1:
-        raise InvalidOrderError(f"r = {r} < 1")
     if k < 0:
         raise InvalidOrderError(f"order {k} < 0")
-    edge = Fraction((r + 1) ** (r + 1), r**r)
-    val = edge**k / (k + 1)
+    val = support_edge(r) ** k / (k + 1)
     for j in range(1, r + 1):
         aj = Fraction(j, r + 1)
         cj = Fraction(j, r)  # = a_j + b_j
@@ -429,10 +413,9 @@ def beta_product_moment(r: int, k: int) -> Fraction:
 
 def beta_product_samples(r: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent draws of U(0, L) times r Beta factors with the law's parameters."""
-    par = _params(r)
-    out = rng.uniform(0.0, par.edge, size=n)
-    for aj, bj in zip(par.a, par.b):
-        out *= rng.beta(aj, bj, size=n)
+    out = rng.uniform(0.0, float(support_edge(r)), size=n)
+    for j in range(1, r + 1):
+        out *= rng.beta(j / (r + 1), j / (r * (r + 1)), size=n)
     return out
 
 
@@ -465,56 +448,75 @@ def contour_moment(r: int, k: int) -> ContourMoment:
 
 
 # -- triangular-limit (staircase) law ----------------------------------------
+#
+# The r -> infinity member of the family above: with t = 1 - v/pi, x/r, f and
+# F tend to (sin v / v) exp(v cot v), sin(v)^2 / (pi v x) and t + sin(v)^2 /
+# (pi v) for v in (0, pi). An abscissa's angle is bisected on the gap
+# g = 1 - log x, rising from 0 at v = 0, with full relative accuracy on both
+# sides: from x through log1p near e; from v as (1 - v cot v) - log(sin v / v)
+# above v = 1 and below as sum_{n>=1} (2n+1)/n zeta(2n) (v/pi)^(2n), all of
+# whose terms are positive (coefficients n = 1..17; the tail is < 1e-17 g).
+_GAP_SERIES = (
+    0.0, 4.934802200544679, 2.7058080842778454, 2.3738004779637145, 2.259174051445375,
+    2.2021880652811996, 2.167199854198834, 2.14298838886084, 2.1250324748012432, 2.1111191698413374,
+    2.100002003320271, 2.090909589487415, 2.0833334575170603, 2.07692310787246, 2.071428579145335,
+    2.06666666859141, 2.0625000004802145, 2.058823529531604)
+_E_LO = 1.4456468917292502e-16  # e - math.e
+# halvings of (0, pi) to below one ulp of v = 2e-8, the angle of the largest float below e
+_DH_BISECTIONS = 80
+
+
+def _dh_gap(v: np.ndarray) -> np.ndarray:
+    """g(v) = 1 - log x(v) for v in (0, pi)."""
+    series = np.polynomial.polynomial.polyval((v / math.pi) ** 2, _GAP_SERIES)
+    return np.where(v < 1.0, series, (1.0 - v / np.tan(v)) - np.log(np.sin(v) / v))
+
+
+def _dh_law(x, law, above: float):
+    """law(v, x) at the angle v of every x in (0, e); 0 at x <= 0 and ``above`` at x >= e.
+
+    A scalar x gives a float, an array an array of its shape.
+    """
+    x = np.asarray(x, dtype=float)
+    inside = (x > 0.0) & (x < math.e)
+    out = np.where(x >= math.e, above, 0.0)
+    xi = x[inside]
+    # x - math.e is exact above 1
+    near_e = -np.log1p(((np.maximum(xi, 1.0) - math.e) - _E_LO) / math.e)
+    gap = np.where(xi > 1.0, near_e, 1.0 - np.log(xi))
+    lo, hi = _bisect(_dh_gap, gap, np.zeros_like(xi), np.full_like(xi, math.pi), _DH_BISECTIONS)
+    out[inside] = law(0.5 * (lo + hi), xi)
+    return out if out.ndim else float(out)
 
 
 def dh_density_param(v: float) -> tuple[float, float]:
     """Parametric point (x, density) of the triangular-matrix limit law.
 
-    x(v) = (sin v / v) exp(v cot v) sweeps (0, e) as v runs over (0, pi);
-    the density there is sin(v)^2 / (pi v x), equal to the textbook form
-    (1/pi) sin v exp(-v cot v) but stable near both ends.
+    x(v) = (sin v / v) exp(v cot v) = exp(1 - g(v)) sweeps (0, e) as v runs
+    over (0, pi); the density there is sin(v)^2 / (pi v x), equal to the
+    textbook form (1/pi) sin v exp(-v cot v) but stable near both ends.
     """
     if not 0.0 < v < math.pi:
         raise OutsideDomainError(f"parameter {v} outside (0, pi)")
-    x = (math.sin(v) / v) * math.exp(v / math.tan(v))
+    x = math.exp(1.0 - float(_dh_gap(np.float64(v))))
     f = math.sin(v) ** 2 / (math.pi * v * x) if x > 0.0 else math.inf
     return x, f
 
 
-def _dh_param_from_x(x: float) -> float:
-    lo, hi = 1e-12, math.pi - 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dh_density_param(mid)[0] > x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+def dh_density(x):
+    """Triangular-limit density at x (a scalar or an array), zero outside (0, e)."""
+    return _dh_law(x, lambda v, x: np.sin(v) ** 2 / (math.pi * v * x), 0.0)
 
 
-def dh_density(x: float) -> float:
-    """Triangular-limit density at x, zero outside (0, e)."""
-    if x <= 0.0 or x >= math.e:
-        return 0.0
-    return dh_density_param(_dh_param_from_x(x))[1]
-
-
-def dh_cdf(x: float) -> float:
-    """CDF of the triangular limit law.
+def dh_cdf(x):
+    """CDF of the triangular limit law at x (a scalar or an array).
 
     In the angle variable the mass element is
     (1 - sin(2v)/v + sin(v)^2/v^2) / pi = d(v - sin(v)^2/v) / pi, and
     x(v) falls as v rises, so F(x(v)) = integral over (v, pi) of it,
     which is 1 - v/pi + sin(v)^2/(pi v).
     """
-    if x <= 0.0:
-        return 0.0
-    if x >= math.e:
-        return 1.0
-    v = _dh_param_from_x(x)
-    return 1.0 - v / math.pi + math.sin(v) ** 2 / (math.pi * v)
+    return _dh_law(x, lambda v, x: 1.0 - v / math.pi + np.sin(v) ** 2 / (math.pi * v), 1.0)
 
 
 # -- edge exponents ----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Independent 30-digit references for the limit-law density and CDF.
 
 The law U(0, L) * prod_{j=1..r} Beta(j/(r+1), j/(r(r+1))) has a Meijer
-G-function density and CDF, evaluated here by mpmath without calling
-youngspec.
+G-function density and CDF, and the triangular law a parametrisation;
+both are evaluated here by mpmath without calling youngspec.
 """
 
 import mpmath
@@ -44,3 +44,24 @@ def limit_cdf(r: int, x: float) -> float:
     with mpmath.workdps(DPS):
         t, _, a, b, const = _meijer_parameters(r, x)
         return float(const * t * mpmath.meijerg([[0], a], [b, [-1]], t))
+
+
+def triangular_density(x: float) -> float:
+    """Density of the triangular limit law at x in (0, e).
+
+    x(v) = (sin v / v) exp(v cot v) falls from e to 0 as v runs over
+    (0, pi), and the density there is sin(v)^2 / (pi v x); v is bisected
+    on log x(v) to below 1e-32.
+    """
+    with mpmath.workdps(DPS):
+        xm = mpmath.mpf(x)
+        log_x = mpmath.log(xm)
+        lo, hi = mpmath.mpf(0), mpmath.pi
+        for _ in range(110):
+            v = (lo + hi) / 2
+            if mpmath.log(mpmath.sin(v) / v) + v * mpmath.cot(v) > log_x:
+                lo = v
+            else:
+                hi = v
+        v = (lo + hi) / 2
+        return float(mpmath.sin(v) ** 2 / (mpmath.pi * v * xm))

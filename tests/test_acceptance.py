@@ -194,7 +194,7 @@ def test_criterion_09_triangular_limit():
         ecdf = StepCDF(pooled)
         xs = np.unique(np.concatenate([np.linspace(0.2, 2.5, 321),
                                        pooled[(pooled >= 0.2) & (pooled <= 2.5)]]))
-        sup = float(np.max(np.abs(ecdf.eval(xs) - np.array([dh_cdf(float(x)) for x in xs]))))
+        sup = float(np.max(np.abs(ecdf.eval(xs) - dh_cdf(xs))))
     ok = max(rels) < 0.05 and sup < 0.05 and t.elapsed < 300.0
     report(9, "triangular N=200: moments within 5% of (1, 1/2, 2/3, 9/8), sup diff < 0.05", ok,
            f"worst moment {max(rels):.4f}, sup {sup:.4f}, {t.elapsed:.1f}s")

@@ -216,6 +216,32 @@ def test_config_flag_overrides_file(tmp_path, capsys):
     assert rec["results"]["r"] == 3 and rec["results"]["vertices"] == 3
 
 
+def test_config_file_loses_to_abbreviated_flag(tmp_path, capsys):
+    # argparse accepts --gri for --grid; the typed value still beats the file's
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"grid": 64}))
+    code, out = run_cli(["--config", str(cfg_file), "law", "--r", "2", "--gri", "32", "--kmax", "1"],
+                        capsys)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["config"]["grid"] == 32 and len(rec["results"]["grid"]["x"]) == 32
+    code, out = run_cli(["--config", str(cfg_file), "law", "--r", "2", "--kmax", "1"], capsys)
+    assert code == 0 and json.loads(out)["config"]["grid"] == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["shape", "--parts", "3,-1"],
+    ["simulate", "--parts", "0", "--dilation", "2", "--replicas", "2", "--seed", "1"],
+    ["simulate", "--r", "1", "--dilation", "2", "--replicas", "2", "--seed", "1",
+     "--entries", "rademacher", "--trunc", "0.5"],
+    ["--config", "no-such-dir/cfg.json", "trees", "--r", "2", "--vertices", "2"],
+], ids=["negative-part", "empty-shape", "degenerate-truncation", "missing-config-file"])
+def test_bad_input_is_validation_error(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: "), err
+
+
 def test_missing_seed_is_validation_error(capsys):
     code, _ = run_cli(["simulate", "--r", "1", "--dilation", "4", "--replicas", "2"], capsys)
     assert code == 2
@@ -273,9 +299,11 @@ def test_console_entry_point():
 
 
 def test_cli_import_leaves_out_scipy_and_process_pool():
-    # scipy is a test dependency only, and worker processes load only for --jobs > 1
+    # scipy, mpmath and sympy are test dependencies only (the triangular
+    # law's series coefficients are literals), and worker processes load
+    # only for --jobs > 1
     code = ("import sys, youngspec.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath', 'sympy') "
             "or m == 'concurrent.futures.process'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -41,7 +41,7 @@ from youngspec.limitlaw import (
 from youngspec.spectra import StepCDF, ks_distance
 from youngspec.streams import substream
 
-from _oracle import limit_cdf, limit_density
+from _oracle import limit_cdf, limit_density, triangular_density
 
 
 def test_support_edge_values():
@@ -386,9 +386,44 @@ def test_dh_cdf_endpoints_and_monotone():
     assert dh_cdf(0.0) == 0.0
     assert dh_cdf(math.e) == 1.0
     assert dh_cdf(math.e - 1e-9) == pytest.approx(1.0, abs=1e-6)
-    xs = np.linspace(0.05, 2.6, 60)
-    fs = [dh_cdf(float(x)) for x in xs]
-    assert all(a <= b + 1e-12 for a, b in zip(fs, fs[1:]))
+    fs = dh_cdf(np.linspace(0.05, 2.6, 60))
+    assert np.all(np.diff(fs) >= -1e-12)
+
+
+def _dh_rel_err(xs):
+    ref = np.array([triangular_density(float(x)) for x in xs])
+    return float(np.max(np.abs(dh_density(xs) - ref) / ref))
+
+
+def test_dh_density_at_histogram_midpoints_matches_oracle():
+    # the triangular benchmark's 91 in-support midpoints of 96 bins over
+    # [0, 1.05 e]; the bound is what a scalar per-point bisection reached there
+    edges = np.linspace(0.0, 1.05 * math.e, 97)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    mids = mids[mids < math.e]
+    assert mids.size == 91
+    assert _dh_rel_err(mids) < 1.956e-15
+
+
+def test_dh_density_near_soft_edge_matches_oracle():
+    # the gap 1 - log x keeps full relative accuracy as x -> e
+    xs = np.random.default_rng(20261018).uniform(2.5, math.e, 60)
+    assert _dh_rel_err(xs) < 5e-15
+
+
+def test_dh_array_call_equals_scalar_calls_bit_for_bit():
+    xs = np.concatenate([np.linspace(-0.5, 3.0, 71),
+                         [0.0, 1e-300, math.e, np.nextafter(math.e, 0.0)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dens, cdf = dh_density(xs), dh_cdf(xs)
+    assert dens.shape == cdf.shape == xs.shape
+    for x, f, big_f in zip(xs, dens, cdf):
+        assert dh_density(float(x)) == f and dh_cdf(float(x)) == big_f, x
+    assert isinstance(dh_density(1.0), float) and isinstance(dh_cdf(1.0), float)
+    outside = np.array([-1.0, 0.0, math.e, 3.0])
+    assert dh_density(outside).tolist() == [0.0] * 4
+    assert dh_cdf(outside).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 # -- edge exponents ------------------------------------------------------------
