@@ -37,6 +37,7 @@ from .limitlaw import (
     cdf_grid,
     contour_moment,
     density_grid,
+    density_with_error,
     dh_density,
     dh_cdf,
     edge_exponent_fit,
@@ -83,7 +84,6 @@ class RunConfig:
     out: str | None = None
     format: str = "json"
     oracle_trees: bool = False
-    tree_max_k: int | None = None
     vertices: int | None = None
 
 
@@ -123,7 +123,6 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     p.add_argument("--r", type=int)
     p.add_argument("--kmax", type=int)
     p.add_argument("--oracle-trees", action="store_true", dest="oracle_trees")
-    p.add_argument("--tree-max-k", type=int, dest="tree_max_k")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json",), default="json")
 
@@ -279,7 +278,6 @@ def _run_shape(cfg: RunConfig) -> dict:
 
 def _run_moments(cfg: RunConfig) -> dict:
     rows = []
-    tree_cap = cfg.tree_max_k if cfg.tree_max_k is not None else 6
     for k in range(cfg.kmax + 1):
         mk = limit_moment(cfg.r, k)
         row = {
@@ -288,7 +286,7 @@ def _run_moments(cfg: RunConfig) -> dict:
             "moment": _frac(mk),
             "moment_float": float(mk),
         }
-        if cfg.oracle_trees and k <= tree_cap:
+        if cfg.oracle_trees and k <= 6:  # the tree oracle is brute force: small orders only
             row["tree_count"] = count_r_plane_trees(cfg.r, k + 1)
         rows.append(row)
     return {"r": cfg.r, "kmax": cfg.kmax, "table": rows}
@@ -399,10 +397,10 @@ def _run_sample_law(cfg: RunConfig) -> dict:
     edge = float(support_edge(r))
     hist = histogram(draws, cfg.bins, (0.0, 1.05 * edge))
     mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
-    grid = density_grid(r, n=512)
-    gcdf = grid.cdf()
-    dens = np.interp(mids, grid.x, grid.f, left=0.0, right=0.0)
-    dens[mids >= edge] = 0.0
+    dens = np.zeros_like(mids)
+    inside = mids < edge
+    dens[inside], _ = density_with_error(r, mids[inside])
+    gcdf = density_grid(r, n=512).cdf()
     ecdf = StepCDF(draws)
     return {
         "r": r,

@@ -1,16 +1,20 @@
 """Exact-arithmetic moment sequences and a brute-force r-plane-tree oracle.
 
 All counting here is done in exact integers / rationals. The tree
-enumerator is deliberately naive (Dyck-word successor iteration plus a
-backtracking colouring count): it serves as an independent check of the
-closed-form generalized Catalan numbers, so it must not share any
-formula with them.
+oracle is deliberately naive: it walks every plane tree once (recursive
+Dyck words) and counts the admissible colourings of each by a pass over
+its children, using only the colour-sum rule. It serves as an
+independent check of the closed-form generalized Catalan numbers, so it
+must not share any formula with them. Materialising the coloured trees
+is a separate backtracking search, which the tests compare with the
+count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 from typing import Iterator
 
@@ -97,33 +101,21 @@ def _is_dyck(word: tuple[int, ...]) -> bool:
     return s == 0
 
 
-def _first_dyck(m: int) -> list[int]:
-    return [1] * m + [0] * m
+def _dyck_words(m: int) -> Iterator[tuple[int, ...]]:
+    """Balanced words of m up- and m down-steps in decreasing lexicographic order.
 
-
-def _next_dyck(word: list[int]) -> bool:
-    """Advance to the next balanced word in place; False when exhausted.
-
-    Words are visited in decreasing lexicographic order with up-steps
-    sorting high, starting from 1^m 0^m and ending at (10)^m.
+    The up-step is tried before the down-step, so the words run from
+    1^m 0^m down to (10)^m.
     """
-    n = len(word)
-    prefix = 0
-    sums = []
-    for step in word:
-        prefix += 1 if step else -1
-        sums.append(prefix)
-    for i in range(n - 1, -1, -1):
-        before = sums[i - 1] if i > 0 else 0
-        if word[i] == 1 and before >= 1:
-            ones_left = sum(word[i + 1:]) + 1  # the flipped up-step moves into the suffix
-            zeros_left = (n - 1 - i) - ones_left
-            if zeros_left < 0:
-                continue
-            word[i] = 0
-            word[i + 1:] = [1] * ones_left + [0] * zeros_left
-            return True
-    return False
+    def extend(word: tuple[int, ...], ups: int, depth: int) -> Iterator[tuple[int, ...]]:
+        if ups < m:
+            yield from extend(word + (1,), ups + 1, depth + 1)
+        if depth > 0:
+            yield from extend(word + (0,), ups, depth - 1)
+        elif ups == m:
+            yield word
+
+    return extend((), 0, 0)
 
 
 @dataclass(frozen=True)
@@ -186,47 +178,37 @@ def enumerate_plane_trees(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Ite
         raise InvalidOrderError(f"vertex count {n} < 1")
     if n > max_vertices:
         raise ResourceLimitError(f"vertex count {n} exceeds cap {max_vertices}")
-    if n == 1:
-        yield PlaneTree.from_word(())
-        return
-    word = _first_dyck(n - 1)
-    while True:
+    for word in _dyck_words(n - 1):
         yield PlaneTree.from_word(word)
-        if not _next_dyck(word):
-            return
 
 
 def _count_colourings(parent: tuple[int, ...], r: int) -> int:
-    """Backtracking count of admissible colourings of one tree."""
-    n = len(parent)
-    colour = [0] * n
+    """Admissible colourings of one tree, counted over its children.
 
-    def rec(v: int) -> int:
-        if v == n:
-            return 1
-        top = r if v == 0 else min(r, r + 1 - colour[parent[v]])
-        total = 0
-        for c in range(1, top + 1):
-            colour[v] = c
-            total += rec(v + 1)
-        return total
+    ways[v][c-1] is the number of colourings of v's subtree with v coloured
+    c; a child of a c-coloured vertex may take colours 1..r+1-c. Children
+    follow their parent in preorder, so one reversed pass completes each
+    row before the parent's row reads it.
+    """
+    ways = [[1] * r for _ in parent]
+    for v in range(len(parent) - 1, 0, -1):
+        below = list(accumulate(ways[v]))
+        row = ways[parent[v]]
+        for c in range(r):
+            row[c] *= below[r - 1 - c]
+    return sum(ways[0])
 
-    return rec(0)
 
-
-def count_r_plane_trees(r: int, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> int:
-    """Exhaustive count of coloured plane trees on n vertices."""
+def count_r_plane_trees(r: int, n: int) -> int:
+    """Exhaustive count of coloured plane trees on n vertices, one pass per tree."""
     if r < 1:
         raise InvalidOrderError(f"r = {r} < 1")
-    total = 0
-    for tree in enumerate_plane_trees(n, max_vertices=max_vertices):
-        total += _count_colourings(tree.parent, r)
-    return total
+    return sum(_count_colourings(tree.parent, r) for tree in enumerate_plane_trees(n))
 
 
-def iter_r_plane_trees(r: int, n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Iterator[RPlaneTree]:
-    """Materialize every admissible (tree, colouring) pair; small n only."""
-    for tree in enumerate_plane_trees(n, max_vertices=max_vertices):
+def iter_r_plane_trees(r: int, n: int) -> Iterator[RPlaneTree]:
+    """Materialize every admissible (tree, colouring) pair by backtracking; small n only."""
+    for tree in enumerate_plane_trees(n):
         m = tree.n_vertices
         colour = [0] * m
 

@@ -194,21 +194,29 @@ def _mass_nodes(r: int) -> tuple[np.ndarray, np.ndarray]:
 # -- density ---------------------------------------------------------------
 
 
-def density_with_error(r: int, x: float) -> tuple[float, float]:
-    """Density of the order-r law at x with an absolute error estimate.
+def density_with_error(r: int, x):
+    """Density of the order-r law at x (a scalar or an array) with an absolute error estimate.
 
-    The same batched evaluation as density_grid, on one abscissa. Near the
-    hard edge f grows like x^(-r/(r+1)); where f or its error bar exceeds
-    the float range, OutsideDomainError is raised instead of returning inf.
+    The same batched evaluation as density_grid: a scalar gives two floats,
+    an array two arrays of its shape, equal bit for bit to scalar calls.
+    A point outside (0, L) raises OutsideSupportError. Near the hard edge f
+    grows like x^(-r/(r+1)); where f or its error bar exceeds the float
+    range, OutsideDomainError is raised instead of returning inf.
     """
     edge = float(support_edge(r))
-    if not 0.0 < x < edge:
-        raise OutsideSupportError(f"x = {x} outside (0, {edge})")
+    xs = np.asarray(x, dtype=float)
+    bad = np.flatnonzero(~((xs > 0.0) & (xs < edge)))
+    if bad.size:
+        raise OutsideSupportError(f"x = {xs.flat[bad[0]]} outside (0, {edge})")
     with np.errstate(over="ignore"):
-        f, err, _ = _law(r, np.array([float(x)]))
-    if not (np.isfinite(f[0]) and np.isfinite(err[0])):
-        raise OutsideDomainError(f"density of order {r} at x = {x} exceeds the float range")
-    return float(f[0]), float(err[0])
+        f, err, _ = _law(r, xs.reshape(-1))
+    bad = np.flatnonzero(~(np.isfinite(f) & np.isfinite(err)))
+    if bad.size:
+        raise OutsideDomainError(
+            f"density of order {r} at x = {xs.flat[bad[0]]} exceeds the float range")
+    if xs.ndim == 0:
+        return float(f[0]), float(err[0])
+    return f.reshape(xs.shape), err.reshape(xs.shape)
 
 
 def density(r: int, x: float, tol: float = 1e-6) -> float:
@@ -311,12 +319,14 @@ def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
     return DensityGrid(r=r, edge=edge, x=xs, f=fs, err=errs)
 
 
-def cdf_grid(r: int, grid_size: int = 1024, tol: float = 1e-3) -> GridCDF:
-    """Piecewise-linear CDF of the order-r law on [0, L(r)]."""
-    return density_grid(r, n=grid_size, tol=tol).cdf()
+def cdf_grid(r: int, grid_size: int = 1024) -> GridCDF:
+    """Piecewise-linear CDF of the order-r law on [0, L(r)], from a grid held to tol 1e-3."""
+    return density_grid(r, n=grid_size, tol=1e-3).cdf()
 
 
 # -- Stieltjes transform ----------------------------------------------------
+
+_MAX_TERMS = 500_000
 
 
 def _moment_ratio(r: int, k: int) -> float:
@@ -330,32 +340,31 @@ def _moment_ratio(r: int, k: int) -> float:
     return num / den
 
 
-def stieltjes(r: int, z: complex, tol: float = 1e-12, margin: float = 1e-9,
-              max_terms: int = 500_000) -> complex:
+def stieltjes(r: int, z: complex, tol: float = 1e-12) -> complex:
     """Moment series sum_k m_k z^(-k-1), truncated by its geometric tail bound.
 
-    Converges only for |z| > L(r); points at or inside the circle raise.
+    Converges only for |z| > L(r); points at or inside the circle, or
+    within a relative 1e-9 of it, raise.
     """
     edge = float(support_edge(r))
     z = complex(z)
-    if abs(z) <= edge * (1.0 + margin):
+    if abs(z) <= edge * (1.0 + 1e-9):
         raise OutsideDomainError(f"|z| = {abs(z):.6g} not above L(r) = {edge:.6g}")
     qq = edge / abs(z)
     total = 0.0 + 0.0j
     term = 1.0 / z
     k = 0
-    while k < max_terms:
+    while k < _MAX_TERMS:
         total += term
         bound = abs(term) * qq / (1.0 - qq)
         if bound < tol:
             return total
         term = term * _moment_ratio(r, k) / z
         k += 1
-    raise NoConvergenceError(f"series tail above {tol} after {max_terms} terms")
+    raise NoConvergenceError(f"series tail above {tol} after {_MAX_TERMS} terms")
 
 
-def stieltjes_hyp(r: int, z: complex, tol: float = 1e-12,
-                  max_terms: int = 500_000) -> complex:
+def stieltjes_hyp(r: int, z: complex, tol: float = 1e-12) -> complex:
     """Same transform through the hypergeometric term recurrence.
 
     G = (1 - F(L/z)) / (r+1) with F of type (r, r-1); the numerator
@@ -372,7 +381,7 @@ def stieltjes_hyp(r: int, z: complex, tol: float = 1e-12,
     term = 1.0 + 0.0j
     total = 0.0 + 0.0j
     k = 0
-    while k < max_terms:
+    while k < _MAX_TERMS:
         total += term
         num = 1.0
         for al in alphas:
@@ -386,7 +395,7 @@ def stieltjes_hyp(r: int, z: complex, tol: float = 1e-12,
             break
         k += 1
     else:
-        raise NoConvergenceError(f"recurrence tail above {tol} after {max_terms} terms")
+        raise NoConvergenceError(f"recurrence tail above {tol} after {_MAX_TERMS} terms")
     return (1.0 - total) / (r + 1.0)
 
 

@@ -140,9 +140,8 @@ def sample_shaped(lam: Partition, dist: EntryDistribution,
 
 
 def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
-    """W = X X* / n, symmetrized once to remove BLAS rounding asymmetry."""
+    """W = X X* / n as the product returns it; spectra.eigenvalues checks it is Hermitian."""
     if n < 1:
         raise ValueError(f"scale {n} < 1")
     m = x.entries @ x.entries.conj().T / n
-    m = (m + m.conj().T) / 2.0
     return CovarianceMatrix(dim=m.shape[0], scale=n, entries=m)

@@ -90,28 +90,14 @@ class Partition:
             out.extend([n * p] * n)
         return Partition(out)
 
-    def boxes(self) -> Iterator[tuple[int, int]]:
-        for i, p in enumerate(self._parts, start=1):
-            for j in range(1, p + 1):
-                yield (i, j)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self._parts)
-
-    def __getitem__(self, idx):
-        return self._parts[idx]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self._parts == other._parts
 
     def __hash__(self) -> int:
         return hash(self._parts)
-
-    def __le__(self, other: "Partition") -> bool:
-        return other.contains(self)
 
     def __bool__(self) -> bool:
         return bool(self._parts)

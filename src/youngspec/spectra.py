@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 
+_HERM_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending real eigenvalues of a Hermitian matrix."""
@@ -41,15 +44,19 @@ class Spectrum:
     dim: int
 
 
-def eigenvalues(w: CovarianceMatrix, herm_tol: float = 1e-10) -> Spectrum:
-    """Full real spectrum of a Hermitian (or real symmetric) matrix, ascending."""
+def eigenvalues(w: CovarianceMatrix) -> Spectrum:
+    """Full real spectrum of a Hermitian (or real symmetric) matrix, ascending.
+
+    Entries further than 1e-10 of the largest from Hermitian raise
+    NotHermitianError; eigvalsh itself reads only the lower triangle.
+    """
     m = w.entries
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"matrix shape {m.shape} is not square")
     scale = float(np.abs(m).max()) if m.size else 0.0
     asym = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-    if scale > 0 and asym > herm_tol * scale:
-        raise NotHermitianError(f"asymmetry {asym:.3e} exceeds {herm_tol:.1e} * {scale:.3e}")
+    if scale > 0 and asym > _HERM_TOL * scale:
+        raise NotHermitianError(f"asymmetry {asym:.3e} exceeds {_HERM_TOL:.1e} * {scale:.3e}")
     try:
         vals = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failures are exotic
@@ -61,11 +68,11 @@ class StepCDF:
     """Right-continuous step CDF with jump 1/n at each atom (with multiplicity)."""
 
     def __init__(self, values):
-        vals = np.sort(np.asarray(values, dtype=float))
-        self._vals = vals
-        self._n = len(vals)
-        self.atoms, counts = np.unique(vals, return_counts=True)
-        self.multiplicities = counts
+        self.atoms, self.multiplicities = np.unique(np.asarray(values, dtype=float),
+                                                    return_counts=True)
+        # counts of values <= each atom; a leading 0 for points below the first
+        self._at_most = np.concatenate([[0], np.cumsum(self.multiplicities)])
+        self._n = int(self._at_most[-1])
 
     @property
     def total(self) -> int:
@@ -73,20 +80,19 @@ class StepCDF:
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        return np.searchsorted(self._vals, x, side="right") / self._n
+        return self._at_most[np.searchsorted(self.atoms, x, side="right")] / self._n
 
     def eval_left(self, x):
         x = np.asarray(x, dtype=float)
-        return np.searchsorted(self._vals, x, side="left") / self._n
+        return self._at_most[np.searchsorted(self.atoms, x, side="left")] / self._n
 
     def points(self) -> np.ndarray:
         return self.atoms
 
     def graph(self) -> tuple[np.ndarray, np.ndarray]:
         """Completed-graph vertices: each atom at the bottom and the top of its jump."""
-        top = np.cumsum(self.multiplicities) / self._n
-        bottom = np.concatenate([[0.0], top[:-1]])
-        return np.repeat(self.atoms, 2), np.column_stack([bottom, top]).ravel()
+        counts = self._at_most / self._n
+        return np.repeat(self.atoms, 2), np.column_stack([counts[:-1], counts[1:]]).ravel()
 
 
 class GridCDF:

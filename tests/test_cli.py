@@ -6,10 +6,13 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from youngspec.cli import RunConfig, build_record, main
+from youngspec.limitlaw import density_with_error
 
+from _oracle import limit_density
 from _tables import COLOURED_TREE_COUNTS
 
 RECORD_SCHEMA = {
@@ -289,6 +292,31 @@ def test_simulate_square_case_catalan_moments(capsys):
     want = [1.0, 1.0, 2.0, 5.0, 14.0]
     for row, ref in zip(rec["results"]["moments"], want):
         assert abs(row["mean"] - ref) / ref < 0.1
+
+
+def test_trees_large_order_finishes():
+    # 6.4e11 coloured trees: the count walks each of the 429 plane trees once
+    proc = subprocess.run([sys.executable, "-m", "youngspec", "trees", "--r", "20", "--vertices", "8"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["count"] == 636434408610
+
+
+def test_sample_law_midpoint_densities_are_exact(capsys):
+    code, out = run_cli(["sample-law", "--r", "2", "--samples", "1000", "--seed", "4",
+                         "--bins", "96"], capsys)
+    assert code == 0
+    res = json.loads(out)["results"]
+    edges = np.asarray(res["histogram"]["edges"])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    got = np.asarray(res["density_at_midpoints"])
+    inside = mids < 6.75
+    assert np.array_equal(got[inside], density_with_error(2, mids[inside])[0])
+    assert np.all(got[~inside] == 0.0)
+    # midpoint 2 sits at 0.027 L, where the hard-edge singularity is steep
+    for i in (2, 40, 85):
+        ref = limit_density(2, float(mids[i]))
+        assert abs(got[i] - ref) <= 1e-12 * ref, (i, got[i], ref)
 
 
 def test_console_entry_point():

@@ -102,6 +102,10 @@ def test_enumerate_counts():
 def test_enumerate_unique_words():
     words = [t.word for t in enumerate_plane_trees(7)]
     assert len(words) == len(set(words)) == catalan(6)
+    # decreasing lexicographic order, up-steps high
+    assert [t.word for t in enumerate_plane_trees(4)] == [
+        (1, 1, 1, 0, 0, 0), (1, 1, 0, 1, 0, 0), (1, 1, 0, 0, 1, 0),
+        (1, 0, 1, 1, 0, 0), (1, 0, 1, 0, 1, 0)]
 
 
 def test_enumerate_resource_cap():
@@ -135,8 +139,9 @@ def test_count_examples():
 
 
 def test_count_matches_enumeration():
-    for r in (2, 3):
-        for n in (1, 2, 3, 4):
+    # the per-tree colouring count and the backtracking enumeration are independent
+    for r in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             assert count_r_plane_trees(r, n) == sum(1 for _ in iter_r_plane_trees(r, n))
 
 

@@ -125,6 +125,8 @@ def test_density_beyond_float_range_raises():
         assert math.isfinite(f) and math.isfinite(err)
         with pytest.raises(OutsideDomainError):
             density_with_error(120, 5e-324)
+        with pytest.raises(OutsideDomainError, match="at x = 5e-324 "):
+            density_with_error(120, np.array([1e-300, 5e-324, 1.0]))
 
 
 def test_grid_cdf_and_integral_match_meijer_g_cdf_oracle():
@@ -145,13 +147,17 @@ def test_grid_cdf_and_integral_match_meijer_g_cdf_oracle():
 
 
 def test_density_grid_equals_pointwise_density_bit_for_bit():
-    # the grid and the single-point call share one batched evaluator, so a
-    # point's value must not depend on the batch it is evaluated in
+    # the grid, the array call and the single-point call share one batched
+    # evaluator, so a point's value must not depend on the batch it is in
     for r in (1, 2, 3, 4):
         grid = density_grid(r, 64)
         pairs = [density_with_error(r, float(x)) for x in grid.x]
+        assert all(type(f) is float and type(e) is float for f, e in pairs)
         assert np.array_equal(grid.f, [f for f, _ in pairs]), r
         assert np.array_equal(grid.err, [e for _, e in pairs]), r
+        f, err = density_with_error(r, grid.x.reshape(-1, 4))
+        assert f.shape == err.shape == (len(grid.x) // 4, 4)
+        assert np.array_equal(f.ravel(), grid.f) and np.array_equal(err.ravel(), grid.err), r
 
 
 def test_density_grid_tol_names_first_offending_abscissa():
@@ -184,6 +190,8 @@ def test_density_outside_support():
         density(1, 4.0)
     with pytest.raises(OutsideSupportError):
         density(2, 100.0)
+    with pytest.raises(OutsideSupportError, match="x = 4.0 outside"):
+        density_with_error(1, np.array([1.0, 4.0, 5.0]))
 
 
 def test_density_tolerance_not_met():

@@ -174,6 +174,14 @@ def test_covariance_hermitian_psd_all_kinds():
             assert eigs.min() >= -1e-10 * max(1.0, np.abs(w.entries).max())
 
 
+def test_covariance_is_hermitian_unsymmetrized():
+    # W is the plain product, Hermitian only up to rounding at some sizes, this one among them
+    lam = staircase(3).dilate(70)
+    for kind in ("complex-gaussian", "real-gaussian"):
+        w = covariance(sample_shaped(lam, EntryDistribution(kind), (71, 0)), 70).entries
+        assert np.abs(w - w.conj().T).max() <= 1e-13 * np.abs(w).max(), kind
+
+
 def test_first_moment_identity_finite_size():
     # E[(1/dim) tr W] equals the balance ratio exactly at every N
     lam = staircase(2)

@@ -86,6 +86,17 @@ def test_empirical_cdf_examples():
     assert f.eval(3.0) == 1.0
     g = StepCDF([1, 5, 1])
     assert g.eval(1.0) == pytest.approx(2 / 3)
+    # seeded, tie-heavy: 300 values on 7 atoms, against direct counts
+    vals = substream(5, 0).integers(0, 7, 300) / 2.0
+    h = StepCDF(vals)
+    xs = np.concatenate([np.unique(vals), np.linspace(-1.0, 4.0, 41)])
+    assert h.total == 300 and h.multiplicities.sum() == 300 and len(h.atoms) == 7
+    assert np.array_equal(h.eval(xs), [np.count_nonzero(vals <= x) / 300 for x in xs])
+    assert np.array_equal(h.eval_left(xs), [np.count_nonzero(vals < x) / 300 for x in xs])
+    gx, gy = h.graph()
+    assert np.array_equal(gx, np.repeat(h.atoms, 2))
+    assert np.array_equal(gy[1::2], h.eval(h.atoms))
+    assert np.array_equal(gy[0::2], h.eval_left(h.atoms))
 
 
 def _moments(vals, k_max):
