@@ -3,10 +3,13 @@
 Every stochastic subcommand requires an explicit seed; rerunning any
 command with the same configuration reproduces the numerical payload
 byte for byte (only the wall-clock provenance field differs), including
-under different --jobs settings.
+under different --jobs settings. Each setting's rule is checked once, on
+the resolved RunConfig, whatever produced it.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure propagated from the library.
+Exit codes: 0 success; 2 validation error (a missing setting, a value of
+the wrong type or out of range, an unreadable config file, an unwritable
+--out, a bad shape or entry law); 3 numerical failure propagated from the
+library, a result beyond the float range included.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .combinatorics import (
     gen_catalan,
     limit_moment,
 )
-from .errors import ConfigError, InsufficientPointsError, YoungSpecError
+from .errors import ConfigError, InsufficientPointsError, OutsideDomainError, YoungSpecError
 from .limitlaw import (
     beta_product_moment,
     beta_product_samples,
@@ -43,7 +46,7 @@ from .limitlaw import (
     edge_exponent_fit,
     support_edge,
 )
-from .matrices import ENTRY_KINDS, EntryDistribution, truncate_standardize
+from .matrices import ENTRY_KINDS, EntryDistribution
 from .partitions import Partition, balance_ratio, render, staircase
 from .spectra import (
     Histogram,
@@ -56,8 +59,6 @@ from .spectra import (
     spectra_moments,
 )
 from .streams import substream
-
-STOCHASTIC = {"simulate", "sample-law", "triangular"}
 
 
 @dataclass
@@ -78,7 +79,6 @@ class RunConfig:
     tol: float | None = None
     samples: int | None = None
     size: int | None = None
-    window: list[float] | None = None
     seed: int | None = None
     jobs: int = 1
     out: str | None = None
@@ -89,19 +89,54 @@ class RunConfig:
 
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
+# the settings each subcommand cannot run without
+_REQUIRED = {
+    "shape": ("parts",), "moments": ("r", "kmax"), "trees": ("r", "vertices"),
+    "simulate": ("dilation", "replicas", "seed", "kmax", "bins", "jobs"),
+    "law": ("r", "grid", "tol", "kmax"), "sample-law": ("r", "samples", "seed", "bins"),
+    "triangular": ("size", "replicas", "seed", "kmax", "bins", "jobs"),
+}
+STOCHASTIC = {sc for sc, needed in _REQUIRED.items() if "seed" in needed}
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+# output formats of each subcommand, the default first
+_FORMATS = {"shape": ("text", "json"), "moments": ("json",), "trees": ("json",),
+            **dict.fromkeys(("simulate", "law", "sample-law", "triangular"), ("json", "csv"))}
+
+# the least value of each integer setting; its value must be an int (a bool is not one)
+_LEAST = {"r": 1, "dilation": 1, "replicas": 1, "samples": 1, "size": 1, "vertices": 1,
+          "bins": 1, "jobs": 1, "grid": 16, "kmax": 0, "seed": 0}
 
 
-def _parse_float_pair(text: str) -> list[float]:
-    toks = text.split(",")
-    if len(toks) != 2:
-        raise ConfigError(f"expected lo,hi — got {text!r}")
-    return [float(toks[0]), float(toks[1])]
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite(v) -> bool:
+    return _real(v) and abs(v) <= sys.float_info.max
+
+
+# each setting's rule: what it must be, and the test; the shape and the
+# entry law check their own values
+_RULES = {
+    "tol": ("a positive number", lambda v: _finite(v) and v > 0),
+    "trunc": ("a number", _real),
+    "range": ("two finite numbers lo < hi", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+              and all(map(_finite, v)) and v[0] < v[1]),
+    "parts": ("a list of integers",
+              lambda v: isinstance(v, list) and all(type(x) is int for x in v)),
+    "out": ("a file name", lambda v: isinstance(v, str)),
+    "oracle_trees": ("true or false", lambda v: isinstance(v, bool)),
+    **{name: (f"an integer >= {least}", lambda v, least=least: type(v) is int and v >= least)
+       for name, least in _LEAST.items()},
+}
+
+
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
 
 
 def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentParser:
@@ -114,27 +149,21 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     sub = parser.add_subparsers(dest="subcommand")
 
     p = sub.add_parser("shape", help="render a diagram and its basic statistics")
-    p.add_argument("--parts", type=_parse_int_list)
+    p.add_argument("--parts", type=_ints)
     p.add_argument("--dilation", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("moments", help="exact moment table of the order-r limit law")
     p.add_argument("--r", type=int)
     p.add_argument("--kmax", type=int)
     p.add_argument("--oracle-trees", action="store_true", dest="oracle_trees")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("trees", help="count coloured plane trees by brute force")
     p.add_argument("--r", type=int)
     p.add_argument("--vertices", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("simulate", help="ensemble run of a block- or diagram-shaped model")
     p.add_argument("--r", type=int)
-    p.add_argument("--parts", type=_parse_int_list)
+    p.add_argument("--parts", type=_ints)
     p.add_argument("--dilation", type=int)
     p.add_argument("--entries", choices=ENTRY_KINDS, default="complex-gaussian")
     p.add_argument("--trunc", type=float)
@@ -142,26 +171,20 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     p.add_argument("--seed", type=int)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--range", type=_parse_float_pair)
+    p.add_argument("--range", type=_floats)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("law", help="density/CDF grids and moment cross-checks of the limit law")
     p.add_argument("--r", type=int)
     p.add_argument("--grid", type=int, default=768)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("sample-law", help="Monte Carlo draws of the limit law vs its density")
     p.add_argument("--r", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("triangular", help="staircase-shaped simulation against the triangular limit law")
     p.add_argument("--size", type=int)
@@ -170,87 +193,59 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     p.add_argument("--seed", type=int)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--window", type=_parse_float_pair, default=[0.2, 2.5])
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    for name, values in (defaults or {}).items():
-        sub.choices[name].set_defaults(**values)
+    for name, p in sub.choices.items():
+        p.add_argument("--out")
+        if len(_FORMATS[name]) > 1:
+            p.add_argument("--format", choices=_FORMATS[name])
+        # a config file's format meets the format rule, also where there is no --format
+        p.set_defaults(**{"format": _FORMATS[name][0], **(defaults or {}).get(name, {})})
     return parser
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
 
 
 def _validate(cfg: RunConfig) -> None:
     sc = cfg.subcommand
-    _require(sc is not None, "no subcommand given")
-    if sc in STOCHASTIC:
-        _require(cfg.seed is not None, f"{sc} requires --seed (no clock fallback)")
-        _require(cfg.seed >= 0, "--seed must be nonnegative")
-        _require(cfg.jobs >= 1, "--jobs must be >= 1")
-    if sc == "shape":
-        _require(cfg.parts is not None, "shape requires --parts")
-        _require(cfg.dilation is None or cfg.dilation >= 1, "--dilation must be >= 1")
-    elif sc == "moments":
-        _require(cfg.r is not None and cfg.r >= 1, "moments requires --r >= 1")
-        _require(cfg.kmax is not None and cfg.kmax >= 0, "moments requires --kmax >= 0")
-    elif sc == "trees":
-        _require(cfg.r is not None and cfg.r >= 1, "trees requires --r >= 1")
-        _require(cfg.vertices is not None and cfg.vertices >= 1, "trees requires --vertices >= 1")
-    elif sc == "simulate":
-        _require((cfg.r is not None) != (cfg.parts is not None),
-                 "simulate requires exactly one of --r / --parts")
-        if cfg.r is not None:
-            _require(cfg.r >= 1, "--r must be >= 1")
-        _require(cfg.dilation is not None and cfg.dilation >= 1, "simulate requires --dilation >= 1")
-        _require(cfg.replicas is not None and cfg.replicas >= 1, "simulate requires --replicas >= 1")
-        _require(cfg.kmax >= 0, "--kmax must be >= 0")
-        _require(cfg.bins >= 1, "--bins must be >= 1")
-        if cfg.range is not None:
-            _require(cfg.range[0] < cfg.range[1], "--range lo must be < hi")
-        if cfg.trunc is not None:
-            _require(cfg.trunc > 0, "--trunc must be positive")
-    elif sc == "law":
-        _require(cfg.r is not None and cfg.r >= 1, "law requires --r >= 1")
-        _require(cfg.grid >= 16, "--grid must be >= 16")
-        _require(cfg.tol > 0, "--tol must be positive")
-    elif sc == "sample-law":
-        _require(cfg.r is not None and cfg.r >= 1, "sample-law requires --r >= 1")
-        _require(cfg.samples is not None and cfg.samples >= 1, "sample-law requires --samples >= 1")
-        _require(cfg.bins >= 1, "--bins must be >= 1")
-    elif sc == "triangular":
-        _require(cfg.size is not None and cfg.size >= 1, "triangular requires --size >= 1")
-        _require(cfg.replicas is not None and cfg.replicas >= 1, "triangular requires --replicas >= 1")
-        _require(cfg.bins >= 1, "--bins must be >= 1")
-        _require(cfg.window[0] < cfg.window[1], "--window lo must be < hi")
-    # the shape and the entry law reject bad parts and degenerate truncations themselves
+    if sc not in _REQUIRED:
+        raise ConfigError(f"unknown subcommand {sc!r}" if sc else "no subcommand given")
+    for name, (what, ok) in _RULES.items():
+        value = getattr(cfg, name)
+        if value is not None and not ok(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be {what}, got {value!r}")
+    for name in _REQUIRED[sc]:
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"{sc} requires --{name}")
+    if cfg.format not in _FORMATS[sc]:
+        raise ConfigError(f"{sc} --format must be one of {_FORMATS[sc]}, got {cfg.format!r}")
+    if sc == "simulate" and (cfg.r is None) == (cfg.parts is None):
+        raise ConfigError("simulate requires exactly one of --r / --parts")
     try:
         lam = None if cfg.parts is None else Partition(cfg.parts)
         if sc in ("simulate", "triangular"):
-            _entry_distribution(cfg)
-    except ValueError as exc:
+            EntryDistribution(cfg.entries, cfg.trunc)
+    except (ValueError, OverflowError) as exc:  # a cutoff beyond the float range overflows
         raise ConfigError(str(exc)) from exc
-    if sc == "simulate" and lam is not None:
-        _require(lam.weight() > 0, "simulate requires --parts with a positive part")
+    if sc == "simulate" and lam is not None and lam.weight() == 0:
+        raise ConfigError("simulate requires --parts with a positive part")
 
 
 def _hist_payload(h: Histogram) -> dict:
-    return {
-        "edges": h.edges.tolist(),
-        "counts": h.counts.tolist(),
-        "density": h.density.tolist(),
-        "below": h.below,
-        "above": h.above,
-        "total": h.total,
-    }
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(h).items()}
 
 
 def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # Python prints no integer of more than sys.get_int_max_str_digits() digits
+        raise OutsideDomainError("an exact result has too many digits to print") from None
+
+
+def _moment_float(value: Fraction, k: int, law: str) -> float:
+    """An exact moment as a float; OutsideDomainError names k and the law where it overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise OutsideDomainError(f"moment k = {k} of the {law} exceeds the float range") from None
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -284,7 +279,7 @@ def _run_moments(cfg: RunConfig) -> dict:
             "k": k,
             "gen_catalan": gen_catalan(cfg.r, k),
             "moment": _frac(mk),
-            "moment_float": float(mk),
+            "moment_float": _moment_float(mk, k, f"r = {cfg.r} law"),
         }
         if cfg.oracle_trees and k <= 6:  # the tree oracle is brute force: small orders only
             row["tree_count"] = count_r_plane_trees(cfg.r, k + 1)
@@ -300,15 +295,8 @@ def _run_trees(cfg: RunConfig) -> dict:
     }
 
 
-def _entry_distribution(cfg: RunConfig) -> EntryDistribution:
-    dist = EntryDistribution(cfg.entries)
-    if cfg.trunc is not None:
-        dist = truncate_standardize(dist, cfg.trunc)
-    return dist
-
-
 def _run_simulate(cfg: RunConfig) -> dict:
-    dist = _entry_distribution(cfg)
+    dist = EntryDistribution(cfg.entries, cfg.trunc)
     if cfg.r is not None:
         base = staircase(cfg.r)
         edge = float(support_edge(cfg.r))
@@ -341,7 +329,8 @@ def _run_simulate(cfg: RunConfig) -> dict:
         results["levy_to_limit"] = float(levy_distance(ecdf, limit))
         results["ks_to_limit"] = float(ks_distance(ecdf, limit))
         results["r"] = cfg.r
-        results["limit_moments"] = [float(limit_moment(cfg.r, k)) for k in range(cfg.kmax + 1)]
+        results["limit_moments"] = [_moment_float(limit_moment(cfg.r, k), k, f"r = {cfg.r} law")
+                                    for k in range(cfg.kmax + 1)]
     return results
 
 
@@ -353,10 +342,10 @@ def _run_law(cfg: RunConfig) -> dict:
     checks = []
     for k in range(cfg.kmax + 1):
         exact = limit_moment(r, k)
+        fex = _moment_float(exact, k, f"r = {r} law")
         bp = beta_product_moment(r, k)
         cm = contour_moment(r, k)
         gm = grid.moment(k)
-        fex = float(exact)
         checks.append({
             "k": k,
             "exact": _frac(exact),
@@ -413,25 +402,20 @@ def _run_sample_law(cfg: RunConfig) -> dict:
 
 
 def _run_triangular(cfg: RunConfig) -> dict:
-    dist = _entry_distribution(cfg)
+    dist = EntryDistribution(cfg.entries, cfg.trunc)
     shape = staircase(cfg.size)
     spectra = shape_ensemble_spectra(shape, cfg.size, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs)
     pooled = np.concatenate(spectra)
     moments = []
     for k in range(cfg.kmax + 1):
-        ref = dh_moment(k)
+        ref = _moment_float(dh_moment(k), k, "triangular law")
         mk = float(np.mean(pooled**k))
-        moments.append({
-            "k": k,
-            "mean": mk,
-            "limit": float(ref),
-            "rel_err": abs(mk - float(ref)) / float(ref),
-        })
+        moments.append({"k": k, "mean": mk, "limit": ref, "rel_err": abs(mk - ref) / ref})
     hist = histogram(pooled, cfg.bins, (0.0, 1.05 * np.e))
     mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
     dh_vals = dh_density(mids).tolist()
 
-    lo, hi = cfg.window
+    lo, hi = 0.2, 2.5  # the window of acceptance criterion 9
     ecdf = StepCDF(pooled)
     xs = np.unique(np.concatenate([np.linspace(lo, hi, 321),
                                    pooled[(pooled >= lo) & (pooled <= hi)]]))
@@ -442,7 +426,7 @@ def _run_triangular(cfg: RunConfig) -> dict:
         "moments": moments,
         "histogram": _hist_payload(hist),
         "dh_density_at_midpoints": dh_vals,
-        "window": list(cfg.window),
+        "window": [lo, hi],
         "sup_discrepancy": sup,
     }
 
@@ -462,13 +446,11 @@ _HANDLERS = {
 
 
 def _provenance(cfg: RunConfig, wall: float) -> dict:
-    subs: list[list[int]] = []
-    if cfg.subcommand in STOCHASTIC and cfg.seed is not None:
-        n_sub = {"simulate": cfg.replicas, "triangular": cfg.replicas, "sample-law": 1}[cfg.subcommand]
-        subs = [[cfg.seed, i] for i in range(n_sub)]
+    # replica i draws from substream (seed, i); sample-law draws once
+    n_sub = (cfg.replicas or 1) if cfg.subcommand in STOCHASTIC else 0
     return {
         "seed": cfg.seed,
-        "substreams": subs,
+        "substreams": [[cfg.seed, i] for i in range(n_sub)],
         "wall_time_s": wall,
         "version": __version__,
     }
@@ -495,17 +477,20 @@ def _csv(header: list[str], *columns: list) -> str:
 
 
 def render_output(record: dict, cfg: RunConfig) -> str:
+    """The record as JSON, CSV or text; a value beyond the float range raises OutsideDomainError."""
+    try:
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise OutsideDomainError(f"a {cfg.subcommand} result exceeds the float range") from exc
+    res = record["results"]
+    if cfg.format == "csv" and cfg.subcommand == "law":
+        return _csv(["x", "density", "abs_err"], res["grid"]["x"], res["grid"]["density"],
+                    res["grid"]["abs_err"])
     if cfg.format == "csv":
-        if cfg.subcommand == "law":
-            grid = record["results"]["grid"]
-            return _csv(["x", "density", "abs_err"], grid["x"], grid["density"], grid["abs_err"])
-        if "histogram" in record["results"]:
-            hist = record["results"]["histogram"]
-            return _csv(["bin_left", "bin_right", "count", "density"],
-                        hist["edges"][:-1], hist["edges"][1:], hist["counts"], hist["density"])
-        raise ConfigError(f"no CSV form for subcommand {cfg.subcommand}")
-    if cfg.format == "text" and cfg.subcommand == "shape":
-        res = record["results"]
+        hist = res["histogram"]
+        return _csv(["bin_left", "bin_right", "count", "density"],
+                    hist["edges"][:-1], hist["edges"][1:], hist["counts"], hist["density"])
+    if cfg.format == "text":
         lines = [res["diagram"], "",
                  f"parts:         {tuple(res['parts'])}",
                  f"length:        {res['length']}",
@@ -516,7 +501,7 @@ def render_output(record: dict, cfg: RunConfig) -> str:
         if "dilated_parts" in res:
             lines.append(f"dilated parts: {tuple(res['dilated_parts'])} (weight {res['dilated_weight']})")
         return "\n".join(lines) + "\n"
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+    return text
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -551,20 +536,20 @@ def main(argv: list[str] | None = None) -> int:
             build_parser().print_help()
             return 2
         cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in _FIELDS})
-        record = build_record(cfg)
-        text = render_output(record, cfg)
+        text = render_output(build_record(cfg), cfg)
+        if cfg.out:
+            try:
+                with open(cfg.out, "w") as fp:
+                    fp.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out: {exc}") from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except YoungSpecError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if cfg.out:
-        with open(cfg.out, "w") as fp:
-            fp.write(text)
-        if cfg.subcommand == "shape" and cfg.format == "text":
-            print(text, end="")
-    else:
+    if not cfg.out or (cfg.subcommand == "shape" and cfg.format == "text"):
         print(text, end="")
     return 0
 

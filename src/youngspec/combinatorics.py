@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 DEFAULT_VERTEX_CAP = 12
+# products count_r_plane_trees may spend; (20, 12) takes 1.4e7: 3.4 s, 35 MiB on 2 x86-64 vCPUs
+TREE_WORK_BUDGET = 2 * 10**7
 
 
 def catalan(k: int) -> int:
@@ -173,13 +175,12 @@ class RPlaneTree:
 
 
 def enumerate_plane_trees(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Iterator[PlaneTree]:
-    """All plane trees on n vertices, exactly once each (catalan(n-1) trees)."""
+    """All plane trees on n vertices, once each (catalan(n-1) trees); n is checked at the call."""
     if n < 1:
         raise InvalidOrderError(f"vertex count {n} < 1")
     if n > max_vertices:
         raise ResourceLimitError(f"vertex count {n} exceeds cap {max_vertices}")
-    for word in _dyck_words(n - 1):
-        yield PlaneTree.from_word(word)
+    return (PlaneTree.from_word(word) for word in _dyck_words(n - 1))
 
 
 def _count_colourings(parent: tuple[int, ...], r: int) -> int:
@@ -200,10 +201,17 @@ def _count_colourings(parent: tuple[int, ...], r: int) -> int:
 
 
 def count_r_plane_trees(r: int, n: int) -> int:
-    """Exhaustive count of coloured plane trees on n vertices, one pass per tree."""
+    """Exhaustive count of coloured plane trees on n vertices, one pass per tree.
+
+    It takes r * n * catalan(n-1) big-integer products over rows of r
+    integers; past TREE_WORK_BUDGET products it raises ResourceLimitError.
+    """
     if r < 1:
         raise InvalidOrderError(f"r = {r} < 1")
-    return sum(_count_colourings(tree.parent, r) for tree in enumerate_plane_trees(n))
+    trees = enumerate_plane_trees(n)
+    if r * n * catalan(n - 1) > TREE_WORK_BUDGET:
+        raise ResourceLimitError(f"r = {r}, n = {n} needs over {TREE_WORK_BUDGET} products")
+    return sum(_count_colourings(tree.parent, r) for tree in trees)
 
 
 def iter_r_plane_trees(r: int, n: int) -> Iterator[RPlaneTree]:

@@ -263,15 +263,21 @@ def density_r2(w: float) -> float:
 # -- density grid ----------------------------------------------------------
 
 
+def _cdf_knots(x: np.ndarray) -> np.ndarray:
+    """The grid x preceded by the CDF's head extension x[0] * 10^(-5..-0.5)."""
+    return np.concatenate([x[0] * 10.0 ** np.arange(-5.0, -0.4, 0.5), x])
+
+
 @dataclass(frozen=True)
 class DensityGrid:
-    """Density samples on a graded grid over (0, L) with per-point errors."""
+    """Density samples on a graded grid over (0, L) with per-point errors; F at _cdf_knots(x)."""
 
     r: int
     edge: float
     x: np.ndarray
     f: np.ndarray
     err: np.ndarray
+    cdf_values: np.ndarray
 
     def moment(self, k: int) -> float:
         """k-th moment of the law, a Gauss-Legendre sum in the edge angle."""
@@ -282,22 +288,17 @@ class DensityGrid:
         return self.moment(0)
 
     def cdf(self) -> GridCDF:
-        """Piecewise-linear interpolant of the law's CDF at the grid abscissae.
-
-        Knots are 0, a head extension x[0] * 10^(-5..-0.5) below the grid,
-        the grid itself and L; the values come from the closed-form F.
-        """
-        xs = np.concatenate([self.x[0] * 10.0 ** np.arange(-5.0, -0.4, 0.5), self.x])
-        _, _, cdf = _law(self.r, xs)
-        return GridCDF(np.concatenate([[0.0], xs, [self.edge]]), np.concatenate([[0.0], cdf, [1.0]]))
+        """Piecewise-linear interpolant of the law's CDF with knots 0, the CDF knots and L."""
+        return GridCDF(np.concatenate([[0.0], _cdf_knots(self.x), [self.edge]]),
+                       np.concatenate([[0.0], self.cdf_values, [1.0]]))
 
 
 def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
     """Sample the density on a graded grid (log head, linear middle, log tail).
 
-    All abscissae go through one batched evaluation; with ``tol`` the first
-    abscissa in grid order whose error exceeds tol * max(1, |f|) is named
-    in the ToleranceNotMetError.
+    All CDF knots go through one batched evaluation, which gives f and F;
+    with ``tol`` the first abscissa in grid order whose error exceeds
+    tol * max(1, |f|) is named in the ToleranceNotMetError.
     """
     if n < 16:
         raise ValueError(f"grid size {n} < 16")
@@ -309,14 +310,15 @@ def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
     mid = np.linspace(0.2 * edge, 0.9 * edge, n_mid, endpoint=False)
     tail = edge - edge * 10.0 ** np.linspace(-1.0, -6.0, n_tail)
     xs = np.unique(np.concatenate([head, mid, tail]))
-    fs, errs, _ = _law(r, xs)
+    fs, errs, cdf = _law(r, _cdf_knots(xs))
+    fs, errs = fs[-xs.size:], errs[-xs.size:]
     if tol is not None:
         over = np.flatnonzero(errs > tol * np.maximum(1.0, np.abs(fs)))
         if over.size:
             i = over[0]
             raise ToleranceNotMetError(
                 f"density error {errs[i]:.3e} at x={xs[i]:.6g} exceeds tol {tol:.1e}")
-    return DensityGrid(r=r, edge=edge, x=xs, f=fs, err=errs)
+    return DensityGrid(r=r, edge=edge, x=xs, f=fs, err=errs, cdf_values=cdf)
 
 
 def cdf_grid(r: int, grid_size: int = 1024) -> GridCDF:

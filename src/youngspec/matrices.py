@@ -41,8 +41,8 @@ def _truncated_second_moment(kind: str, cutoff: float) -> float:
     vanishes and this is the full truncated variance.
     """
     c = float(cutoff)
-    if c <= 0:
-        raise DegenerateTruncationError(f"cutoff {c} <= 0")
+    if not 0.0 < c < math.inf:
+        raise DegenerateTruncationError(f"cutoff {c} is not a positive finite number")
     if kind == "complex-gaussian":
         # |X|^2 is Exp(1)
         return 1.0 - (1.0 + c * c) * math.exp(-c * c)

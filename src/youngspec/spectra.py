@@ -9,6 +9,7 @@ come from spectra; the limit law supplies a piecewise-linear grid CDF.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,11 +177,13 @@ class Histogram:
 
 
 def histogram(values, bins: int, value_range: tuple[float, float]) -> Histogram:
-    """Density histogram of ``values`` on ``bins`` equal bins over ``value_range``."""
+    """Density histogram of ``values`` on ``bins`` equal bins over a finite ``value_range``."""
     lo, hi = value_range
-    if bins < 1 or not lo < hi:
+    with np.errstate(over="ignore", invalid="ignore"):  # hi - lo may overflow; bins may be 0 wide
+        edges = np.linspace(lo, hi, max(bins, 0) + 1)
+        ok = bins >= 1 and -np.inf < lo < hi < np.inf and np.all(np.diff(edges) > 0)
+    if not ok:
         raise InvalidRangeError(f"bad histogram spec: bins={bins}, range=({lo}, {hi})")
-    edges = np.linspace(lo, hi, bins + 1)
     vals = np.asarray(values, dtype=float)
     total = vals.size
     if total == 0:
@@ -218,7 +221,7 @@ def shape_ensemble_spectra(shape: Partition, scale: int, dist: EntryDistribution
     """Eigenvalue arrays for `replicas` draws of W = X X*/scale on a fixed shape.
 
     Replica i always uses substream (seed, i), so results are identical
-    for any `jobs`; outputs are ordered by replica index.
+    for any `jobs` (capped at the replicas and CPUs); outputs are ordered by replica index.
     """
     if replicas < 1:
         raise ValueError(f"replicas {replicas} < 1")
@@ -226,7 +229,7 @@ def shape_ensemble_spectra(shape: Partition, scale: int, dist: EntryDistribution
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, replicas, os.cpu_count() or 1)) as pool:
             return list(pool.map(_replica_eigenvalues, tasks))
     return [_replica_eigenvalues(t) for t in tasks]
 

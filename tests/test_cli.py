@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from youngspec.cli import RunConfig, build_record, main
+from youngspec.errors import ConfigError
 from youngspec.limitlaw import density_with_error
 
 from _oracle import limit_density
@@ -238,11 +239,80 @@ def test_config_file_loses_to_abbreviated_flag(tmp_path, capsys):
     ["simulate", "--r", "1", "--dilation", "2", "--replicas", "2", "--seed", "1",
      "--entries", "rademacher", "--trunc", "0.5"],
     ["--config", "no-such-dir/cfg.json", "trees", "--r", "2", "--vertices", "2"],
-], ids=["negative-part", "empty-shape", "degenerate-truncation", "missing-config-file"])
+    ["simulate", "--r", "1", "--dilation", "2", "--replicas", "2", "--seed", "1", "--trunc", "inf"],
+    ["simulate", "--r", "1", "--dilation", "2", "--replicas", "2", "--seed", "1",
+     "--range=-inf,inf"],
+], ids=["negative-part", "empty-shape", "degenerate-truncation", "missing-config-file",
+        "infinite-truncation", "infinite-range"])
 def test_bad_input_is_validation_error(argv, capsys):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: "), err
+
+
+_SIMULATE = {"subcommand": "simulate", "r": 1, "dilation": 2, "replicas": 2, "seed": 1}
+_LAW = {"subcommand": "law", "r": 2, "grid": 16, "kmax": 1}
+
+
+@pytest.mark.parametrize("stored, wanted", [
+    ({"subcommand": "trees", "r": 2.5, "vertices": 3}, "--r must be an integer >= 1"),
+    ({"subcommand": "law", "r": 2, "grid": 16.5, "kmax": 1}, "--grid must be an integer >= 16"),
+    ({"subcommand": "shape", "parts": 5}, "--parts must be a list of integers"),
+    ({**_SIMULATE, "range": [0, 1, 2]}, "--range must be two finite numbers"),
+    ({**_LAW, "out": 7}, "--out must be a file name"),
+    ({**_LAW, "format": "xml"}, "law --format must be one of"),
+    ({"subcommand": "trees", "r": 2, "vertices": 3, "format": "csv"}, "trees --format must be one of"),
+    ({**_SIMULATE, "seed": True}, "--seed must be an integer >= 0"),
+    ({**_LAW, "kmax": None}, "law requires --kmax"),
+], ids=["float-r", "float-grid", "scalar-parts", "three-range", "integer-out", "unknown-format",
+        "csv-for-trees", "bool-seed", "null-kmax"])
+def test_bad_config_file_value_is_validation_error(stored, wanted, tmp_path):
+    # JSON values skip argparse's conversion, so the same rules must catch them
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(stored))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "youngspec", "--config", str(cfg_file),
+                           stored["subcommand"]], capture_output=True, text=True, cwd=tmp_path,
+                          env=env)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: "), proc.stderr
+    assert wanted in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout == "" and list(tmp_path.iterdir()) == [cfg_file]
+
+
+def test_hand_built_config_is_validated():
+    # build_record applies the same rules to a RunConfig no parser produced
+    with pytest.raises(ConfigError, match="--r must be an integer >= 1"):
+        build_record(RunConfig(subcommand="law", r=0))
+    with pytest.raises(ConfigError, match="law requires --grid"):
+        build_record(RunConfig(subcommand="law", r=2))
+    with pytest.raises(ConfigError, match="moments --format"):
+        build_record(RunConfig(subcommand="moments", r=1, kmax=2, format="csv"))
+    with pytest.raises(ConfigError, match="--tol must be a positive number"):
+        build_record(RunConfig(subcommand="law", r=2, grid=16, tol=float("nan"), kmax=1))
+
+
+@pytest.mark.parametrize("argv, wanted", [
+    (["moments", "--r", "3", "--kmax", "2000"], "k = 320 of the r = 3 law"),
+    (["triangular", "--size", "5", "--replicas", "2", "--seed", "1", "--kmax", "800"],
+     "k = 721 of the triangular law"),
+    (["simulate", "--parts", "5,4", "--dilation", "3", "--replicas", "2", "--seed", "1",
+      "--kmax", "1500"], "simulate result exceeds the float range"),
+    # L(10^4) = 10001^10001 / 10^40000 has more digits than Python prints
+    (["law", "--r", "10000", "--grid", "16", "--kmax", "0"], "too many digits"),
+], ids=["moments", "triangular", "simulate-parts", "law-edge-digits"])
+def test_unrepresentable_results_are_numerical_failures(argv, wanted, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "", out[:200]
+    assert err.startswith("numerical failure: OutsideDomainError") and wanted in err, err
+
+
+def test_tree_budget_is_numerical_failure():
+    proc = subprocess.run([sys.executable, "-m", "youngspec", "trees", "--r", "1000000",
+                           "--vertices", "12"], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical failure: ResourceLimitError"), proc.stderr
 
 
 def test_missing_seed_is_validation_error(capsys):

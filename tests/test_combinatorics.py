@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,17 @@ def test_enumerate_resource_cap():
     with pytest.raises(ResourceLimitError):
         list(enumerate_plane_trees(13))
     assert sum(1 for _ in enumerate_plane_trees(13, max_vertices=13)) == catalan(12)
+
+
+def test_tree_count_work_budget():
+    # r * n * catalan(n-1) = 7e11 products: refused before any row of 10^6 integers is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        count_r_plane_trees(10**6, 12)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ResourceLimitError, match="cap"):  # the vertex cap comes first
+        count_r_plane_trees(10**6, 13)
+    assert count_r_plane_trees(20, 8) == gen_catalan(20, 7)
 
 
 def test_plane_tree_structure():

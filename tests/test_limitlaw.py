@@ -18,6 +18,7 @@ from youngspec.errors import (
     OutsideSupportError,
     ToleranceNotMetError,
 )
+from youngspec import limitlaw
 from youngspec.limitlaw import (
     beta_product_moment,
     beta_product_samples,
@@ -144,6 +145,23 @@ def test_grid_cdf_and_integral_match_meijer_g_cdf_oracle():
             ref = limit_cdf(r, x)
             assert abs(cdf.fs[i] - ref) <= 1e-12, (r, x, cdf.fs[i], ref)
         assert abs(grid.integral() - 1.0) <= 1e-12, (r, grid.integral())
+
+
+def test_grid_cdf_reuses_the_grid_evaluation(monkeypatch):
+    # density_grid evaluates f and F at the CDF knots in one pass; cdf() only assembles them
+    def refuse(r, x):
+        raise AssertionError("DensityGrid.cdf() evaluated the law again")
+
+    for r, n in ((1, 64), (2, 512), (4, 768)):
+        grid = density_grid(r, n)
+        knots = np.concatenate([grid.x[0] * 10.0 ** np.arange(-5.0, -0.4, 0.5), grid.x])
+        f, err, F = limitlaw._law(r, knots)
+        with monkeypatch.context() as patch:
+            patch.setattr(limitlaw, "_law", refuse)
+            cdf = grid.cdf()
+        assert np.array_equal(cdf.xs, np.concatenate([[0.0], knots, [grid.edge]])), r
+        assert np.array_equal(cdf.fs[1:-1], F) and cdf.fs[0] == 0.0 and cdf.fs[-1] == 1.0, r
+        assert np.array_equal(grid.f, f[10:]) and np.array_equal(grid.err, err[10:]), r
 
 
 def test_density_grid_equals_pointwise_density_bit_for_bit():
@@ -453,14 +471,16 @@ def test_hard_edge_fit_removes_subleading_bias():
     # the exact r=2 density: a plain log-log slope over the window reads -0.638
     grid = density_grid(2)
     exact = type(grid)(r=2, edge=grid.edge, x=grid.x,
-                       f=np.array([density_r2(float(x)) for x in grid.x]), err=grid.err)
+                       f=np.array([density_r2(float(x)) for x in grid.x]), err=grid.err,
+                       cdf_values=grid.cdf_values)
     assert edge_exponent_fit(exact, "lower") == pytest.approx(-2 / 3, abs=5e-3)
     assert edge_exponent_fit(density_grid(4), "lower") == pytest.approx(-0.8, abs=0.01)
 
 
 def test_edge_fit_insufficient_points():
     grid = density_grid(1, n=16)
-    small = type(grid)(r=1, edge=grid.edge, x=grid.x[:4], f=grid.f[:4], err=grid.err[:4])
+    small = type(grid)(r=1, edge=grid.edge, x=grid.x[:4], f=grid.f[:4], err=grid.err[:4],
+                       cdf_values=grid.cdf_values[:14])
     with pytest.raises(InsufficientPointsError):
         edge_exponent_fit(small, "lower")
 

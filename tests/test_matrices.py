@@ -85,6 +85,13 @@ def test_truncation_degenerate():
         EntryDistribution("rademacher", trunc=0.5)
 
 
+@pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_truncation_rejects_nonpositive_and_nonfinite_cutoffs(cutoff):
+    # an infinite cutoff used to give 1 - inf * 0 = NaN as the truncated variance
+    with pytest.raises(DegenerateTruncationError):
+        EntryDistribution("complex-gaussian", cutoff)
+
+
 def test_truncated_moments_complex_gaussian():
     dist = truncate_standardize(EntryDistribution("complex-gaussian"), 6.0)
     rng = substream(31, 0)

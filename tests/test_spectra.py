@@ -22,6 +22,7 @@ from youngspec.spectra import (
     histogram,
     ks_distance,
     levy_distance,
+    shape_ensemble_spectra,
     spectra_moments,
 )
 from youngspec.streams import substream
@@ -234,6 +235,50 @@ def test_histogram_overflow_and_empty():
     assert empty.total == 0 and np.all(empty.density == 0)
     with pytest.raises(InvalidRangeError):
         histogram([1.0], 0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("bins, value_range", [
+    (4, (-math.inf, math.inf)), (4, (0.0, math.inf)), (4, (math.nan, 1.0)),
+    (4, (-1e308, 1e308)),  # hi - lo overflows
+    (10**6, (0.0, 1e-320)),  # bins of zero width
+], ids=["both-infinite", "infinite-hi", "nan-lo", "width-overflows", "zero-width-bins"])
+def test_histogram_rejects_nonfinite_ranges(bins, value_range):
+    with pytest.raises(InvalidRangeError):
+        histogram([1.0], bins, value_range)
+
+
+def test_worker_pool_capped_by_replicas_and_cpus(monkeypatch):
+    # the fork start method starts every worker at the first submit, so
+    # max_workers must not follow a large jobs setting; nothing is forked here
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    dist = EntryDistribution("real-gaussian")
+    serial = shape_ensemble_spectra(staircase(3), 3, dist, 3, seed=2)
+    for jobs, replicas, want in ((5000, 3, 3), (5000, 9, 4), (2, 9, 2)):
+        got = shape_ensemble_spectra(staircase(3), 3, dist, replicas, seed=2, jobs=jobs)
+        assert started[-1] == want
+        assert all(np.array_equal(a, b) for a, b in zip(got, serial))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    shape_ensemble_spectra(staircase(3), 3, dist, 3, seed=2, jobs=8)
+    assert started[-1] == 1
 
 
 def test_spectrum_shape_for_dilated_staircase():
