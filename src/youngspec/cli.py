@@ -300,6 +300,9 @@ def _run_simulate(cfg: RunConfig) -> dict:
     if cfg.r is not None:
         base = staircase(cfg.r)
         edge = float(support_edge(cfg.r))
+        # before the ensemble, so a moment beyond the float range costs no spectra
+        limit_moments = [_moment_float(limit_moment(cfg.r, k), k, f"r = {cfg.r} law")
+                         for k in range(cfg.kmax + 1)]
     else:
         base = Partition(cfg.parts)
         edge = None
@@ -329,16 +332,16 @@ def _run_simulate(cfg: RunConfig) -> dict:
         results["levy_to_limit"] = float(levy_distance(ecdf, limit))
         results["ks_to_limit"] = float(ks_distance(ecdf, limit))
         results["r"] = cfg.r
-        results["limit_moments"] = [_moment_float(limit_moment(cfg.r, k), k, f"r = {cfg.r} law")
-                                    for k in range(cfg.kmax + 1)]
+        results["limit_moments"] = limit_moments
     return results
 
 
 def _run_law(cfg: RunConfig) -> dict:
     r = cfg.r
+    edge = support_edge(r)
+    edge_exact = _frac(edge)  # an edge too long to print fails before the grid is solved
     grid = density_grid(r, n=cfg.grid, tol=cfg.tol)
     gcdf = grid.cdf()
-    edge = support_edge(r)
     checks = []
     for k in range(cfg.kmax + 1):
         exact = limit_moment(r, k)
@@ -358,7 +361,7 @@ def _run_law(cfg: RunConfig) -> dict:
         })
     return {
         "r": r,
-        "edge": {"exact": _frac(edge), "float": float(edge)},
+        "edge": {"exact": edge_exact, "float": float(edge)},
         "grid": {"x": grid.x.tolist(), "density": grid.f.tolist(), "abs_err": grid.err.tolist()},
         "cdf": {"x": gcdf.xs.tolist(), "F": gcdf.fs.tolist()},
         "normalization": grid.integral(),

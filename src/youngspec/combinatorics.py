@@ -5,9 +5,8 @@ oracle is deliberately naive: it walks every plane tree once (recursive
 Dyck words) and counts the admissible colourings of each by a pass over
 its children, using only the colour-sum rule. It serves as an
 independent check of the closed-form generalized Catalan numbers, so it
-must not share any formula with them. Materialising the coloured trees
-is a separate backtracking search, which the tests compare with the
-count.
+must not share any formula with them. The tests hold the count against
+a separate backtracking search that materialises the coloured trees.
 """
 
 from __future__ import annotations
@@ -24,14 +23,11 @@ __all__ = [
     "catalan",
     "gen_catalan",
     "limit_moment",
-    "fuss_catalan",
     "dh_moment",
     "dh_scaled_gen_catalan",
     "PlaneTree",
-    "RPlaneTree",
     "enumerate_plane_trees",
     "count_r_plane_trees",
-    "iter_r_plane_trees",
 ]
 
 DEFAULT_VERTEX_CAP = 12
@@ -65,18 +61,6 @@ def limit_moment(r: int, k: int) -> Fraction:
     if k < 0:
         raise InvalidOrderError(f"order {k} < 0")
     return Fraction(comb((r + 1) * k, k), k + 1)
-
-
-def fuss_catalan(r: int, k: int) -> int:
-    """Fuss-Catalan number C(rk+k, k)/(rk+1), exactly."""
-    if r < 1:
-        raise InvalidOrderError(f"r = {r} < 1")
-    if k < 0:
-        raise InvalidOrderError(f"order {k} < 0")
-    num = comb(r * k + k, k)
-    q, rem = divmod(num, r * k + 1)
-    assert rem == 0, "Fuss-Catalan numbers are integers"
-    return q
 
 
 def dh_moment(k: int) -> Fraction:
@@ -148,31 +132,6 @@ class PlaneTree:
                 stack.pop()
         return cls(word, tuple(parent))
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.parent)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(self.parent[v], v) for v in range(1, self.n_vertices)]
-
-
-@dataclass(frozen=True)
-class RPlaneTree:
-    """A plane tree with vertex colours in {1..r}, colour sums <= r+1 on edges."""
-
-    tree: PlaneTree
-    colours: tuple[int, ...]
-    r: int
-
-    def __post_init__(self):
-        if len(self.colours) != self.tree.n_vertices:
-            raise ValueError("one colour per vertex required")
-        if any(c < 1 or c > self.r for c in self.colours):
-            raise ValueError(f"colours must lie in 1..{self.r}")
-        for u, v in self.tree.edges():
-            if self.colours[u] + self.colours[v] > self.r + 1:
-                raise ValueError(f"edge ({u},{v}) violates the colour-sum bound")
-
 
 def enumerate_plane_trees(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Iterator[PlaneTree]:
     """All plane trees on n vertices, once each (catalan(n-1) trees); n is checked at the call."""
@@ -212,22 +171,3 @@ def count_r_plane_trees(r: int, n: int) -> int:
     if r * n * catalan(n - 1) > TREE_WORK_BUDGET:
         raise ResourceLimitError(f"r = {r}, n = {n} needs over {TREE_WORK_BUDGET} products")
     return sum(_count_colourings(tree.parent, r) for tree in trees)
-
-
-def iter_r_plane_trees(r: int, n: int) -> Iterator[RPlaneTree]:
-    """Materialize every admissible (tree, colouring) pair by backtracking; small n only."""
-    for tree in enumerate_plane_trees(n):
-        m = tree.n_vertices
-        colour = [0] * m
-
-        def rec(v: int) -> Iterator[tuple[int, ...]]:
-            if v == m:
-                yield tuple(colour)
-                return
-            top = r if v == 0 else min(r, r + 1 - colour[tree.parent[v]])
-            for c in range(1, top + 1):
-                colour[v] = c
-                yield from rec(v + 1)
-
-        for cols in rec(0):
-            yield RPlaneTree(tree, cols, r)

@@ -5,7 +5,10 @@ equals in distribution U(0, L) * prod_{j=1..r} Beta(j/(r+1), j/(r(r+1))).
 Four independent evaluation routes live here and cross-validate each
 other: exact rational moments of the Beta product, a truncated Stieltjes
 series valid for |z| > L, the closed-form parametric density and CDF, and
-Monte Carlo sampling of the product representation.
+Monte Carlo sampling of the product representation. The tests add a
+second summation of the transform (a hypergeometric term recurrence) and
+the square-case transform and CDF, kept beside them in
+tests/_closed_forms.py.
 
 Parametric density
 ------------------
@@ -23,7 +26,7 @@ edge, so neither edge cancels. The angle of an abscissa is found by one
 vectorised bisection on log x(phi) and a Newton polish, for a whole grid
 at once (a single point is a batch of one, so both give the same bits);
 the error bar is the a-posteriori root residual plus rounding, carried
-into f. Moments are Gauss-Legendre sums in phi. The closed forms at
+into f. Moments are Gauss-Legendre sums in phi. The closed-form densities at
 r = 1, 2 and the Meijer G-function form of the law are the independent
 checks.
 
@@ -34,7 +37,6 @@ or an array and invert its angle with the same vectorised bisection.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,21 +58,17 @@ from .spectra import GridCDF
 __all__ = [
     "support_edge",
     "stieltjes",
-    "stieltjes_hyp",
-    "stieltjes_mp",
     "density",
     "density_with_error",
     "DensityGrid",
     "density_grid",
     "cdf_grid",
     "density_mp",
-    "mp_cdf",
     "density_r2",
     "beta_product_moment",
     "beta_product_samples",
     "ContourMoment",
     "contour_moment",
-    "dh_density_param",
     "dh_density",
     "dh_cdf",
     "edge_exponent_fit",
@@ -87,7 +85,9 @@ def support_edge(r: int) -> Fraction:
     """Upper support edge L(r) = (r+1)^(r+1) / r^r, exactly."""
     if r < 1:
         raise InvalidOrderError(f"r = {r} < 1")
-    return Fraction((r + 1) ** (r + 1), r**r)
+    # the power of a reduced Fraction is not reduced again, and the product takes
+    # gcds only against r: no gcd of two integers of r log10 r digits is taken
+    return Fraction(r + 1, r) ** (r + 1) * r
 
 
 # -- the parametric law ----------------------------------------------------
@@ -237,17 +237,6 @@ def density_mp(x: float) -> float:
     return math.sqrt((4.0 - x) / x) / (2.0 * math.pi)
 
 
-def mp_cdf(x: float) -> float:
-    """Analytic antiderivative of the square-case density."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 4.0:
-        return 1.0
-    # atan2 keeps full accuracy at x -> 4, where asin(sqrt(x)/2) is ill-conditioned
-    return (2.0 / math.pi) * (math.atan2(math.sqrt(x), math.sqrt(4.0 - x))
-                              + math.sqrt(x * (4.0 - x)) / 4.0)
-
-
 def density_r2(w: float) -> float:
     """Closed-form density of the order-2 law on [0, 27/4]."""
     edge = 27.0 / 4.0
@@ -366,46 +355,6 @@ def stieltjes(r: int, z: complex, tol: float = 1e-12) -> complex:
     raise NoConvergenceError(f"series tail above {tol} after {_MAX_TERMS} terms")
 
 
-def stieltjes_hyp(r: int, z: complex, tol: float = 1e-12) -> complex:
-    """Same transform through the hypergeometric term recurrence.
-
-    G = (1 - F(L/z)) / (r+1) with F of type (r, r-1); the numerator
-    parameters are -j/(r+1), the denominator ones -j/r.
-    """
-    edge = float(support_edge(r))
-    z = complex(z)
-    if abs(z) <= edge:
-        raise OutsideDomainError(f"|z| = {abs(z):.6g} not above L(r) = {edge:.6g}")
-    alphas = [-j / (r + 1.0) for j in range(1, r + 1)]
-    betas = [-j / float(r) for j in range(1, r)]
-    w = edge / z
-    qq = edge / abs(z)
-    term = 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    k = 0
-    while k < _MAX_TERMS:
-        total += term
-        num = 1.0
-        for al in alphas:
-            num *= al + k
-        den = k + 1.0
-        for be in betas:
-            den *= be + k
-        term = term * num / den * w
-        if abs(term) * qq / (1.0 - qq) < tol and k > r:
-            total += term
-            break
-        k += 1
-    else:
-        raise NoConvergenceError(f"recurrence tail above {tol} after {_MAX_TERMS} terms")
-    return (1.0 - total) / (r + 1.0)
-
-
-def stieltjes_mp(z: complex) -> complex:
-    """Closed-form square-case transform (1 - sqrt(1 - 4/z))/2, Herglotz branch."""
-    return (1.0 - cmath.sqrt(1.0 - 4.0 / z)) / 2.0
-
-
 # -- Beta-product representation -------------------------------------------
 
 
@@ -437,7 +386,6 @@ def beta_product_samples(r: int, n: int, rng: np.random.Generator) -> np.ndarray
 class ContourMoment:
     value: float
     imag_residual: float
-    resolution: int
 
 
 def contour_moment(r: int, k: int) -> ContourMoment:
@@ -455,7 +403,7 @@ def contour_moment(r: int, k: int) -> ContourMoment:
     ph = np.exp(2j * np.pi * np.arange(n) / n) / r
     g = (ph ** (-1) * (1.0 + ph) ** (r + 1)) ** k
     val = complex(np.mean(g) / (k + 1))
-    return ContourMoment(value=val.real, imag_residual=abs(val.imag), resolution=n)
+    return ContourMoment(value=val.real, imag_residual=abs(val.imag))
 
 
 # -- triangular-limit (staircase) law ----------------------------------------
@@ -498,20 +446,6 @@ def _dh_law(x, law, above: float):
     lo, hi = _bisect(_dh_gap, gap, np.zeros_like(xi), np.full_like(xi, math.pi), _DH_BISECTIONS)
     out[inside] = law(0.5 * (lo + hi), xi)
     return out if out.ndim else float(out)
-
-
-def dh_density_param(v: float) -> tuple[float, float]:
-    """Parametric point (x, density) of the triangular-matrix limit law.
-
-    x(v) = (sin v / v) exp(v cot v) = exp(1 - g(v)) sweeps (0, e) as v runs
-    over (0, pi); the density there is sin(v)^2 / (pi v x), equal to the
-    textbook form (1/pi) sin v exp(-v cot v) but stable near both ends.
-    """
-    if not 0.0 < v < math.pi:
-        raise OutsideDomainError(f"parameter {v} outside (0, pi)")
-    x = math.exp(1.0 - float(_dh_gap(np.float64(v))))
-    f = math.sin(v) ** 2 / (math.pi * v * x) if x > 0.0 else math.inf
-    return x, f
 
 
 def dh_density(x):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRangeError, NotHermitianError, SolverFailureError
+from .errors import InvalidRangeError, NotHermitianError, OutsideDomainError, SolverFailureError
 from .matrices import CovarianceMatrix, EntryDistribution, covariance, sample_shaped
 from .partitions import Partition
 
@@ -172,9 +172,6 @@ class Histogram:
     above: int
     total: int
 
-    def mass_in_range(self) -> float:
-        return float(np.sum(self.density * np.diff(self.edges)))
-
 
 def histogram(values, bins: int, value_range: tuple[float, float]) -> Histogram:
     """Density histogram of ``values`` on ``bins`` equal bins over a finite ``value_range``."""
@@ -202,10 +199,8 @@ def histogram(values, bins: int, value_range: tuple[float, float]) -> Histogram:
 class EnsembleMoments:
     """Per-order sample mean and unbiased variance of empirical moments."""
 
-    orders: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    replicas: int
 
 
 def _replica_eigenvalues(args) -> np.ndarray:
@@ -243,15 +238,21 @@ def ensemble_spectra(lam: Partition, n: int, dist: EntryDistribution, replicas: 
 def spectra_moments(spectra: list[np.ndarray], k_max: int) -> EnsembleMoments:
     """Mean and unbiased variance over replicas of m_k = mean(lambda^k), k = 0..k_max.
 
-    A single replica has no spread; its variances are reported as 0.
+    A single replica has no spread; its variances are reported as 0. The
+    first order at which some replica's moment leaves the float range
+    raises OutsideDomainError, before any higher order is computed.
     """
-    orders = np.arange(k_max + 1)
-    table = np.array([[1.0 if k == 0 else float(np.mean(vals**k)) for vals in spectra]
-                      for k in range(k_max + 1)])
-    replicas = len(spectra)
-    variances = table.var(axis=1, ddof=1) if replicas > 1 else np.zeros(k_max + 1)
-    return EnsembleMoments(orders=orders, means=table.mean(axis=1), variances=variances,
-                           replicas=replicas)
+    rows = []
+    # a mean or variance beyond the float range is left to the caller's check
+    with np.errstate(over="ignore"):
+        for k in range(k_max + 1):
+            row = [1.0 if k == 0 else float(np.mean(vals**k)) for vals in spectra]
+            if not np.all(np.isfinite(row)):
+                raise OutsideDomainError(f"empirical moment k = {k} exceeds the float range")
+            rows.append(row)
+        table = np.array(rows)
+        variances = table.var(axis=1, ddof=1) if len(spectra) > 1 else np.zeros(k_max + 1)
+        return EnsembleMoments(means=table.mean(axis=1), variances=variances)
 
 
 def ensemble_moments(lam: Partition, n: int, dist: EntryDistribution, k_max: int,

@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from youngspec import cli
 from youngspec.cli import RunConfig, build_record, main
 from youngspec.errors import ConfigError
 from youngspec.limitlaw import density_with_error
@@ -291,21 +292,37 @@ def test_hand_built_config_is_validated():
         build_record(RunConfig(subcommand="law", r=2, grid=16, tol=float("nan"), kmax=1))
 
 
-@pytest.mark.parametrize("argv, wanted", [
-    (["moments", "--r", "3", "--kmax", "2000"], "k = 320 of the r = 3 law"),
-    (["triangular", "--size", "5", "--replicas", "2", "--seed", "1", "--kmax", "800"],
+def _refuse(*args, **kwargs):
+    raise AssertionError("reached after the failing check")
+
+
+# ``late`` names a cli step patched to raise: the failure must come before it
+@pytest.mark.parametrize("argv, late, wanted", [
+    (["moments", "--r", "3", "--kmax", "2000"], None, "k = 320 of the r = 3 law"),
+    (["triangular", "--size", "5", "--replicas", "2", "--seed", "1", "--kmax", "800"], None,
      "k = 721 of the triangular law"),
     (["simulate", "--parts", "5,4", "--dilation", "3", "--replicas", "2", "--seed", "1",
-      "--kmax", "1500"], "simulate result exceeds the float range"),
+      "--kmax", "1500"], None, "empirical moment k = 317 exceeds the float range"),
+    # every moment up to k = 200 is finite, but some variances are not
+    (["simulate", "--parts", "5,4", "--dilation", "3", "--replicas", "2", "--seed", "1",
+      "--kmax", "200"], None, "simulate result exceeds the float range"),
+    # the limit moments overflow at k = 377, before any spectrum is drawn
+    (["simulate", "--r", "2", "--dilation", "2", "--replicas", "2", "--seed", "1",
+      "--kmax", "200000"], "ensemble_spectra", "moment k = 377 of the r = 2 law"),
     # L(10^4) = 10001^10001 / 10^40000 has more digits than Python prints
-    (["law", "--r", "10000", "--grid", "16", "--kmax", "0"], "too many digits"),
-], ids=["moments", "triangular", "simulate-parts", "law-edge-digits"])
-def test_unrepresentable_results_are_numerical_failures(argv, wanted, capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(argv)
+    (["law", "--r", "10000", "--grid", "16", "--kmax", "0"], None, "too many digits"),
+    # L(10^5) has 500,005 digits in its numerator; printing fails before the grid is solved
+    (["law", "--r", "100000", "--grid", "16", "--kmax", "0"], "density_grid", "too many digits"),
+], ids=["moments", "triangular", "simulate-parts", "simulate-parts-variance",
+        "simulate-limit-moments", "law-edge-digits", "law-edge-digits-first"])
+def test_unrepresentable_results_are_numerical_failures(argv, late, wanted, capsys, monkeypatch):
+    if late:
+        monkeypatch.setattr(cli, late, _refuse)
+    code = main(argv)
     out, err = capsys.readouterr()
     assert code == 3 and out == "", out[:200]
     assert err.startswith("numerical failure: OutsideDomainError") and wanted in err, err
+    assert err.count("\n") == 1, err
 
 
 def test_tree_budget_is_numerical_failure():
@@ -403,6 +420,12 @@ def test_cli_import_leaves_out_scipy_and_process_pool():
     code = ("import sys, youngspec.cli; "
             "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath', 'sympy') "
             "or m == 'concurrent.futures.process'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    # the package root holds only its version: each name is imported from its module
+    code = ("import sys, youngspec; "
+            "print([m for m in sys.modules if m.startswith('youngspec.') or m == 'numpy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

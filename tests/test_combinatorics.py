@@ -6,20 +6,18 @@ import pytest
 
 from youngspec.combinatorics import (
     PlaneTree,
-    RPlaneTree,
     catalan,
     count_r_plane_trees,
     dh_moment,
     dh_scaled_gen_catalan,
     enumerate_plane_trees,
-    fuss_catalan,
     gen_catalan,
-    iter_r_plane_trees,
     limit_moment,
 )
 from youngspec.errors import InvalidOrderError, ResourceLimitError
 
 from _tables import COLOURED_TREE_COUNTS
+from _trees import RPlaneTree, iter_r_plane_trees
 
 
 def test_catalan_values():
@@ -55,14 +53,6 @@ def test_limit_moment():
         assert limit_moment(r, 0) == 1
         for k in range(12):
             assert limit_moment(r, k) * r == gen_catalan(r, k)
-
-
-def test_fuss_catalan():
-    assert fuss_catalan(2, 2) == 3
-    for k in range(9):
-        assert fuss_catalan(1, k) == catalan(k)
-    for r in range(1, 6):
-        assert fuss_catalan(r, 0) == 1
 
 
 def test_dh_moment():
