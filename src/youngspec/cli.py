@@ -8,8 +8,8 @@ the resolved RunConfig, whatever produced it.
 
 Exit codes: 0 success; 2 validation error (a missing setting, a value of
 the wrong type or out of range, an unreadable config file, an unwritable
---out, a bad shape or entry law); 3 numerical failure propagated from the
-library, a result beyond the float range included.
+--out, a bad shape or entry law, a replica over the memory budget); 3
+numerical failure from the library, a result beyond the float range too.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .spectra import (
     ks_distance,
     levy_distance,
     shape_ensemble_spectra,
+    sorted_unique,
     spectra_moments,
 )
 from .streams import substream
@@ -101,6 +102,9 @@ STOCHASTIC = {sc for sc, needed in _REQUIRED.items() if "seed" in needed}
 # output formats of each subcommand, the default first
 _FORMATS = {"shape": ("text", "json"), "moments": ("json",), "trees": ("json",),
             **dict.fromkeys(("simulate", "law", "sample-law", "triangular"), ("json", "csv"))}
+
+# bytes one replica may hold in matrices: X, W and the product's scratch
+MATRIX_BUDGET = 4 << 30
 
 # the least value of each integer setting; its value must be an int (a bool is not one)
 _LEAST = {"r": 1, "dilation": 1, "replicas": 1, "samples": 1, "size": 1, "vertices": 1,
@@ -227,6 +231,15 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if sc == "simulate" and lam is not None and lam.weight() == 0:
         raise ConfigError("simulate requires --parts with a positive part")
+    if sc in ("simulate", "triangular"):  # from the undilated shape: dilating may not fit
+        rows, cols = ((cfg.size, cfg.size) if sc == "triangular"
+                      else (cfg.r * cfg.dilation,) * 2 if lam is None  # staircase(r) is r by r
+                      else (lam.length() * cfg.dilation, lam.parts[0] * cfg.dilation))
+        need = (16 if cfg.entries == "complex-gaussian" else 8) * (rows * cols + 2 * rows * rows)
+        if need > MATRIX_BUDGET:
+            gib = need / 2**30 if need.bit_length() < 1000 else float("inf")  # else / overflows
+            raise ConfigError(f"one {sc} replica needs {gib:.3g} GiB of matrices, "
+                              f"over the {MATRIX_BUDGET >> 30} GiB budget")
 
 
 def _hist_payload(h: Histogram) -> dict:
@@ -420,8 +433,8 @@ def _run_triangular(cfg: RunConfig) -> dict:
 
     lo, hi = 0.2, 2.5  # the window of acceptance criterion 9
     ecdf = StepCDF(pooled)
-    xs = np.unique(np.concatenate([np.linspace(lo, hi, 321),
-                                   pooled[(pooled >= lo) & (pooled <= hi)]]))
+    xs = sorted_unique(np.concatenate([np.linspace(lo, hi, 321),
+                                       pooled[(pooled >= lo) & (pooled <= hi)]]))
     sup = float(np.max(np.abs(ecdf.eval(xs) - dh_cdf(xs))))
     return {
         "size": cfg.size,

@@ -53,7 +53,7 @@ from .errors import (
     OutsideSupportError,
     ToleranceNotMetError,
 )
-from .spectra import GridCDF
+from .spectra import GridCDF, sorted_unique
 
 __all__ = [
     "support_edge",
@@ -298,7 +298,7 @@ def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
     head = edge * 10.0 ** np.linspace(-7.0, math.log10(0.2), n_head, endpoint=False)
     mid = np.linspace(0.2 * edge, 0.9 * edge, n_mid, endpoint=False)
     tail = edge - edge * 10.0 ** np.linspace(-1.0, -6.0, n_tail)
-    xs = np.unique(np.concatenate([head, mid, tail]))
+    xs = sorted_unique(np.concatenate([head, mid, tail]))
     fs, errs, cdf = _law(r, _cdf_knots(xs))
     fs, errs = fs[-xs.size:], errs[-xs.size:]
     if tol is not None:

@@ -4,7 +4,9 @@ Entries are i.i.d. with mean zero and unit second absolute moment; the
 diagram acts as a hard mask (exact structural zeros). The covariance
 matrix is W = X X* / N for a dilation/scale parameter N. Real entry kinds
 stay float64 throughout, so W and its spectrum are computed in real
-arithmetic; only complex-gaussian is complex128.
+arithmetic; only complex-gaussian is complex128. Entries are drawn,
+truncated and masked in place, and a complex W is built BLOCK columns at a
+time, so one replica holds X, W and one BLOCK-wide slice of scratch.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
 ENTRY_KINDS = ("complex-gaussian", "real-gaussian", "rademacher", "centered-uniform")
 
 _SQRT3 = math.sqrt(3.0)
+
+BLOCK = 256  # columns per complex block product; rows per block of the Hermitian gate
 
 
 def _truncated_second_moment(kind: str, cutoff: float) -> float:
@@ -76,13 +80,19 @@ class EntryDistribution:
 
     def _base_draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self.kind == "complex-gaussian":
-            re = rng.standard_normal(shape)
-            im = rng.standard_normal(shape)
-            return (re + 1j * im) / math.sqrt(2.0)
+            # one float buffer for both parts; bit-identical to (re + 1j * im) / sqrt(2)
+            buf = rng.standard_normal(shape)
+            z = np.empty(buf.shape, dtype=complex)
+            z.real = buf
+            z.imag = rng.standard_normal(out=buf)
+            z /= math.sqrt(2.0)
+            return z
         if self.kind == "real-gaussian":
             return rng.standard_normal(shape)
         if self.kind == "rademacher":
-            return 2.0 * rng.integers(0, 2, size=shape) - 1.0
+            x = 2.0 * rng.integers(0, 2, size=shape)
+            x -= 1.0
+            return x
         if self.kind == "centered-uniform":
             return rng.uniform(-_SQRT3, _SQRT3, size=shape)
         raise ValueError(self.kind)
@@ -90,11 +100,10 @@ class EntryDistribution:
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Draw an array of entries: complex128 for complex-gaussian, float64 otherwise."""
         x = self._base_draw(rng, shape)
-        if self.trunc is None:
-            return x
-        s = math.sqrt(_truncated_second_moment(self.kind, self.trunc))
-        kept = np.where(np.abs(x) < self.trunc, x, 0.0)
-        return kept / s
+        if self.trunc is not None:
+            x[np.abs(x) >= self.trunc] = 0.0
+            x /= math.sqrt(_truncated_second_moment(self.kind, self.trunc))
+        return x
 
 
 def truncate_standardize(dist: EntryDistribution, cutoff: float) -> EntryDistribution:
@@ -133,15 +142,26 @@ def sample_shaped(lam: Partition, dist: EntryDistribution,
     """
     if not lam:
         raise EmptyPartitionError("cannot sample a matrix with empty shape")
-    cols = lam.parts[0]
-    draws = dist.sample(substream(*stream), (lam.length(), cols))
-    mask = np.arange(cols) < np.array(lam.parts)[:, None]
-    return ShapedMatrix(shape=lam, entries=np.where(mask, draws, 0.0))
+    x = dist.sample(substream(*stream), (lam.length(), lam.parts[0]))
+    for row, part in enumerate(lam.parts):
+        x[row, part:] = 0.0  # the boxes right of the diagram
+    return ShapedMatrix(shape=lam, entries=x)
 
 
 def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
-    """W = X X* / n as the product returns it; spectra.eigenvalues checks it is Hermitian."""
+    """W = X X* / n as the products return it; spectra.eigenvalues checks it is Hermitian.
+
+    Real X takes one x @ x.T (numpy's syrk); a complex W is filled BLOCK
+    columns at a time by X @ X[j:j+BLOCK]*, the same dot products as x @ x.conj().T.
+    """
     if n < 1:
         raise ValueError(f"scale {n} < 1")
-    m = x.entries @ x.entries.conj().T / n
+    x = x.entries
+    if np.iscomplexobj(x):
+        m = np.empty((x.shape[0], x.shape[0]), dtype=x.dtype)
+        for j in range(0, x.shape[0], BLOCK):
+            np.matmul(x, x[j:j + BLOCK].conj().T, out=m[:, j:j + BLOCK])
+    else:
+        m = x @ x.T
+    m /= n
     return CovarianceMatrix(dim=m.shape[0], scale=n, entries=m)

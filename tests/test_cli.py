@@ -431,6 +431,58 @@ def test_cli_import_leaves_out_scipy_and_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_subcommands_leave_out_numpy_ma():
+    # np.unique without return flags imports numpy.ma, about 14 ms per job
+    runs = [["shape", "--parts", "3,1"], ["moments", "--r", "2", "--kmax", "3"],
+            ["trees", "--r", "2", "--vertices", "3"],
+            ["simulate", "--r", "2", "--dilation", "4", "--replicas", "2", "--seed", "1"],
+            ["simulate", "--parts", "3,1", "--dilation", "4", "--replicas", "2", "--seed", "1"],
+            ["law", "--r", "2", "--grid", "64", "--kmax", "2"],
+            ["sample-law", "--r", "2", "--samples", "500", "--seed", "1"],
+            ["triangular", "--size", "12", "--replicas", "2", "--seed", "1"]]
+    code = ("import contextlib, io, json, sys, youngspec.cli as cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    print(argv[0], 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [w for argv in runs for w in (argv[0], "False")]
+
+
+@pytest.mark.parametrize("argv, handler", [
+    (["simulate", "--r", "2", "--dilation", "1000000", "--replicas", "1", "--seed", "1"],
+     "ensemble_spectra"),
+    (["simulate", "--parts", "5,4,4,1", "--dilation", "7000", "--entries", "rademacher",
+      "--replicas", "1", "--seed", "1"], "ensemble_spectra"),
+    (["triangular", "--size", "10000", "--replicas", "1", "--seed", "1"], "shape_ensemble_spectra"),
+])
+def test_matrix_memory_budget_refuses_before_sampling(argv, handler, capsys, monkeypatch):
+    # X and W of one replica: 8 or 16 bytes * (rows * cols + 2 * rows^2), here
+    # 175 TiB, 19 GiB and 4.5 GiB, over the 4 GiB budget; nothing is dilated or sampled
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work before the budget check")
+
+    monkeypatch.setattr(cli, handler, forbidden)
+    monkeypatch.setattr(cli.Partition, "dilate", forbidden)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "over the 4 GiB budget" in err, err
+
+
+def test_matrix_memory_budget_admits_its_largest_replica():
+    # complex dim 9459 needs 16 * 3 * 9459^2 bytes, just under 4 GiB; one more row is over
+    assert 16 * 3 * 9459**2 <= cli.MATRIX_BUDGET < 16 * 3 * 9460**2
+    for size, ok in ((9459, True), (9460, False)):
+        cfg = RunConfig(subcommand="triangular", size=size, replicas=1, seed=1, kmax=1, bins=4)
+        if ok:
+            cli._validate(cfg)
+        else:
+            with pytest.raises(ConfigError, match="budget"):
+                cli._validate(cfg)
+
+
 def test_benchmark_trace_hooks_run(tmp_path):
     # perfbench wraps the program's functions by name; a traced job must still run
     repo = Path(__file__).resolve().parents[1]

@@ -5,6 +5,7 @@ import pytest
 
 from youngspec.errors import DegenerateTruncationError, EmptyPartitionError
 from youngspec.matrices import (
+    BLOCK,
     ENTRY_KINDS,
     EntryDistribution,
     ShapedMatrix,
@@ -226,3 +227,48 @@ def test_real_spectrum_matches_complex_arithmetic():
         assert real.dtype == np.float64
         assert np.all(np.diff(real) >= 0)
         assert np.abs(real - ref).max() <= 1e-12 * np.abs(ref).max(), kind
+
+
+def _one_shot_draw(kind, trunc, rng, lam):
+    """The entries by whole-array formulas, a new array per step: the reference for in-place sampling."""
+    from youngspec.matrices import _truncated_second_moment
+
+    shape = (lam.length(), lam.parts[0])
+    if kind == "complex-gaussian":
+        re = rng.standard_normal(shape)
+        im = rng.standard_normal(shape)
+        x = (re + 1j * im) / math.sqrt(2.0)
+    elif kind == "real-gaussian":
+        x = rng.standard_normal(shape)
+    elif kind == "rademacher":
+        x = 2.0 * rng.integers(0, 2, size=shape) - 1.0
+    else:
+        x = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape)
+    if trunc is not None:
+        x = np.where(np.abs(x) < trunc, x, 0.0) / math.sqrt(_truncated_second_moment(kind, trunc))
+    mask = np.arange(shape[1]) < np.array(lam.parts)[:, None]
+    return np.where(mask, x, 0.0)
+
+
+@pytest.mark.parametrize("trunc", [None, 1.5])
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+def test_in_place_draw_is_bit_identical_to_one_shot_formula(kind, trunc):
+    lam = Partition((5, 4, 4, 1)).dilate(3)
+    got = sample_shaped(lam, EntryDistribution(kind, trunc), (8, 2)).entries
+    want = _one_shot_draw(kind, trunc, substream(8, 2), lam)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_block_covariance_matches_one_shot_product():
+    # dim 600 spans three column blocks, the last one partial
+    lam = Partition((2, 1)).dilate(300)
+    assert 2 * BLOCK < lam.length() < 3 * BLOCK
+    x = sample_shaped(lam, EntryDistribution("complex-gaussian"), (12, 0)).entries
+    got = covariance(ShapedMatrix(shape=lam, entries=x), 300).entries
+    want = x @ x.conj().T / 300
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    # real entries keep the single product
+    x = sample_shaped(lam, EntryDistribution("real-gaussian"), (12, 0)).entries
+    got = covariance(ShapedMatrix(shape=lam, entries=x), 300).entries
+    assert np.array_equal(got, x @ x.T / 300)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from youngspec.errors import InvalidRangeError, NotHermitianError, OutsideDomainError
 from youngspec.matrices import (
+    BLOCK,
     CovarianceMatrix,
     EntryDistribution,
     ShapedMatrix,
@@ -16,6 +17,7 @@ from youngspec.matrices import (
 from youngspec.partitions import Partition, staircase
 from youngspec.spectra import (
     GridCDF,
+    _replica_eigenvalues,
     StepCDF,
     eigenvalues,
     ensemble_moments,
@@ -23,6 +25,7 @@ from youngspec.spectra import (
     ks_distance,
     levy_distance,
     shape_ensemble_spectra,
+    sorted_unique,
     spectra_moments,
 )
 from youngspec.streams import substream
@@ -78,6 +81,53 @@ def test_eigenvalues_rejects_non_hermitian():
                          entries=np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
     with pytest.raises(NotHermitianError):
         eigenvalues(w)
+
+
+@pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
+def test_hermitian_gate_reads_the_last_partial_block(kind):
+    # dim 600 has row blocks [0, 256), [256, 512) and the partial [512, 600);
+    # the one asymmetric pair (598, 599) lies inside the last
+    lam = Partition((2, 1)).dilate(300)
+    assert lam.length() % BLOCK
+    w = covariance(sample_shaped(lam, EntryDistribution(kind), (13, 0)), 300)
+    m = w.entries
+    m[598, 599] += 1e-6 * np.abs(m).max()
+    asym, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
+    assert np.count_nonzero(np.abs(m - m.conj().T) > 1e-10 * scale) == 2
+    # the whole-matrix gate's message, figure for figure
+    message = f"asymmetry {asym:.3e} exceeds {1e-10:.1e} * {scale:.3e}"
+    with pytest.raises(NotHermitianError) as exc:
+        eigenvalues(w)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind, bound", [("complex-gaussian", 3.0), ("real-gaussian", 2.5),
+                                         ("rademacher", 2.5)])
+def test_replica_peak_memory_is_bounded(kind, bound):
+    # one replica holds X, W and a BLOCK-wide slice of scratch; the one-shot
+    # pipeline peaked at 4.0 times the bytes of X on both dtypes
+    import tracemalloc
+
+    lam = Partition((2, 1)).dilate(300)
+    task = (lam.parts, 300, EntryDistribution(kind), 14, 0)
+    x_bytes = lam.length() * lam.parts[0] * (16 if kind == "complex-gaussian" else 8)
+    _replica_eigenvalues(task)  # first-call allocations of numpy and LAPACK are not the replica's
+    tracemalloc.start()
+    try:
+        _replica_eigenvalues(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * x_bytes, peak / x_bytes
+
+
+def test_sorted_unique_matches_numpy_unique():
+    rng = substream(15, 0)
+    for values in (rng.integers(-5, 5, size=200).astype(float), rng.standard_normal(50),
+                   np.array([2.0]), np.array([]), np.array([[3.0, 1.0], [3.0, -1.0]])):
+        got = sorted_unique(values)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.unique(values))
 
 
 def test_empirical_cdf_examples():
