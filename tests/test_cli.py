@@ -457,10 +457,13 @@ def test_subcommands_leave_out_numpy_ma():
     (["simulate", "--parts", "5,4,4,1", "--dilation", "7000", "--entries", "rademacher",
       "--replicas", "1", "--seed", "1"], "ensemble_spectra"),
     (["triangular", "--size", "10000", "--replicas", "1", "--seed", "1"], "shape_ensemble_spectra"),
+    # a byte count past the float range is reported as inf GiB, not an OverflowError
+    (["simulate", "--r", "2", "--dilation", "9" * 400, "--replicas", "1", "--seed", "1"],
+     "ensemble_spectra"),
 ])
 def test_matrix_memory_budget_refuses_before_sampling(argv, handler, capsys, monkeypatch):
-    # X and W of one replica: 8 or 16 bytes * (rows * cols + 2 * rows^2), here
-    # 175 TiB, 19 GiB and 4.5 GiB, over the 4 GiB budget; nothing is dilated or sampled
+    # X and W of one replica: 8 or 16 bytes * (rows * cols + 2 * rows^2), here 175 TiB,
+    # 19 GiB, 4.5 GiB and about 2e802 bytes, over the 4 GiB budget; nothing is dilated or sampled
     def forbidden(*args, **kwargs):
         raise AssertionError("work before the budget check")
 
