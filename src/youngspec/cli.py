@@ -103,8 +103,11 @@ STOCHASTIC = {sc for sc, needed in _REQUIRED.items() if "seed" in needed}
 _FORMATS = {"shape": ("text", "json"), "moments": ("json",), "trees": ("json",),
             **dict.fromkeys(("simulate", "law", "sample-law", "triangular"), ("json", "csv"))}
 
-# bytes one replica may hold in matrices: X, W and the product's scratch
-MATRIX_BUDGET = 4 << 30
+# bytes a run may hold in its largest arrays: one replica's X, W and product
+# scratch, or sample-law's draws with their step CDF and Levy graphs
+MEMORY_BUDGET = 4 << 30
+# sample-law's traced peak per sample (tracemalloc, 1e5 to 4e5 samples, r = 1 to 3)
+SAMPLE_BYTES = 80
 
 # the least value of each integer setting; its value must be an int (a bool is not one)
 _LEAST = {"r": 1, "dilation": 1, "replicas": 1, "samples": 1, "size": 1, "vertices": 1,
@@ -231,15 +234,18 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if sc == "simulate" and lam is not None and lam.weight() == 0:
         raise ConfigError("simulate requires --parts with a positive part")
+    need = 0
     if sc in ("simulate", "triangular"):  # from the undilated shape: dilating may not fit
         rows, cols = ((cfg.size, cfg.size) if sc == "triangular"
                       else (cfg.r * cfg.dilation,) * 2 if lam is None  # staircase(r) is r by r
                       else (lam.length() * cfg.dilation, lam.parts[0] * cfg.dilation))
         need = (16 if cfg.entries == "complex-gaussian" else 8) * (rows * cols + 2 * rows * rows)
-        if need > MATRIX_BUDGET:
-            gib = need / 2**30 if need.bit_length() < 1000 else float("inf")  # else / overflows
-            raise ConfigError(f"one {sc} replica needs {gib:.3g} GiB of matrices, "
-                              f"over the {MATRIX_BUDGET >> 30} GiB budget")
+        what = f"one {sc} replica's matrices"
+    if sc == "sample-law":
+        need, what = SAMPLE_BYTES * cfg.samples, "sample-law's draws"
+    if need > MEMORY_BUDGET:
+        gib = need / 2**30 if need.bit_length() < 1000 else float("inf")  # else / overflows
+        raise ConfigError(f"{what} need {gib:.3g} GiB, over the {MEMORY_BUDGET >> 30} GiB budget")
 
 
 def _hist_payload(h: Histogram) -> dict:

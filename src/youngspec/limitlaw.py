@@ -130,12 +130,17 @@ def _dlogx_dt(r: int, t: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 def _bisect(increasing_fn, target: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             steps: int = _BISECTIONS) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets [lo, hi] of the roots of increasing_fn = target, halved ``steps`` times."""
+    """Brackets [lo, hi] of the roots of increasing_fn = target, halved ``steps`` times.
+
+    A step that moves no bracket would repeat itself, so the loop stops there.
+    """
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         below = increasing_fn(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        new_lo, new_hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return lo, hi
 
 
@@ -427,8 +432,11 @@ _DH_BISECTIONS = 80
 
 def _dh_gap(v: np.ndarray) -> np.ndarray:
     """g(v) = 1 - log x(v) for v in (0, pi)."""
-    series = np.polynomial.polynomial.polyval((v / math.pi) ** 2, _GAP_SERIES)
-    return np.where(v < 1.0, series, (1.0 - v / np.tan(v)) - np.log(np.sin(v) / v))
+    small, out = v < 1.0, np.empty_like(v)
+    out[small] = np.polynomial.polynomial.polyval((v[small] / math.pi) ** 2, _GAP_SERIES)
+    w = v[~small]
+    out[~small] = (1.0 - w / np.tan(w)) - np.log(np.sin(w) / w)
+    return out
 
 
 def _dh_law(x, law, above: float):

@@ -476,7 +476,7 @@ def test_matrix_memory_budget_refuses_before_sampling(argv, handler, capsys, mon
 
 def test_matrix_memory_budget_admits_its_largest_replica():
     # complex dim 9459 needs 16 * 3 * 9459^2 bytes, just under 4 GiB; one more row is over
-    assert 16 * 3 * 9459**2 <= cli.MATRIX_BUDGET < 16 * 3 * 9460**2
+    assert 16 * 3 * 9459**2 <= cli.MEMORY_BUDGET < 16 * 3 * 9460**2
     for size, ok in ((9459, True), (9460, False)):
         cfg = RunConfig(subcommand="triangular", size=size, replicas=1, seed=1, kmax=1, bins=4)
         if ok:
@@ -484,6 +484,45 @@ def test_matrix_memory_budget_admits_its_largest_replica():
         else:
             with pytest.raises(ConfigError, match="budget"):
                 cli._validate(cfg)
+
+
+@pytest.mark.parametrize("samples", ["10000000000000", "53687092", "9" * 400])
+def test_samples_memory_budget_refuses_before_drawing(samples, capsys, monkeypatch):
+    # SAMPLE_BYTES per draw: 728 TiB, one sample over 4 GiB, and a count past the float range
+    def forbidden(*args, **kwargs):
+        raise AssertionError("draws before the budget check")
+
+    monkeypatch.setattr(cli, "beta_product_samples", forbidden)
+    assert main(["sample-law", "--r", "2", "--samples", samples, "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "over the 4 GiB budget" in err, err
+
+
+def test_samples_memory_budget_admits_its_largest_count():
+    largest = cli.MEMORY_BUDGET // cli.SAMPLE_BYTES
+    assert largest == 53_687_091
+    for samples, ok in ((largest, True), (largest + 1, False)):
+        cfg = RunConfig(subcommand="sample-law", r=2, samples=samples, seed=1, bins=4)
+        if ok:
+            cli._validate(cfg)
+        else:
+            with pytest.raises(ConfigError, match="budget"):
+                cli._validate(cfg)
+
+
+def test_samples_memory_budget_covers_the_traced_peak():
+    # SAMPLE_BYTES bounds a run's traced peak per sample, constant part included
+    import tracemalloc
+
+    cfg = RunConfig(subcommand="sample-law", r=2, samples=20_000, seed=1, bins=16)
+    cli._run_sample_law(cfg)  # caches and imports are not per-sample
+    tracemalloc.start()
+    try:
+        cli._run_sample_law(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.75 * cli.SAMPLE_BYTES * cfg.samples < peak <= cli.SAMPLE_BYTES * cfg.samples * 1.05
 
 
 def test_benchmark_trace_hooks_run(tmp_path):

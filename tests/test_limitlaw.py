@@ -460,6 +460,57 @@ def test_dh_array_call_equals_scalar_calls_bit_for_bit():
     assert dh_cdf(outside).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
+def _bisect_all_steps(increasing_fn, target, lo, hi, steps=limitlaw._BISECTIONS):
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = increasing_fn(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return lo, hi
+
+
+def _dh_gap_both_branches(v):
+    series = np.polynomial.polynomial.polyval((v / math.pi) ** 2, limitlaw._GAP_SERIES)
+    return np.where(v < 1.0, series, (1.0 - v / np.tan(v)) - np.log(np.sin(v) / v))
+
+
+def test_bisection_exit_and_split_gap_are_bit_identical(monkeypatch):
+    # the loop stops at its fixed point and the gap evaluates each branch only
+    # where it is used; every step and both branches everywhere give the same bytes
+    rng = substream(31, 0)
+    e_ulp = np.nextafter(math.e, 0.0)
+    dh_xs = np.concatenate([np.geomspace(1e-300, 1e-3, 40), rng.uniform(0.0, math.e, 200),
+                            e_ulp - np.geomspace(4e-16, 1e-2, 40), [1.0, e_ulp]])
+    law_xs = {r: float(support_edge(r)) * np.concatenate(
+        [np.geomspace(1e-200, 1e-3, 30), rng.uniform(0.0, 1.0, 100), 1.0 - np.geomspace(1e-15, 1e-2, 30)])
+        for r in (1, 2, 5)}
+
+    def run():
+        out = [dh_cdf(dh_xs), dh_density(dh_xs), dh_cdf(float(dh_xs[50])),
+               limitlaw._dh_gap(np.linspace(1e-3, 3.14, 301))]
+        return out + [a for r, xs in law_xs.items() for a in limitlaw._law(r, xs)]
+
+    got = run()
+    monkeypatch.setattr(limitlaw, "_bisect", _bisect_all_steps)
+    monkeypatch.setattr(limitlaw, "_dh_gap", _dh_gap_both_branches)
+    want = run()
+    assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]
+
+
+def test_triangular_bisection_stops_early():
+    calls = []
+
+    def counted(v):
+        calls.append(v.size)
+        return limitlaw._dh_gap(v)
+
+    target = 1.0 - np.log(np.linspace(0.2, 2.5, 500))
+    lo, hi = limitlaw._bisect(counted, target, np.zeros(500), np.full(500, math.pi),
+                              limitlaw._DH_BISECTIONS)
+    assert len(calls) < limitlaw._DH_BISECTIONS
+    assert np.array_equal((lo, hi), _bisect_all_steps(limitlaw._dh_gap, target, np.zeros(500),
+                                                      np.full(500, math.pi), limitlaw._DH_BISECTIONS))
+
+
 # -- edge exponents ------------------------------------------------------------
 
 

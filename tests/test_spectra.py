@@ -30,8 +30,12 @@ from youngspec.spectra import (
 )
 from youngspec.streams import substream
 
+from _distances import ks_union, levy_union
+
 step_cdfs = st.lists(st.floats(-5, 5), min_size=1, max_size=12).map(StepCDF)
 small_steps = st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=40).map(StepCDF)
+# many values on few atoms, some on a grid knot
+tied_steps = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=60).map(StepCDF)
 
 
 @st.composite
@@ -201,7 +205,7 @@ def _levy_feasible(f, g, eps: float) -> bool:
     floating-point neighbours of all of those and a dense uniform grid, on
     values and on left limits.
     """
-    knots = np.concatenate([f.points(), g.points()])
+    knots = np.concatenate([f.knots()[0], g.knots()[0]])
     base = np.concatenate([knots, knots - eps, knots + eps])
     sweep = np.concatenate([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf),
                             np.linspace(base.min() - 1.0, base.max() + 1.0, 4001)])
@@ -267,6 +271,64 @@ def test_ks_examples():
 @given(step_cdfs, step_cdfs)
 def test_ks_dominates_levy(f, g):
     assert ks_distance(f, g) >= levy_distance(f, g) - 1e-9
+
+
+def test_knots_are_eval_and_eval_left_bit_for_bit():
+    rng = substream(16, 0)
+    xs = np.sort(rng.uniform(0.0, 1.0, 30))
+    for cdf in (StepCDF(rng.integers(0, 9, 200) / 8.0), StepCDF(rng.standard_normal(50)),
+                GridCDF(xs, np.linspace(0.0, 1.0, 30) ** 2)):
+        pts, at, left = cdf.knots()
+        assert at.tobytes() == cdf.eval(pts).tobytes()
+        assert left.tobytes() == cdf.eval_left(pts).tobytes()
+
+
+def _assert_union_distances(f, g):
+    for a, b in ((f, g), (g, f)):
+        assert levy_distance(a, b).hex() == levy_union(a, b).hex()
+        assert ks_distance(a, b).hex() == ks_union(a, b).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_steps, tied_steps), grid_cdfs())
+def test_distances_equal_union_references_step_and_grid(f, g):
+    # both orders: step vs grid and grid vs step
+    _assert_union_distances(f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_steps, tied_steps), st.one_of(small_steps, tied_steps))
+def test_distances_equal_union_references_step_and_step(f, g):
+    _assert_union_distances(f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(10.0, 18.0), st.lists(st.integers(0, 30), min_size=1, max_size=40),
+       st.lists(st.integers(0, 30), min_size=1, max_size=40))
+def test_distances_equal_union_references_where_rounding_merges_vertices(exp10, ticks, ticks2):
+    # atoms 1e-15 apart relative to 1e10..1e18: x + y rounds two vertices of a
+    # graph onto one u, where np.interp's height, not the vertex's, is the reference
+    base = 10.0 ** exp10
+    f = StepCDF(base * (1.0 + 1e-15 * np.array(ticks, dtype=float)))
+    g = StepCDF(base * (1.0 + 1e-15 * np.array(ticks2, dtype=float)))
+    _assert_union_distances(f, g)
+    _assert_union_distances(f, GridCDF(base * (1.0 + 1e-15 * np.arange(0.0, 40.0, 4.0)),
+                                       np.linspace(0.0, 1.0, 10)))
+
+
+def test_ks_evaluates_each_cdf_only_at_the_other_knots(monkeypatch):
+    # the union of knots would pass 200,000 + m points to each step evaluation
+    m = 524
+    f = StepCDF(substream(17, 0).uniform(0.0, 1.0, 200_000))
+    g = GridCDF(np.linspace(0.0, 1.0, m), np.linspace(0.0, 1.0, m) ** 3)
+    want = ks_union(f, g)
+    sizes = {"eval": [], "eval_left": []}
+    for name in sizes:
+        method = getattr(StepCDF, name)
+        monkeypatch.setattr(StepCDF, name, lambda self, x, method=method, name=name:
+                            sizes[name].append(np.size(x)) or method(self, x))
+    assert ks_distance(f, g) == want > 0
+    assert sizes == {"eval": [m], "eval_left": [m]}
 
 
 def test_grid_cdf_eval():
