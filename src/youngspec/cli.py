@@ -3,13 +3,18 @@
 Every stochastic subcommand requires an explicit seed; rerunning any
 command with the same configuration reproduces the numerical payload
 byte for byte (only the wall-clock provenance field differs), including
-under different --jobs settings. Each setting's rule is checked once, on
-the resolved RunConfig, whatever produced it.
+under different --jobs settings. One row declares each setting (flag
+parsing and rule, _SETTINGS) and one each subcommand (handler, help,
+formats, flag defaults, _SUBCOMMANDS); a setting with a default is
+required, so a config file's null for one (--entries, --oracle-trees
+too) is refused. The rules are checked on the resolved RunConfig,
+whatever produced it.
 
 Exit codes: 0 success; 2 validation error (a missing setting, a value of
 the wrong type or out of range, an unreadable config file, an unwritable
---out, a bad shape or entry law, a replica over the memory budget); 3
-numerical failure from the library, a result beyond the float range too.
+--out, a bad shape or entry law, a replica, draws, bins or grid over the
+memory budget); 3 numerical failure from the library, a result beyond
+the float range too.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ from .spectra import (
     ks_distance,
     levy_distance,
     shape_ensemble_spectra,
-    sorted_unique,
     spectra_moments,
 )
 from .streams import substream
@@ -90,28 +94,16 @@ class RunConfig:
 
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
-# the settings each subcommand cannot run without
-_REQUIRED = {
-    "shape": ("parts",), "moments": ("r", "kmax"), "trees": ("r", "vertices"),
-    "simulate": ("dilation", "replicas", "seed", "kmax", "bins", "jobs"),
-    "law": ("r", "grid", "tol", "kmax"), "sample-law": ("r", "samples", "seed", "bins"),
-    "triangular": ("size", "replicas", "seed", "kmax", "bins", "jobs"),
-}
-STOCHASTIC = {sc for sc, needed in _REQUIRED.items() if "seed" in needed}
-
-# output formats of each subcommand, the default first
-_FORMATS = {"shape": ("text", "json"), "moments": ("json",), "trees": ("json",),
-            **dict.fromkeys(("simulate", "law", "sample-law", "triangular"), ("json", "csv"))}
-
 # bytes a run may hold in its largest arrays: one replica's X, W and product
-# scratch, or sample-law's draws with their step CDF and Levy graphs
+# scratch, sample-law's draws with their step CDF and Levy graphs, or a
+# histogram's or a density grid's arrays with their JSON text
 MEMORY_BUDGET = 4 << 30
-# sample-law's traced peak per sample (tracemalloc, 1e5 to 4e5 samples, r = 1 to 3)
-SAMPLE_BYTES = 80
-
-# the least value of each integer setting; its value must be an int (a bool is not one)
-_LEAST = {"r": 1, "dilation": 1, "replicas": 1, "samples": 1, "size": 1, "vertices": 1,
-          "bins": 1, "jobs": 1, "grid": 16, "kmax": 0, "seed": 0}
+# traced peak bytes a sample (1e5 to 4e5, r = 1 to 3), a bin (1e5 to 4e5,
+# triangular the largest) and a law grid point (2e4 to 8e4, r = 1, 2, 4),
+# by tracemalloc over build_record and render_output
+SAMPLE_BYTES, BIN_BYTES, GRID_BYTES = 80, 520, 740
+_UNIT_BYTES = {"samples": (SAMPLE_BYTES, "draws"), "bins": (BIN_BYTES, "histogram bins"),
+               "grid": (GRID_BYTES, "grid points")}
 
 
 def _real(v) -> bool:
@@ -122,22 +114,6 @@ def _finite(v) -> bool:
     return _real(v) and abs(v) <= sys.float_info.max
 
 
-# each setting's rule: what it must be, and the test; the shape and the
-# entry law check their own values
-_RULES = {
-    "tol": ("a positive number", lambda v: _finite(v) and v > 0),
-    "trunc": ("a number", _real),
-    "range": ("two finite numbers lo < hi", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-              and all(map(_finite, v)) and v[0] < v[1]),
-    "parts": ("a list of integers",
-              lambda v: isinstance(v, list) and all(type(x) is int for x in v)),
-    "out": ("a file name", lambda v: isinstance(v, str)),
-    "oracle_trees": ("true or false", lambda v: isinstance(v, bool)),
-    **{name: (f"an integer >= {least}", lambda v, least=least: type(v) is int and v >= least)
-       for name, least in _LEAST.items()},
-}
-
-
 def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -146,82 +122,59 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",")]
 
 
+# each setting's flag spec, what its value must be, and the test; the entry
+# law has no test here (EntryDistribution checks it), the shape checks its
+# own parts further, and an integer setting must be an int (a bool is not one)
+_SETTINGS = {
+    "tol": ({"type": float}, "a positive number", lambda v: _finite(v) and v > 0),
+    "trunc": ({"type": float}, "a number", _real),
+    "range": ({"type": _floats}, "two finite numbers lo < hi",
+              lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+              and all(map(_finite, v)) and v[0] < v[1]),
+    "parts": ({"type": _ints}, "a list of integers",
+              lambda v: isinstance(v, list) and all(type(x) is int for x in v)),
+    "out": ({}, "a file name", lambda v: isinstance(v, str)),
+    "oracle_trees": ({"action": "store_true"}, "true or false", lambda v: isinstance(v, bool)),
+    "entries": ({"choices": ENTRY_KINDS}, None, None),
+    **{name: ({"type": int}, f"an integer >= {least}", lambda v, least=least: type(v) is int and v >= least)
+       for name, least in {"r": 1, "dilation": 1, "replicas": 1, "samples": 1, "size": 1, "vertices": 1,
+                           "bins": 1, "jobs": 1, "grid": 16, "kmax": 0, "seed": 0}.items()},
+}
+
+
 def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentParser:
     """The CLI parser; ``defaults`` maps a subcommand to values replacing its flag defaults."""
     parser = argparse.ArgumentParser(
-        prog="youngspec",
-        description="Diagram-shaped random matrix simulation and limit-law evaluation",
-    )
+        prog="youngspec", description="Diagram-shaped random matrix simulation and limit-law evaluation")
     parser.add_argument("--config", help="JSON file with flag defaults (same keys as the config echo)")
     sub = parser.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("shape", help="render a diagram and its basic statistics")
-    p.add_argument("--parts", type=_ints)
-    p.add_argument("--dilation", type=int)
-
-    p = sub.add_parser("moments", help="exact moment table of the order-r limit law")
-    p.add_argument("--r", type=int)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--oracle-trees", action="store_true", dest="oracle_trees")
-
-    p = sub.add_parser("trees", help="count coloured plane trees by brute force")
-    p.add_argument("--r", type=int)
-    p.add_argument("--vertices", type=int)
-
-    p = sub.add_parser("simulate", help="ensemble run of a block- or diagram-shaped model")
-    p.add_argument("--r", type=int)
-    p.add_argument("--parts", type=_ints)
-    p.add_argument("--dilation", type=int)
-    p.add_argument("--entries", choices=ENTRY_KINDS, default="complex-gaussian")
-    p.add_argument("--trunc", type=float)
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--range", type=_floats)
-    p.add_argument("--jobs", type=int, default=1)
-
-    p = sub.add_parser("law", help="density/CDF grids and moment cross-checks of the limit law")
-    p.add_argument("--r", type=int)
-    p.add_argument("--grid", type=int, default=768)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--kmax", type=int, default=6)
-
-    p = sub.add_parser("sample-law", help="Monte Carlo draws of the limit law vs its density")
-    p.add_argument("--r", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bins", type=int, default=64)
-
-    p = sub.add_parser("triangular", help="staircase-shaped simulation against the triangular limit law")
-    p.add_argument("--size", type=int)
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--entries", choices=ENTRY_KINDS, default="complex-gaussian")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--jobs", type=int, default=1)
-
-    for name, p in sub.choices.items():
-        p.add_argument("--out")
-        if len(_FORMATS[name]) > 1:
-            p.add_argument("--format", choices=_FORMATS[name])
+    for sc, (_, help_line, formats, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(sc, help=help_line)
+        for name, default in {**flags, "out": None}.items():
+            p.add_argument(_flag(name), **_SETTINGS[name][0],
+                           default=None if default is NEEDED else default)
+        if len(formats) > 1:
+            p.add_argument("--format", choices=formats)
         # a config file's format meets the format rule, also where there is no --format
-        p.set_defaults(**{"format": _FORMATS[name][0], **(defaults or {}).get(name, {})})
+        p.set_defaults(**{"format": formats[0], **(defaults or {}).get(sc, {})})
     return parser
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _validate(cfg: RunConfig) -> None:
     sc = cfg.subcommand
-    if sc not in _REQUIRED:
+    if sc not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {sc!r}" if sc else "no subcommand given")
-    for name, (what, ok) in _RULES.items():
+    for name, (_, what, ok) in _SETTINGS.items():
         value = getattr(cfg, name)
-        if value is not None and not ok(value):
-            raise ConfigError(f"--{name.replace('_', '-')} must be {what}, got {value!r}")
+        if ok and value is not None and not ok(value):
+            raise ConfigError(f"{_flag(name)} must be {what}, got {value!r}")
     for name in _REQUIRED[sc]:
         if getattr(cfg, name) is None:
-            raise ConfigError(f"{sc} requires --{name}")
+            raise ConfigError(f"{sc} requires {_flag(name)}")
     if cfg.format not in _FORMATS[sc]:
         raise ConfigError(f"{sc} --format must be one of {_FORMATS[sc]}, got {cfg.format!r}")
     if sc == "simulate" and (cfg.r is None) == (cfg.parts is None):
@@ -234,18 +187,18 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if sc == "simulate" and lam is not None and lam.weight() == 0:
         raise ConfigError("simulate requires --parts with a positive part")
-    need = 0
+    needs = [(unit * getattr(cfg, name), f"{sc}'s {what}")
+             for name, (unit, what) in _UNIT_BYTES.items() if name in _FLAGS[sc]]
     if sc in ("simulate", "triangular"):  # from the undilated shape: dilating may not fit
         rows, cols = ((cfg.size, cfg.size) if sc == "triangular"
                       else (cfg.r * cfg.dilation,) * 2 if lam is None  # staircase(r) is r by r
                       else (lam.length() * cfg.dilation, lam.parts[0] * cfg.dilation))
-        need = (16 if cfg.entries == "complex-gaussian" else 8) * (rows * cols + 2 * rows * rows)
-        what = f"one {sc} replica's matrices"
-    if sc == "sample-law":
-        need, what = SAMPLE_BYTES * cfg.samples, "sample-law's draws"
-    if need > MEMORY_BUDGET:
-        gib = need / 2**30 if need.bit_length() < 1000 else float("inf")  # else / overflows
-        raise ConfigError(f"{what} need {gib:.3g} GiB, over the {MEMORY_BUDGET >> 30} GiB budget")
+        needs.insert(0, ((16 if cfg.entries == "complex-gaussian" else 8) * (rows * cols + 2 * rows * rows),
+                         f"one {sc} replica's matrices"))
+    for need, what in needs:
+        if need > MEMORY_BUDGET:
+            gib = need / 2**30 if need.bit_length() < 1000 else float("inf")  # else / overflows
+            raise ConfigError(f"{what} need {gib:.3g} GiB, over the {MEMORY_BUDGET >> 30} GiB budget")
 
 
 def _hist_payload(h: Histogram) -> dict:
@@ -307,11 +260,7 @@ def _run_moments(cfg: RunConfig) -> dict:
 
 
 def _run_trees(cfg: RunConfig) -> dict:
-    return {
-        "r": cfg.r,
-        "vertices": cfg.vertices,
-        "count": count_r_plane_trees(cfg.r, cfg.vertices),
-    }
+    return {"r": cfg.r, "vertices": cfg.vertices, "count": count_r_plane_trees(cfg.r, cfg.vertices)}
 
 
 def _run_simulate(cfg: RunConfig) -> dict:
@@ -437,11 +386,15 @@ def _run_triangular(cfg: RunConfig) -> dict:
     mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
     dh_vals = dh_density(mids).tolist()
 
-    lo, hi = 0.2, 2.5  # the window of acceptance criterion 9
+    # sup |S - F| over the window of acceptance criterion 9: F is continuous, so it
+    # is reached at lo, at hi or on either side of the jump at an atom in (lo, hi]
+    lo, hi = 0.2, 2.5
     ecdf = StepCDF(pooled)
-    xs = sorted_unique(np.concatenate([np.linspace(lo, hi, 321),
-                                       pooled[(pooled >= lo) & (pooled <= hi)]]))
-    sup = float(np.max(np.abs(ecdf.eval(xs) - dh_cdf(xs))))
+    atoms, at, below = ecdf.knots()
+    inside = (atoms > lo) & (atoms <= hi)
+    fs = dh_cdf(np.concatenate([[lo, hi], atoms[inside]]))
+    sup = float(np.max(np.abs(np.concatenate([ecdf.eval([lo, hi]), at[inside], below[inside]])
+                              - np.concatenate([fs, fs[2:]]))))
     return {
         "size": cfg.size,
         "replicas": cfg.replicas,
@@ -453,15 +406,32 @@ def _run_triangular(cfg: RunConfig) -> dict:
     }
 
 
-_HANDLERS = {
-    "shape": _run_shape,
-    "moments": _run_moments,
-    "trees": _run_trees,
-    "simulate": _run_simulate,
-    "law": _run_law,
-    "sample-law": _run_sample_law,
-    "triangular": _run_triangular,
+# each subcommand: its handler, help line, output formats (the default
+# first) and settings with their flag defaults; a setting with a default,
+# or marked NEEDED (it has none but must be given), is required
+NEEDED = object()
+_SUBCOMMANDS = {
+    "shape": (_run_shape, "render a diagram and its basic statistics", ("text", "json"),
+              {"parts": NEEDED, "dilation": None}),
+    "moments": (_run_moments, "exact moment table of the order-r limit law", ("json",),
+                {"r": NEEDED, "kmax": NEEDED, "oracle_trees": False}),
+    "trees": (_run_trees, "count coloured plane trees by brute force", ("json",),
+              {"r": NEEDED, "vertices": NEEDED}),
+    "simulate": (_run_simulate, "ensemble run of a block- or diagram-shaped model", ("json", "csv"),
+                 {"r": None, "parts": None, "dilation": NEEDED, "entries": "complex-gaussian",
+                  "trunc": None, "replicas": NEEDED, "seed": NEEDED, "kmax": 4, "bins": 64,
+                  "range": None, "jobs": 1}),
+    "law": (_run_law, "density/CDF grids and moment cross-checks of the limit law", ("json", "csv"),
+            {"r": NEEDED, "grid": 768, "tol": 1e-5, "kmax": 6}),
+    "sample-law": (_run_sample_law, "Monte Carlo draws of the limit law vs its density",
+                   ("json", "csv"), {"r": NEEDED, "samples": NEEDED, "seed": NEEDED, "bins": 64}),
+    "triangular": (_run_triangular, "staircase-shaped simulation against the triangular limit law",
+                   ("json", "csv"), {"size": NEEDED, "replicas": NEEDED, "entries": "complex-gaussian",
+                                     "seed": NEEDED, "kmax": 3, "bins": 64, "jobs": 1}),
 }
+_HANDLERS, _, _FORMATS, _FLAGS = (dict(zip(_SUBCOMMANDS, col)) for col in zip(*_SUBCOMMANDS.values()))
+_REQUIRED = {sc: [name for name, d in flags.items() if d is not None] for sc, flags in _FLAGS.items()}
+STOCHASTIC = {sc for sc, needed in _REQUIRED.items() if "seed" in needed}
 
 
 # -- record assembly and output ------------------------------------------

@@ -53,7 +53,7 @@ from .errors import (
     OutsideSupportError,
     ToleranceNotMetError,
 )
-from .spectra import GridCDF, sorted_unique
+from .spectra import GridCDF
 
 __all__ = [
     "support_edge",
@@ -303,7 +303,7 @@ def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
     head = edge * 10.0 ** np.linspace(-7.0, math.log10(0.2), n_head, endpoint=False)
     mid = np.linspace(0.2 * edge, 0.9 * edge, n_mid, endpoint=False)
     tail = edge - edge * 10.0 ** np.linspace(-1.0, -6.0, n_tail)
-    xs = sorted_unique(np.concatenate([head, mid, tail]))
+    xs = np.concatenate([head, mid, tail])  # strictly increasing
     fs, errs, cdf = _law(r, _cdf_knots(xs))
     fs, errs = fs[-xs.size:], errs[-xs.size:]
     if tol is not None:
@@ -457,8 +457,12 @@ def _dh_law(x, law, above: float):
 
 
 def dh_density(x):
-    """Triangular-limit density at x (a scalar or an array), zero outside (0, e)."""
-    return _dh_law(x, lambda v, x: np.sin(v) ** 2 / (math.pi * v * x), 0.0)
+    """Triangular-limit density at x (a scalar or an array), zero outside (0, e).
+
+    Below x of about 1.08e-314 the density is past the float range and reads inf.
+    """
+    with np.errstate(over="ignore"):
+        return _dh_law(x, lambda v, x: np.sin(v) ** 2 / (math.pi * v * x), 0.0)
 
 
 def dh_cdf(x):

@@ -33,7 +33,6 @@ __all__ = [
     "ensemble_spectra",
     "ensemble_moments",
     "spectra_moments",
-    "sorted_unique",
 ]
 
 
@@ -70,12 +69,6 @@ def eigenvalues(w: CovarianceMatrix) -> Spectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failures are exotic
         raise SolverFailureError(str(exc)) from exc
     return Spectrum(values=vals, dim=m.shape[0])
-
-
-def sorted_unique(values) -> np.ndarray:
-    """np.unique of a NaN-free array, without the numpy.ma import (about 14 ms) it makes."""
-    a = np.sort(np.asarray(values, dtype=float), axis=None)
-    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
 
 
 class StepCDF:

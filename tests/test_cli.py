@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from youngspec import cli
-from youngspec.cli import RunConfig, build_record, main
+from youngspec.cli import RunConfig, build_record, main, render_output
 from youngspec.errors import ConfigError
-from youngspec.limitlaw import density_with_error
+from youngspec.limitlaw import density_with_error, dh_cdf
+from youngspec.spectra import StepCDF
+from youngspec.streams import substream
 
 from _oracle import limit_density
 from _tables import COLOURED_TREE_COUNTS
@@ -265,8 +267,12 @@ _LAW = {"subcommand": "law", "r": 2, "grid": 16, "kmax": 1}
     ({"subcommand": "trees", "r": 2, "vertices": 3, "format": "csv"}, "trees --format must be one of"),
     ({**_SIMULATE, "seed": True}, "--seed must be an integer >= 0"),
     ({**_LAW, "kmax": None}, "law requires --kmax"),
+    # a setting with a flag default is required, so a null is refused, not read as the default
+    ({**_SIMULATE, "entries": None}, "simulate requires --entries"),
+    ({"subcommand": "moments", "r": 2, "kmax": 2, "oracle_trees": None},
+     "moments requires --oracle-trees"),
 ], ids=["float-r", "float-grid", "scalar-parts", "three-range", "integer-out", "unknown-format",
-        "csv-for-trees", "bool-seed", "null-kmax"])
+        "csv-for-trees", "bool-seed", "null-kmax", "null-entries", "null-oracle-trees"])
 def test_bad_config_file_value_is_validation_error(stored, wanted, tmp_path):
     # JSON values skip argparse's conversion, so the same rules must catch them
     cfg_file = tmp_path / "cfg.json"
@@ -571,3 +577,146 @@ def test_every_subcommand_validates_against_schema(capsys):
         code, out = run_cli(argv, capsys)
         assert code == 0, argv
         jsonschema.validate(json.loads(out), RECORD_SCHEMA)
+
+
+_KINDS = ("complex-gaussian", "real-gaussian", "rademacher", "centered-uniform")
+# each subcommand's options, in --help order, as the CLI has always parsed
+# them: (flag, type / choices / action, default)
+PARSER_GOLDEN = {
+    "shape": [("--parts", "_ints", None), ("--dilation", "int", None), ("--out", None, None),
+              ("--format", ("text", "json"), "text")],
+    "moments": [("--r", "int", None), ("--kmax", "int", None),
+                ("--oracle-trees", "store_true", False), ("--out", None, None)],
+    "trees": [("--r", "int", None), ("--vertices", "int", None), ("--out", None, None)],
+    "simulate": [("--r", "int", None), ("--parts", "_ints", None), ("--dilation", "int", None),
+                 ("--entries", _KINDS, "complex-gaussian"), ("--trunc", "float", None),
+                 ("--replicas", "int", None), ("--seed", "int", None), ("--kmax", "int", 4),
+                 ("--bins", "int", 64), ("--range", "_floats", None), ("--jobs", "int", 1),
+                 ("--out", None, None), ("--format", ("json", "csv"), "json")],
+    "law": [("--r", "int", None), ("--grid", "int", 768), ("--tol", "float", 1e-5),
+            ("--kmax", "int", 6), ("--out", None, None), ("--format", ("json", "csv"), "json")],
+    "sample-law": [("--r", "int", None), ("--samples", "int", None), ("--seed", "int", None),
+                   ("--bins", "int", 64), ("--out", None, None),
+                   ("--format", ("json", "csv"), "json")],
+    "triangular": [("--size", "int", None), ("--replicas", "int", None),
+                   ("--entries", _KINDS, "complex-gaussian"), ("--seed", "int", None),
+                   ("--kmax", "int", 3), ("--bins", "int", 64), ("--jobs", "int", 1),
+                   ("--out", None, None), ("--format", ("json", "csv"), "json")],
+}
+
+
+def test_parser_matches_golden():
+    sub = cli.build_parser()._subparsers._group_actions[0]
+    assert list(sub.choices) == list(PARSER_GOLDEN)
+    for sc, p in sub.choices.items():
+        got = []
+        for a in p._actions[1:]:  # after -h
+            kind = (tuple(a.choices) if a.choices else a.type.__name__ if a.type
+                    else "store_true" if a.const is True else None)
+            assert a.dest == a.option_strings[-1][2:].replace("-", "_"), a
+            got.append((*a.option_strings, kind, a.default))
+        assert got == PARSER_GOLDEN[sc], sc
+        assert p.get_default("format") == cli._FORMATS[sc][0] == ("text" if sc == "shape" else "json")
+
+
+def test_readme_command_lines_parse():
+    # every `youngspec ...` line of README.md parses; none of them is run
+    import shlex
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text().replace("\\\n", " ")
+    lines = [ln.split("#")[0] for ln in text.splitlines() if ln.startswith("youngspec ")]
+    assert len(lines) >= 7
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        args = parser.parse_args(argv)
+        assert args.subcommand == argv[0], line
+
+
+def _window_sup_reference(pooled, lo, hi):
+    """Brute-force sup of |S - F| on [lo, hi]: values and left limits at each
+    atom and its nextafter neighbours, and at lo and hi."""
+    ecdf = StepCDF(pooled)
+    atoms = np.unique(pooled)
+    pts = np.concatenate([[lo, hi], atoms, np.nextafter(atoms, -np.inf), np.nextafter(atoms, np.inf)])
+    pts = pts[(pts >= lo) & (pts <= hi)]
+    f = dh_cdf(pts)
+    right = np.abs(ecdf.eval(pts) - f)
+    left = np.abs(ecdf.eval_left(pts) - f)[pts > lo]  # S(lo-) lies outside the window
+    return float(max(right.max(), left.max()))
+
+
+@pytest.mark.parametrize("pooled", [
+    None,  # a seeded staircase spectrum
+    [0.1, 0.2, 0.2, 0.5, 0.5, 0.5, 1.0, 1.0, 2.5, 2.5, 3.0],  # atoms at lo, hi and tied
+    [1.0] * 8,  # one jump, whose left side is the sup
+    [0.05, 2.6, 2.7],  # no atom inside the window
+    list(np.round(substream(16, 0).uniform(0.0, 3.0, 400), 2)),  # ties throughout
+], ids=["spectrum", "edges-and-ties", "one-jump", "no-atom-inside", "rounded"])
+def test_triangular_sup_discrepancy_is_exact(pooled, monkeypatch):
+    real, seen = cli.shape_ensemble_spectra, []
+
+    def spectra(*args, **kwargs):
+        out = real(*args, **kwargs) if pooled is None else [np.array(pooled, dtype=float)]
+        seen.append(np.concatenate(out))
+        return out
+
+    monkeypatch.setattr(cli, "shape_ensemble_spectra", spectra)
+    cfg = RunConfig(subcommand="triangular", size=30, replicas=2, seed=5, kmax=1, bins=8)
+    res = build_record(cfg)["results"]
+    ref = _window_sup_reference(seen[0], *res["window"])
+    assert abs(res["sup_discrepancy"] - ref) <= 1e-12, (res["sup_discrepancy"], ref)
+    if pooled == [1.0] * 8:  # S(1-) = 0, so the gap is F(1) there
+        assert res["sup_discrepancy"] == max(dh_cdf(1.0), 1.0 - dh_cdf(1.0))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--r", "1", "--dilation", "2", "--replicas", "1", "--seed", "1", "--bins", "9" * 400],
+    ["sample-law", "--r", "2", "--samples", "10", "--seed", "1",
+     "--bins", str(cli.MEMORY_BUDGET // cli.BIN_BYTES + 1)],
+    ["triangular", "--size", "3", "--replicas", "1", "--seed", "1", "--bins", "100000000"],
+    ["law", "--r", "2", "--grid", "9" * 400],
+    ["law", "--r", "2", "--grid", str(cli.MEMORY_BUDGET // cli.GRID_BYTES + 1)],
+], ids=["simulate-huge-bins", "sample-law-one-bin-over", "triangular-1e8-bins", "law-huge-grid",
+        "law-one-point-over"])
+def test_bins_and_grid_memory_budget_refuses_before_work(argv, capsys, monkeypatch):
+    # BIN_BYTES a bin, GRID_BYTES a grid point; a 400-digit count is past the float range
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work before the budget check")
+
+    for sc in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, sc, forbidden)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "over the 4 GiB budget" in err, err
+    assert f"{argv[0]}'s {'grid points' if argv[0] == 'law' else 'histogram bins'} need" in err, err
+
+
+def test_bins_and_grid_memory_budget_admits_its_largest_count():
+    for field, unit, base in (
+            ("bins", cli.BIN_BYTES, dict(subcommand="triangular", size=3, replicas=1, seed=1, kmax=1)),
+            ("grid", cli.GRID_BYTES, dict(subcommand="law", r=2, tol=1e-5, kmax=1))):
+        largest = cli.MEMORY_BUDGET // unit
+        cli._validate(RunConfig(**base, **{field: largest}))
+        with pytest.raises(ConfigError, match="budget"):
+            cli._validate(RunConfig(**base, **{field: largest + 1}))
+
+
+@pytest.mark.parametrize("cfg, unit", [
+    (RunConfig(subcommand="triangular", size=3, replicas=1, seed=1, kmax=1, bins=10_000), "BIN_BYTES"),
+    (RunConfig(subcommand="law", r=2, grid=5_000, tol=1e-5, kmax=1), "GRID_BYTES"),
+], ids=["bins", "grid"])
+def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
+    # the per-unit constant bounds a run's traced peak, record and its JSON text included
+    import tracemalloc
+
+    units = cfg.bins or cfg.grid
+    render_output(build_record(cfg), cfg)  # caches and imports are not per-unit
+    tracemalloc.start()
+    try:
+        render_output(build_record(cfg), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_unit = getattr(cli, unit)
+    assert 0.75 * per_unit * units < peak <= per_unit * units * 1.05, peak / units

@@ -186,6 +186,14 @@ def test_density_grid_equals_pointwise_density_bit_for_bit():
         assert np.array_equal(f.ravel(), grid.f) and np.array_equal(err.ravel(), grid.err), r
 
 
+def test_density_grid_abscissae_strictly_increase():
+    # head < 0.2 L <= mid < 0.9 L <= tail, so the grid needs no sort or dedup
+    for r in (1, 2, 5, 12, 100, 1000):
+        for n in (16, 17, 31, 100, 767, 2999, 8192):
+            x = density_grid(r, n).x
+            assert x.size == n and np.all(np.diff(x) > 0), (r, n)
+
+
 def test_density_grid_tol_names_first_offending_abscissa():
     grid = density_grid(3, 64)
     tol = 1e-13
@@ -398,6 +406,17 @@ def test_dh_param_monotone():
 def test_dh_density_outside_support():
     assert dh_density(-0.1) == 0.0
     assert dh_density(math.e + 0.1) == 0.0
+
+
+def test_dh_density_past_the_float_range_is_inf_without_warning():
+    # at a subnormal x the true density (about 1.8e314 at 1e-320) exceeds the
+    # float range; tier-1 turns a RuntimeWarning into an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = dh_density(np.array([1e-320, 1.0]))
+        assert dh_density(1e-320) == math.inf and dh_density(5e-324) == math.inf
+    assert got[0] == math.inf and got[1] == dh_density(1.0) and 0.0 < got[1] < 1.0
+    assert math.isfinite(dh_density(1e-312))
 
 
 def test_dh_first_moment_quadrature():

@@ -25,7 +25,6 @@ from youngspec.spectra import (
     ks_distance,
     levy_distance,
     shape_ensemble_spectra,
-    sorted_unique,
     spectra_moments,
 )
 from youngspec.streams import substream
@@ -123,15 +122,6 @@ def test_replica_peak_memory_is_bounded(kind, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * x_bytes, peak / x_bytes
-
-
-def test_sorted_unique_matches_numpy_unique():
-    rng = substream(15, 0)
-    for values in (rng.integers(-5, 5, size=200).astype(float), rng.standard_normal(50),
-                   np.array([2.0]), np.array([]), np.array([[3.0, 1.0], [3.0, -1.0]])):
-        got = sorted_unique(values)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, np.unique(values))
 
 
 def test_empirical_cdf_examples():
