@@ -12,9 +12,9 @@ whatever produced it.
 
 Exit codes: 0 success; 2 validation error (a missing setting, a value of
 the wrong type or out of range, an unreadable config file, an unwritable
---out, a bad shape or entry law, a replica, draws, bins or grid over the
-memory budget); 3 numerical failure from the library, a result beyond
-the float range too.
+--out, a bad shape or entry law, a run whose replica, pooled spectra,
+draws, bins, grid and diagram sum past the memory budget); 3 numerical
+failure from the library, a result beyond the float range too.
 """
 
 from __future__ import annotations
@@ -94,14 +94,20 @@ class RunConfig:
 
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
-# bytes a run may hold in its largest arrays: one replica's X, W and product
-# scratch, sample-law's draws with their step CDF and Levy graphs, or a
-# histogram's or a density grid's arrays with their JSON text
+# bytes a run may hold in its largest arrays, summed over its parts: one
+# replica's X, W and product scratch, the pooled spectra with their step CDF
+# and Levy graphs, sample-law's draws likewise, a histogram's or a density
+# grid's arrays with their JSON text, and a shape's rendered diagram
 MEMORY_BUDGET = 4 << 30
 # traced peak bytes a sample (1e5 to 4e5, r = 1 to 3), a bin (1e5 to 4e5,
-# triangular the largest) and a law grid point (2e4 to 8e4, r = 1, 2, 4),
-# by tracemalloc over build_record and render_output
+# triangular the largest), a law grid point (2e4 to 8e4, r = 1, 2, 4), a
+# pooled eigenvalue plus a replica (simulate --r 1 and triangular, 1.6e4 to
+# 5e4 eigenvalues at kmax 4 and 3: 90 to 104 bytes an eigenvalue at dim 20 to
+# 200, 1,060 to 1,190 a replica at dim 10 and 380 at dim 1) and a diagram box
+# (shape, 1.4e5 to 1.3e6 boxes: 14.1 to 14.5), by tracemalloc over
+# build_record and render_output
 SAMPLE_BYTES, BIN_BYTES, GRID_BYTES = 80, 520, 740
+EIG_BYTES, REPLICA_BYTES, BOX_BYTES = 105, 320, 15
 _UNIT_BYTES = {"samples": (SAMPLE_BYTES, "draws"), "bins": (BIN_BYTES, "histogram bins"),
                "grid": (GRID_BYTES, "grid points")}
 
@@ -187,18 +193,33 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if sc == "simulate" and lam is not None and lam.weight() == 0:
         raise ConfigError("simulate requires --parts with a positive part")
-    needs = [(unit * getattr(cfg, name), f"{sc}'s {what}")
-             for name, (unit, what) in _UNIT_BYTES.items() if name in _FLAGS[sc]]
-    if sc in ("simulate", "triangular"):  # from the undilated shape: dilating may not fit
-        rows, cols = ((cfg.size, cfg.size) if sc == "triangular"
+    needs = _memory_needs(cfg, lam)
+    total = sum(needs.values())
+    if total > MEMORY_BUDGET:
+        parts = ", ".join(f"{what} {_gib(need)}" for what, need in needs.items())
+        raise ConfigError(f"{sc} needs {_gib(total)}, over the {_gib(MEMORY_BUDGET)} budget ({parts})")
+
+
+def _gib(n: int) -> str:
+    return f"{n / 2**30 if n.bit_length() < 1000 else float('inf'):.3g} GiB"  # else / overflows
+
+
+def _memory_needs(cfg: RunConfig, lam: Partition | None) -> dict[str, int]:
+    """Traced bytes of each part of a run whose sum the budget bounds, from the undilated shape."""
+    needs = {}
+    if cfg.subcommand in ("simulate", "triangular"):
+        rows, cols = ((cfg.size, cfg.size) if cfg.subcommand == "triangular"
                       else (cfg.r * cfg.dilation,) * 2 if lam is None  # staircase(r) is r by r
                       else (lam.length() * cfg.dilation, lam.parts[0] * cfg.dilation))
-        needs.insert(0, ((16 if cfg.entries == "complex-gaussian" else 8) * (rows * cols + 2 * rows * rows),
-                         f"one {sc} replica's matrices"))
-    for need, what in needs:
-        if need > MEMORY_BUDGET:
-            gib = need / 2**30 if need.bit_length() < 1000 else float("inf")  # else / overflows
-            raise ConfigError(f"{what} need {gib:.3g} GiB, over the {MEMORY_BUDGET >> 30} GiB budget")
+        needs["one replica's matrices"] = ((16 if cfg.entries == "complex-gaussian" else 8)
+                                           * (rows * cols + 2 * rows * rows))
+        needs["pooled eigenvalues"] = cfg.replicas * (EIG_BYTES * rows + REPLICA_BYTES)
+    if cfg.subcommand == "shape":
+        needs["diagram boxes"] = BOX_BYTES * lam.weight() * (cfg.dilation or 1) ** 2
+    for name, (unit, what) in _UNIT_BYTES.items():
+        if name in _FLAGS[cfg.subcommand]:
+            needs[what] = unit * getattr(cfg, name)
+    return needs
 
 
 def _hist_payload(h: Histogram) -> dict:
@@ -357,9 +378,9 @@ def _run_sample_law(cfg: RunConfig) -> dict:
     edge = float(support_edge(r))
     hist = histogram(draws, cfg.bins, (0.0, 1.05 * edge))
     mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
-    dens = np.zeros_like(mids)
+    dens, dens_err = np.zeros_like(mids), np.zeros_like(mids)
     inside = mids < edge
-    dens[inside], _ = density_with_error(r, mids[inside])
+    dens[inside], dens_err[inside] = density_with_error(r, mids[inside])
     gcdf = density_grid(r, n=512).cdf()
     ecdf = StepCDF(draws)
     return {
@@ -367,6 +388,7 @@ def _run_sample_law(cfg: RunConfig) -> dict:
         "samples": cfg.samples,
         "histogram": _hist_payload(hist),
         "density_at_midpoints": dens.tolist(),
+        "density_abs_err_at_midpoints": dens_err.tolist(),
         "ks_to_limit": float(ks_distance(ecdf, gcdf)),
         "levy_to_limit": float(levy_distance(ecdf, gcdf)),
     }

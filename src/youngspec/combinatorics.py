@@ -31,7 +31,10 @@ __all__ = [
 ]
 
 DEFAULT_VERTEX_CAP = 12
-# products count_r_plane_trees may spend; (20, 12) takes 1.4e7: 3.4 s, 35 MiB on 2 x86-64 vCPUs
+# products count_r_plane_trees may spend; (20, 12) takes 1.4e7: 3.4 s, 35 MiB on 2 x86-64 vCPUs.
+# It times only large r: at r = 1 the walk over catalan(n - 1) trees sets the cost, and
+# with the vertex cap lifted (1, 13) took 4.5 to 5.9 s at 2.7e6 products and (1, 14)
+# 17.7 s at 1.04e7, both under budget, so there DEFAULT_VERTEX_CAP is what bounds a run
 TREE_WORK_BUDGET = 2 * 10**7
 
 

@@ -123,15 +123,15 @@ def square(r: int) -> Partition:
 def balance_ratio(lam: Partition, n: int) -> Fraction:
     """Weight of the n-fold dilation over n times its length, as an exact rational.
 
-    Equals |lam| / len(lam) independently of n, which is why dilation
-    sequences have a well-defined first spectral moment.
+    The dilation has n^2 |lam| boxes in n len(lam) rows, so this is
+    |lam| / len(lam) independently of n, which is why dilation sequences
+    have a well-defined first spectral moment; the dilation is not built.
     """
     if not lam:
         raise EmptyPartitionError("balance ratio of the empty partition")
     if n < 1:
         raise InvalidDilationError(f"dilation factor {n} < 1")
-    dilated = lam.dilate(n)
-    return Fraction(dilated.weight(), n * dilated.length())
+    return Fraction(lam.weight(), lam.length())
 
 
 def render(lam: Partition, glyph: str = "■") -> str:

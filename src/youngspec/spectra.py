@@ -2,11 +2,12 @@
 
 Distance computations work on a small CDF protocol: objects exposing
 ``eval`` / ``eval_left`` (vectorized, right-continuous values and left
-limits, as new arrays), ``knots`` (the jump or grid abscissae with the
+limits, as new arrays) and ``knots`` (the jump or grid abscissae with the
 values and left limits there, bit for bit those of ``eval`` and
-``eval_left``) and ``graph`` (new arrays of the vertices of the completed
-graph, jumps filled in by vertical segments). Step CDFs come from
-spectra; the limit law supplies a piecewise-linear grid CDF.
+``eval_left``; between knots a CDF is constant or linear). The completed
+graph, jumps filled in by vertical segments, is derived from the knots.
+Step CDFs come from spectra; the limit law supplies a piecewise-linear
+grid CDF.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class StepCDF:
         self._at_most = np.concatenate([[0], np.cumsum(self.multiplicities)])
         self._n = int(self._at_most[-1])
 
-    @property
-    def total(self) -> int:
-        return self._n
-
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         return self._at_most[np.searchsorted(self.atoms, x, side="right")] / self._n
@@ -98,14 +95,13 @@ class StepCDF:
         counts = self._at_most / self._n
         return self.atoms, counts[1:], counts[:-1]
 
-    def graph(self) -> tuple[np.ndarray, np.ndarray]:
-        """Completed-graph vertices: each atom at the bottom and the top of its jump."""
-        counts = self._at_most / self._n
-        return np.repeat(self.atoms, 2), np.column_stack([counts[:-1], counts[1:]]).ravel()
-
 
 class GridCDF:
-    """Piecewise-linear CDF interpolant on an explicit grid."""
+    """Piecewise-linear CDF interpolant on an explicit grid.
+
+    It is 0 below ``xs[0]``, jumps to ``fs[0]`` there, is linear between
+    knots and stays at ``fs[-1]`` beyond the last.
+    """
 
     def __init__(self, xs, fs):
         xs = np.asarray(xs, dtype=float)
@@ -123,29 +119,30 @@ class GridCDF:
         self.xs = xs
         self.fs = np.maximum.accumulate(fs)
 
-    @property
-    def mass(self) -> float:
-        return float(self.fs[-1])
-
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         return np.interp(x, self.xs, self.fs, left=0.0, right=self.fs[-1])
 
-    eval_left = eval  # continuous
+    def eval_left(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > self.xs[0], self.eval(x), 0.0)
 
     def knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The grid, with the CDF and its (equal) left limits there."""
-        return self.xs, self.fs, self.fs
-
-    def graph(self) -> tuple[np.ndarray, np.ndarray]:
-        """Completed-graph vertices: the knots, preceded by ``(xs[0], 0)``."""
-        return np.concatenate([[self.xs[0]], self.xs]), np.concatenate([[0.0], self.fs])
+        """The grid, with the CDF and its left limits there (0 at ``xs[0]``)."""
+        return self.xs, self.fs, np.concatenate([[0.0], self.fs[1:]])
 
 
 def _max_gap(own: np.ndarray, other: np.ndarray) -> float:
     """max |own - other|, computed in place in ``other``, a new array."""
     np.subtract(other, own, out=other)
     return np.abs(other, out=other).max()
+
+
+def _rotated_graph(pts, at, left) -> tuple[np.ndarray, np.ndarray]:
+    """x + y and y of the completed graph's vertices, (p, left) then (p, at) at each knot p."""
+    y = np.column_stack([left, at]).ravel()
+    x = np.repeat(pts, 2)
+    return np.add(x, y, out=x), y
 
 
 def levy_distance(f, g) -> float:
@@ -157,15 +154,16 @@ def levy_distance(f, g) -> float:
     x + y = u. Each line crosses a completed graph once, so its height is a
     function of u; it is piecewise linear with knots at the graph vertices,
     0 to their left and the total mass to their right. The gap is therefore
-    largest at a knot of one of them. At its own knots a graph's height is
+    largest at a knot of one of them. Each knot p of a CDF gives the
+    vertices (p, left limit) and (p, value), in that order; between knots
+    the graph is a straight segment. At its own knots a graph's height is
     its vertex height, so each graph's knots are interpolated into the
     other graph only: n + m interpolations for n and m vertices, where the
-    union of knots took 2(n + m). Where rounding puts two vertices of one
-    graph on one u, np.interp gives that graph's own heights, as it did on
-    the union.
+    union of knots took 2(n + m). Where rounding or a knot without a jump
+    puts two vertices of one graph on one u, np.interp gives that graph's
+    own heights, as it did on the union.
     """
-    (xf, yf), (xg, yg) = f.graph(), g.graph()
-    uf, ug = np.add(xf, yf, out=xf), np.add(xg, yg, out=xg)
+    (uf, yf), (ug, yg) = (_rotated_graph(*cdf.knots()) for cdf in (f, g))
     gap = 0.0
     for (u, y), (v, z) in (((uf, yf), (ug, yg)), ((ug, yg), (uf, yf))):
         own = y if np.all(u[1:] > u[:-1]) else np.interp(u, u, y, left=0.0, right=y[-1])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -403,9 +404,12 @@ def test_sample_law_midpoint_densities_are_exact(capsys):
     edges = np.asarray(res["histogram"]["edges"])
     mids = 0.5 * (edges[:-1] + edges[1:])
     got = np.asarray(res["density_at_midpoints"])
+    err = np.asarray(res["density_abs_err_at_midpoints"])
     inside = mids < 6.75
-    assert np.array_equal(got[inside], density_with_error(2, mids[inside])[0])
-    assert np.all(got[~inside] == 0.0)
+    f, f_err = density_with_error(2, mids[inside])
+    assert np.array_equal(got[inside], f) and np.array_equal(err[inside], f_err)
+    assert np.all(got[~inside] == 0.0) and np.all(err[~inside] == 0.0)
+    assert err.shape == got.shape and np.all(err >= 0.0) and np.any(err > 0.0)
     # midpoint 2 sits at 0.027 L, where the hard-edge singularity is steep
     for i in (2, 40, 85):
         ref = limit_density(2, float(mids[i]))
@@ -481,9 +485,13 @@ def test_matrix_memory_budget_refuses_before_sampling(argv, handler, capsys, mon
 
 
 def test_matrix_memory_budget_admits_its_largest_replica():
-    # complex dim 9459 needs 16 * 3 * 9459^2 bytes, just under 4 GiB; one more row is over
-    assert 16 * 3 * 9459**2 <= cli.MEMORY_BUDGET < 16 * 3 * 9460**2
-    for size, ok in ((9459, True), (9460, False)):
+    # complex dim s needs 16 * 3 * s^2 bytes of X and W, beside its s pooled eigenvalues,
+    # one replica and 4 bins: 9458 is the largest dim whose sum fits 4 GiB
+    def need(s):
+        return 16 * 3 * s**2 + cli.EIG_BYTES * s + cli.REPLICA_BYTES + 4 * cli.BIN_BYTES
+
+    assert need(9458) <= cli.MEMORY_BUDGET < need(9459)
+    for size, ok in ((9458, True), (9459, False)):
         cfg = RunConfig(subcommand="triangular", size=size, replicas=1, seed=1, kmax=1, bins=4)
         if ok:
             cli._validate(cfg)
@@ -505,8 +513,9 @@ def test_samples_memory_budget_refuses_before_drawing(samples, capsys, monkeypat
 
 
 def test_samples_memory_budget_admits_its_largest_count():
-    largest = cli.MEMORY_BUDGET // cli.SAMPLE_BYTES
-    assert largest == 53_687_091
+    # the draws get what the 4 bins leave of the budget
+    largest = (cli.MEMORY_BUDGET - 4 * cli.BIN_BYTES) // cli.SAMPLE_BYTES
+    assert largest == 53_687_065
     for samples, ok in ((largest, True), (largest + 1, False)):
         cfg = RunConfig(subcommand="sample-law", r=2, samples=samples, seed=1, bins=4)
         if ok:
@@ -689,14 +698,19 @@ def test_bins_and_grid_memory_budget_refuses_before_work(argv, capsys, monkeypat
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "over the 4 GiB budget" in err, err
-    assert f"{argv[0]}'s {'grid points' if argv[0] == 'law' else 'histogram bins'} need" in err, err
+    assert f"error: {argv[0]} needs " in err, err
+    assert f"{'grid points' if argv[0] == 'law' else 'histogram bins'} " in err, err
 
 
 def test_bins_and_grid_memory_budget_admits_its_largest_count():
-    for field, unit, base in (
-            ("bins", cli.BIN_BYTES, dict(subcommand="triangular", size=3, replicas=1, seed=1, kmax=1)),
-            ("grid", cli.GRID_BYTES, dict(subcommand="law", r=2, tol=1e-5, kmax=1))):
-        largest = cli.MEMORY_BUDGET // unit
+    # the bins get what a complex size-3 replica (16 * (9 + 2 * 9) bytes) and its
+    # 3 pooled eigenvalues leave of the budget; law's grid has the budget to itself
+    replica = 16 * 27 + 3 * cli.EIG_BYTES + cli.REPLICA_BYTES
+    for field, unit, rest, base in (
+            ("bins", cli.BIN_BYTES, replica, dict(subcommand="triangular", size=3, replicas=1, seed=1, kmax=1)),
+            ("grid", cli.GRID_BYTES, 0, dict(subcommand="law", r=2, tol=1e-5, kmax=1))):
+        largest = (cli.MEMORY_BUDGET - rest) // unit
+        assert largest == {"bins": 8_259_550, "grid": 5_804_009}[field]
         cli._validate(RunConfig(**base, **{field: largest}))
         with pytest.raises(ConfigError, match="budget"):
             cli._validate(RunConfig(**base, **{field: largest + 1}))
@@ -720,3 +734,98 @@ def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
         tracemalloc.stop()
     per_unit = getattr(cli, unit)
     assert 0.75 * per_unit * units < peak <= per_unit * units * 1.05, peak / units
+
+
+@pytest.mark.parametrize("argv, parts", [
+    # each part alone fits the 4 GiB budget; their sum does not
+    (["sample-law", "--r", "2", "--samples", "53687091", "--bins", "8259552", "--seed", "1"],
+     ["draws 4 GiB", "histogram bins 4 GiB"]),
+    (["triangular", "--size", "9000", "--replicas", "1", "--seed", "1", "--bins", "1000000"],
+     ["one replica's matrices 3.62 GiB", "pooled eigenvalues", "histogram bins 0.484 GiB"]),
+    # 2e9 pooled eigenvalues of 1e6 replicas at dim 2000
+    (["simulate", "--r", "2", "--dilation", "1000", "--replicas", "1000000", "--seed", "1"],
+     ["one replica's matrices 0.179 GiB", "pooled eigenvalues 196 GiB"]),
+    (["simulate", "--r", "1", "--dilation", "1", "--replicas", "9" * 400, "--seed", "1"],
+     ["pooled eigenvalues inf GiB"]),
+    # 1.4e11 glyphs of (5, 4, 4, 1) dilated 10^5 times
+    (["shape", "--parts", "5,4,4,1", "--dilation", "100000"], ["diagram boxes 1.96e+03 GiB"]),
+    (["shape", "--parts", "5,4,4,1", "--dilation", "9" * 400], ["diagram boxes inf GiB"]),
+    (["shape", "--parts", "9" * 400], ["diagram boxes inf GiB"]),
+], ids=["sample-law-draws-and-bins", "triangular-replica-and-bins", "simulate-pooled",
+        "simulate-huge-replicas", "shape-dilation", "shape-huge-dilation", "shape-huge-part"])
+def test_summed_memory_budget_refuses_before_work(argv, parts, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work before the budget check")
+
+    for sc in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, sc, forbidden)
+    monkeypatch.setattr(cli.Partition, "dilate", forbidden)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and ", over the 4 GiB budget (" in err, err
+    assert err.startswith(f"error: {argv[0]} needs "), err
+    for part in parts:
+        assert part in err, err
+
+
+def test_pooled_and_shape_memory_budget_admits_its_largest_count():
+    # dim-2 replicas: 16 * (4 + 8) bytes of matrices and 64 bins leave the rest to the spectra
+    budget = cli.MEMORY_BUDGET
+    replicas = (budget - 16 * 12 - 64 * cli.BIN_BYTES) // (2 * cli.EIG_BYTES + cli.REPLICA_BYTES)
+    base = dict(subcommand="simulate", r=1, dilation=2, seed=1, kmax=4, bins=64)
+    cli._validate(RunConfig(**base, replicas=replicas))
+    with pytest.raises(ConfigError, match="pooled eigenvalues"):
+        cli._validate(RunConfig(**base, replicas=replicas + 1))
+    boxes = budget // cli.BOX_BYTES  # (1,) dilated d times has d^2 boxes
+    side = math.isqrt(boxes)
+    cli._validate(RunConfig(subcommand="shape", parts=[1], dilation=side))
+    with pytest.raises(ConfigError, match="diagram boxes"):
+        cli._validate(RunConfig(subcommand="shape", parts=[1], dilation=side + 1))
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(subcommand="triangular", size=20, replicas=1000, seed=1, kmax=3, bins=64),
+    RunConfig(subcommand="simulate", r=1, dilation=1, replicas=4000, seed=1, kmax=4, bins=64),
+    RunConfig(subcommand="shape", parts=[5, 4, 4, 1], dilation=100, format="text"),
+], ids=["triangular-pooled", "simulate-pooled-dim-1", "shape-boxes"])
+def test_summed_memory_budget_covers_the_traced_peak(cfg):
+    # EIG_BYTES, REPLICA_BYTES and BOX_BYTES: the summed parts bound the traced peak
+    import tracemalloc
+
+    need = sum(cli._memory_needs(cfg, cfg.parts and cli.Partition(cfg.parts)).values())
+    render_output(build_record(cfg), cfg)  # caches and imports are not per-unit
+    tracemalloc.start()
+    try:
+        render_output(build_record(cfg), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.75 * need < peak <= need * 1.05, peak / need
+
+
+@pytest.mark.parametrize("script, runs", [
+    ("make_density_grids", 8), ("run_block_ensembles", 6), ("triangular_demo", 2)])
+def test_scripts_command_lines_parse_and_validate(script, runs, tmp_path, monkeypatch, capsys):
+    # each script's command lines go through the parser and the rules; no handler runs
+    # and nothing is written into the checkout
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{script}.py"
+    spec = importlib.util.spec_from_file_location(f"scripts_{script}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    seen = []
+
+    def checked(argv):
+        args = cli.build_parser().parse_args(argv)
+        cli._validate(RunConfig(**{k: v for k, v in vars(args).items() if k in cli._FIELDS}))
+        seen.append(argv)
+        return 0
+
+    monkeypatch.setattr(module, "main", checked)
+    monkeypatch.setattr(module, "OUT", tmp_path / "out")
+    if script == "make_density_grids":  # it changes into the checkout to write out/
+        monkeypatch.setattr(module.os, "chdir", lambda where: None)
+    module.run()
+    assert len(seen) == runs and all("--out" in argv for argv in seen)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

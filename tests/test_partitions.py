@@ -145,6 +145,17 @@ def test_balance_ratio_examples():
 def test_balance_ratio_independent_of_dilation(lam, n1, n2):
     assert balance_ratio(lam, n1) == balance_ratio(lam, n2)
     assert balance_ratio(lam, n1) == Fraction(lam.weight(), lam.length())
+    dilated = lam.dilate(n1)
+    assert balance_ratio(lam, n1) == Fraction(dilated.weight(), n1 * dilated.length())
+
+
+def test_balance_ratio_builds_no_dilation(monkeypatch):
+    # the 10^6-fold dilation of (5, 4, 4, 1) has 4 * 10^6 parts
+    def forbidden(*args):
+        raise AssertionError("dilation built")
+
+    monkeypatch.setattr(Partition, "dilate", forbidden)
+    assert balance_ratio(Partition((5, 4, 4, 1)), 10**6) == Fraction(7, 2)
 
 
 def test_render():

@@ -42,7 +42,6 @@ def grid_cdfs(draw):
     xs = np.sort(draw(st.lists(st.floats(0, 1), min_size=2, max_size=20, unique=True)))
     assume(np.all(np.diff(xs) >= np.finfo(float).tiny))  # else slopes overflow: GridCDF rejects
     fs = np.sort(draw(st.lists(st.floats(0, 1), min_size=len(xs), max_size=len(xs))))
-    fs[0] = 0.0
     return GridCDF(xs, fs)
 
 
@@ -135,13 +134,13 @@ def test_empirical_cdf_examples():
     vals = substream(5, 0).integers(0, 7, 300) / 2.0
     h = StepCDF(vals)
     xs = np.concatenate([np.unique(vals), np.linspace(-1.0, 4.0, 41)])
-    assert h.total == 300 and h.multiplicities.sum() == 300 and len(h.atoms) == 7
+    assert h.multiplicities.sum() == 300 and len(h.atoms) == 7
     assert np.array_equal(h.eval(xs), [np.count_nonzero(vals <= x) / 300 for x in xs])
     assert np.array_equal(h.eval_left(xs), [np.count_nonzero(vals < x) / 300 for x in xs])
-    gx, gy = h.graph()
-    assert np.array_equal(gx, np.repeat(h.atoms, 2))
-    assert np.array_equal(gy[1::2], h.eval(h.atoms))
-    assert np.array_equal(gy[0::2], h.eval_left(h.atoms))
+    pts, at, left = h.knots()
+    assert np.array_equal(pts, h.atoms)
+    assert np.array_equal(at, h.eval(h.atoms))
+    assert np.array_equal(left, h.eval_left(h.atoms))
 
 
 def _moments(vals, k_max):
@@ -169,7 +168,7 @@ def test_empirical_moment_consistency_with_cdf():
     f = StepCDF(vals)
     m = _moments(vals, 3)
     for k in range(4):
-        via_cdf = np.sum(f.atoms**k * f.multiplicities) / f.total
+        via_cdf = np.sum(f.atoms**k * f.multiplicities) / f.multiplicities.sum()
         assert m[k] == pytest.approx(via_cdf, rel=1e-12)
 
 
@@ -267,10 +266,25 @@ def test_knots_are_eval_and_eval_left_bit_for_bit():
     rng = substream(16, 0)
     xs = np.sort(rng.uniform(0.0, 1.0, 30))
     for cdf in (StepCDF(rng.integers(0, 9, 200) / 8.0), StepCDF(rng.standard_normal(50)),
-                GridCDF(xs, np.linspace(0.0, 1.0, 30) ** 2)):
+                GridCDF(xs, np.linspace(0.0, 1.0, 30) ** 2),
+                GridCDF(xs, np.linspace(0.25, 1.0, 30) ** 2)):  # a jump of 1/16 at xs[0]
         pts, at, left = cdf.knots()
         assert at.tobytes() == cdf.eval(pts).tobytes()
         assert left.tobytes() == cdf.eval_left(pts).tobytes()
+    assert left[0] == 0.0 and at[0] == 0.0625
+
+
+def test_grid_cdf_jump_at_its_first_knot():
+    # S jumps to 0.6 at 1 and to 1 at 3; G jumps to 0.5 at 1 and rises to 1 at 2.
+    # The sup |S - G| is 0.4, on (2, 3); reading G's left limit at 1 as 0.5
+    # would report the 0.5 gap to S(1-) = 0
+    f, g = StepCDF([1.0] * 6 + [3.0] * 4), GridCDF([1.0, 2.0], [0.5, 1.0])
+    assert g.eval_left([0.5, 1.0, 1.5]).tolist() == [0.0, 0.0, 0.75]
+    assert g.eval([0.5, 1.0, 1.5]).tolist() == [0.0, 0.5, 0.75]
+    for a, b in ((f, g), (g, f)):
+        assert ks_distance(a, b) == pytest.approx(0.4, abs=1e-15)
+        assert levy_distance(a, b) == pytest.approx(0.4, abs=1e-15)
+        _assert_levy_exact(a, b)
 
 
 def _assert_union_distances(f, g):
@@ -326,7 +340,7 @@ def test_grid_cdf_eval():
     assert g.eval(-1.0) == 0.0
     assert g.eval(0.5) == pytest.approx(0.125)
     assert g.eval(5.0) == 1.0
-    assert g.mass == 1.0
+    assert g.knots()[1][-1] == 1.0
     with pytest.raises(ValueError):
         GridCDF([0.0, 5e-324], [0.0, 1.0])  # slope overflows
 
