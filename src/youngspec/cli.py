@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -56,7 +57,6 @@ from .partitions import Partition, balance_ratio, render, staircase
 from .spectra import (
     Histogram,
     StepCDF,
-    ensemble_spectra,
     histogram,
     ks_distance,
     levy_distance,
@@ -96,18 +96,20 @@ _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 # bytes a run may hold in its largest arrays, summed over its parts: one
 # replica's X, W and product scratch, the pooled spectra with their step CDF
-# and Levy graphs, sample-law's draws likewise, a histogram's or a density
-# grid's arrays with their JSON text, and a shape's rendered diagram
+# and Levy graphs, the moment rows and simulate's per-replica moments,
+# sample-law's draws likewise, a histogram's or a density grid's arrays with
+# their JSON text, and a shape's rendered diagram
 MEMORY_BUDGET = 4 << 30
 # traced peak bytes a sample (1e5 to 4e5, r = 1 to 3), a bin (1e5 to 4e5,
 # triangular the largest), a law grid point (2e4 to 8e4, r = 1, 2, 4), a
-# pooled eigenvalue plus a replica (simulate --r 1 and triangular, 1.6e4 to
-# 5e4 eigenvalues at kmax 4 and 3: 90 to 104 bytes an eigenvalue at dim 20 to
-# 200, 1,060 to 1,190 a replica at dim 10 and 380 at dim 1) and a diagram box
-# (shape, 1.4e5 to 1.3e6 boxes: 14.1 to 14.5), by tracemalloc over
-# build_record and render_output
+# pooled eigenvalue plus a replica (simulate --r 1 and triangular at kmax 0:
+# 82 to 93 an eigenvalue at dim 20 to 200, 370 to 380 a replica at dim 1), a
+# moment order (row and JSON: 980 to 990 simulate, 1,190 to 1,210 triangular,
+# kmax 100 to 2e4), a replica's moment at one order (simulate's table and its
+# deviations from the mean: 16) and a diagram box (shape, 1.4e5 to 1.3e6
+# boxes: 14.1 to 14.5), by tracemalloc over build_record and render_output
 SAMPLE_BYTES, BIN_BYTES, GRID_BYTES = 80, 520, 740
-EIG_BYTES, REPLICA_BYTES, BOX_BYTES = 105, 320, 15
+EIG_BYTES, REPLICA_BYTES, ORDER_BYTES, MOMENT_BYTES, BOX_BYTES = 105, 275, 1200, 16, 15
 _UNIT_BYTES = {"samples": (SAMPLE_BYTES, "draws"), "bins": (BIN_BYTES, "histogram bins"),
                "grid": (GRID_BYTES, "grid points")}
 
@@ -197,11 +199,16 @@ def _validate(cfg: RunConfig) -> None:
     total = sum(needs.values())
     if total > MEMORY_BUDGET:
         parts = ", ".join(f"{what} {_gib(need)}" for what, need in needs.items())
-        raise ConfigError(f"{sc} needs {_gib(total)}, over the {_gib(MEMORY_BUDGET)} budget ({parts})")
+        raise ConfigError(f"{sc} needs {_gib(total, up=True)}, over the {_gib(MEMORY_BUDGET)} budget "
+                          f"({parts})")
 
 
-def _gib(n: int) -> str:
-    return f"{n / 2**30 if n.bit_length() < 1000 else float('inf'):.3g} GiB"  # else / overflows
+def _gib(n: int, up: bool = False) -> str:
+    g = n / 2**30 if n.bit_length() < 1000 else math.inf  # else / overflows
+    if up and g < math.inf:  # 3 digits rounded up: no total over the budget reads as it
+        scale = 10.0 ** (2 - math.floor(math.log10(g)))
+        g = math.ceil(g * scale) / scale
+    return f"{g:.3g} GiB"
 
 
 def _memory_needs(cfg: RunConfig, lam: Partition | None) -> dict[str, int]:
@@ -214,6 +221,9 @@ def _memory_needs(cfg: RunConfig, lam: Partition | None) -> dict[str, int]:
         needs["one replica's matrices"] = ((16 if cfg.entries == "complex-gaussian" else 8)
                                            * (rows * cols + 2 * rows * rows))
         needs["pooled eigenvalues"] = cfg.replicas * (EIG_BYTES * rows + REPLICA_BYTES)
+        needs["moment rows"] = (cfg.kmax + 1) * ORDER_BYTES
+        if cfg.subcommand == "simulate":  # triangular pools the replicas before its moments
+            needs["per-replica moments"] = (cfg.kmax + 1) * cfg.replicas * MOMENT_BYTES
     if cfg.subcommand == "shape":
         needs["diagram boxes"] = BOX_BYTES * lam.weight() * (cfg.dilation or 1) ** 2
     for name, (unit, what) in _UNIT_BYTES.items():
@@ -295,8 +305,9 @@ def _run_simulate(cfg: RunConfig) -> dict:
     else:
         base = Partition(cfg.parts)
         edge = None
-    spectra = ensemble_spectra(base, cfg.dilation, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs)
-    pooled = np.concatenate(spectra)
+    shape = base.dilate(cfg.dilation)
+    spectra = shape_ensemble_spectra(shape, cfg.dilation, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs)
+    pooled = spectra.ravel()
 
     em = spectra_moments(spectra, cfg.kmax)
     moments = [{"k": k, "mean": float(em.means[k]), "variance": float(em.variances[k])}
@@ -308,7 +319,7 @@ def _run_simulate(cfg: RunConfig) -> dict:
     results = {
         "shape": list(base.parts),
         "dilation": cfg.dilation,
-        "matrix_dim": int(base.dilate(cfg.dilation).length()),
+        "matrix_dim": shape.length(),
         "moments": moments,
         "histogram": _hist_payload(hist),
         "pooled_count": int(pooled.size),
@@ -397,8 +408,7 @@ def _run_sample_law(cfg: RunConfig) -> dict:
 def _run_triangular(cfg: RunConfig) -> dict:
     dist = EntryDistribution(cfg.entries, cfg.trunc)
     shape = staircase(cfg.size)
-    spectra = shape_ensemble_spectra(shape, cfg.size, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs)
-    pooled = np.concatenate(spectra)
+    pooled = shape_ensemble_spectra(shape, cfg.size, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs).ravel()
     moments = []
     for k in range(cfg.kmax + 1):
         ref = _moment_float(dh_moment(k), k, "triangular law")

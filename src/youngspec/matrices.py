@@ -11,7 +11,6 @@ time, so one replica holds X, W and one BLOCK-wide slice of scratch.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ __all__ = [
     "EntryDistribution",
     "ShapedMatrix",
     "CovarianceMatrix",
-    "truncate_standardize",
     "sample_shaped",
     "covariance",
 ]
@@ -63,7 +61,13 @@ def _truncated_second_moment(kind: str, cutoff: float) -> float:
 
 @dataclass(frozen=True)
 class EntryDistribution:
-    """Centered unit-variance entry law, optionally truncated and re-standardized."""
+    """Centered unit-variance entry law, optionally truncated and re-standardized.
+
+    A cutoff C = ``trunc`` gives (X 1_{|X|<C} - m_C)/s_C, with m_C = 0 (the
+    kinds are symmetric) and s_C^2 the truncated second moment in closed
+    form; a cutoff that removes all variance (e.g. rademacher with C <= 1)
+    raises DegenerateTruncationError.
+    """
 
     kind: str
     trunc: float | None = None
@@ -104,16 +108,6 @@ class EntryDistribution:
             x[np.abs(x) >= self.trunc] = 0.0
             x /= math.sqrt(_truncated_second_moment(self.kind, self.trunc))
         return x
-
-
-def truncate_standardize(dist: EntryDistribution, cutoff: float) -> EntryDistribution:
-    """Distribution of (X 1_{|X|<C} - m_C)/s_C; mean zero, unit second moment.
-
-    The base kinds are all symmetric, so m_C = 0 and s_C^2 is the
-    truncated second moment, known in closed form per kind. Raises when
-    the cutoff removes all variance (e.g. rademacher with C <= 1).
-    """
-    return dataclasses.replace(dist, trunc=float(cutoff))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ limits, as new arrays) and ``knots`` (the jump or grid abscissae with the
 values and left limits there, bit for bit those of ``eval`` and
 ``eval_left``; between knots a CDF is constant or linear). The completed
 graph, jumps filled in by vertical segments, is derived from the knots.
-Step CDFs come from spectra; the limit law supplies a piecewise-linear
-grid CDF.
+Step CDFs come from spectra and the limit law supplies a piecewise-linear
+grid CDF. An ensemble's spectra are one float64 array, a row a replica:
+``ravel()`` pools them without a copy, and ``spectra_moments`` takes an
+order's moments of all replicas in one mean over the rows.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ __all__ = [
     "levy_distance",
     "ks_distance",
     "histogram",
-    "ensemble_spectra",
-    "ensemble_moments",
+    "shape_ensemble_spectra",
     "spectra_moments",
 ]
 
@@ -206,14 +207,11 @@ def histogram(values, bins: int, value_range: tuple[float, float]) -> Histogram:
         raise InvalidRangeError(f"bad histogram spec: bins={bins}, range=({lo}, {hi})")
     vals = np.asarray(values, dtype=float)
     total = vals.size
-    if total == 0:
-        zero = np.zeros(bins)
-        return Histogram(edges=edges, counts=zero.copy(), density=zero, below=0, above=0, total=0)
     counts, _ = np.histogram(vals, bins=edges)
     below = int(np.sum(vals < lo))
     above = int(np.sum(vals > hi))
     widths = np.diff(edges)
-    density = counts / (total * widths)
+    density = counts / (max(total, 1) * widths)  # all 0 for no values
     return Histogram(edges=edges, counts=counts.astype(float), density=density,
                      below=below, above=above, total=total)
 
@@ -233,53 +231,50 @@ def _replica_eigenvalues(args) -> np.ndarray:
     return eigenvalues(w).values
 
 
-def shape_ensemble_spectra(shape: Partition, scale: int, dist: EntryDistribution,
-                           replicas: int, seed: int, jobs: int = 1) -> list[np.ndarray]:
-    """Eigenvalue arrays for `replicas` draws of W = X X*/scale on a fixed shape.
-
-    Replica i always uses substream (seed, i), so results are identical
-    for any `jobs` (capped at the replicas and CPUs); outputs are ordered by replica index.
-    """
-    if replicas < 1:
-        raise ValueError(f"replicas {replicas} < 1")
-    tasks = [(shape.parts, scale, dist, seed, i) for i in range(replicas)]
+def _replica_rows(tasks: list[tuple], jobs: int):
+    """Each task's eigenvalues in task order, from a pool of workers when ``jobs`` > 1."""
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
 
-        with ProcessPoolExecutor(max_workers=min(jobs, replicas, os.cpu_count() or 1)) as pool:
-            return list(pool.map(_replica_eigenvalues, tasks))
-    return [_replica_eigenvalues(t) for t in tasks]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
+            yield from pool.map(_replica_eigenvalues, tasks)
+    else:
+        yield from map(_replica_eigenvalues, tasks)
 
 
-def ensemble_spectra(lam: Partition, n: int, dist: EntryDistribution, replicas: int,
-                     seed: int, jobs: int = 1) -> list[np.ndarray]:
-    """Ensemble spectra for the n-fold dilation of lam, scaled by n."""
-    return shape_ensemble_spectra(lam.dilate(n), n, dist, replicas, seed, jobs=jobs)
+def shape_ensemble_spectra(shape: Partition, scale: int, dist: EntryDistribution,
+                           replicas: int, seed: int, jobs: int = 1) -> np.ndarray:
+    """Eigenvalues of `replicas` draws of W = X X*/scale on a fixed shape, one row a replica.
+
+    The result is one C-contiguous float64 array of shape (replicas,
+    shape.length()), so ``ravel()`` pools it without a copy. Replica i
+    always uses substream (seed, i) and fills row i, so the array is
+    identical for any `jobs` (capped at the replicas and CPUs).
+    """
+    if replicas < 1:
+        raise ValueError(f"replicas {replicas} < 1")
+    spectra = np.empty((replicas, shape.length()))
+    tasks = [(shape.parts, scale, dist, seed, i) for i in range(replicas)]
+    for i, values in enumerate(_replica_rows(tasks, jobs)):
+        spectra[i] = values
+    return spectra
 
 
-def spectra_moments(spectra: list[np.ndarray], k_max: int) -> EnsembleMoments:
+def spectra_moments(spectra, k_max: int) -> EnsembleMoments:
     """Mean and unbiased variance over replicas of m_k = mean(lambda^k), k = 0..k_max.
 
-    A single replica has no spread; its variances are reported as 0. The
-    first order at which some replica's moment leaves the float range
+    ``spectra`` has a row a replica (a list of equal-length arrays does
+    too). A single replica has no spread; its variances are reported as 0.
+    The first order at which some replica's moment leaves the float range
     raises OutsideDomainError, before any higher order is computed.
     """
-    rows = []
+    spectra = np.asarray(spectra, dtype=float)
+    table = np.empty((k_max + 1, len(spectra)))
     # a mean or variance beyond the float range is left to the caller's check
     with np.errstate(over="ignore"):
-        for k in range(k_max + 1):
-            row = [1.0 if k == 0 else float(np.mean(vals**k)) for vals in spectra]
+        for k, row in enumerate(table):
+            np.mean(spectra**k, axis=1, out=row)
             if not np.all(np.isfinite(row)):
                 raise OutsideDomainError(f"empirical moment k = {k} exceeds the float range")
-            rows.append(row)
-        table = np.array(rows)
         variances = table.var(axis=1, ddof=1) if len(spectra) > 1 else np.zeros(k_max + 1)
         return EnsembleMoments(means=table.mean(axis=1), variances=variances)
-
-
-def ensemble_moments(lam: Partition, n: int, dist: EntryDistribution, k_max: int,
-                     replicas: int, seed: int, jobs: int = 1) -> EnsembleMoments:
-    """Monte Carlo mean/variance of the empirical moments m_{k,N}, k = 0..k_max."""
-    if replicas < 2:
-        raise ValueError(f"replicas {replicas} < 2; variance needs at least two")
-    return spectra_moments(ensemble_spectra(lam, n, dist, replicas, seed, jobs=jobs), k_max)

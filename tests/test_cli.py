@@ -315,7 +315,7 @@ def _refuse(*args, **kwargs):
       "--kmax", "200"], None, "simulate result exceeds the float range"),
     # the limit moments overflow at k = 377, before any spectrum is drawn
     (["simulate", "--r", "2", "--dilation", "2", "--replicas", "2", "--seed", "1",
-      "--kmax", "200000"], "ensemble_spectra", "moment k = 377 of the r = 2 law"),
+      "--kmax", "200000"], "shape_ensemble_spectra", "moment k = 377 of the r = 2 law"),
     # L(10^4) = 10001^10001 / 10^40000 has more digits than Python prints
     (["law", "--r", "10000", "--grid", "16", "--kmax", "0"], None, "too many digits"),
     # L(10^5) has 500,005 digits in its numerator; printing fails before the grid is solved
@@ -463,13 +463,13 @@ def test_subcommands_leave_out_numpy_ma():
 
 @pytest.mark.parametrize("argv, handler", [
     (["simulate", "--r", "2", "--dilation", "1000000", "--replicas", "1", "--seed", "1"],
-     "ensemble_spectra"),
+     "shape_ensemble_spectra"),
     (["simulate", "--parts", "5,4,4,1", "--dilation", "7000", "--entries", "rademacher",
-      "--replicas", "1", "--seed", "1"], "ensemble_spectra"),
+      "--replicas", "1", "--seed", "1"], "shape_ensemble_spectra"),
     (["triangular", "--size", "10000", "--replicas", "1", "--seed", "1"], "shape_ensemble_spectra"),
     # a byte count past the float range is reported as inf GiB, not an OverflowError
     (["simulate", "--r", "2", "--dilation", "9" * 400, "--replicas", "1", "--seed", "1"],
-     "ensemble_spectra"),
+     "shape_ensemble_spectra"),
 ])
 def test_matrix_memory_budget_refuses_before_sampling(argv, handler, capsys, monkeypatch):
     # X and W of one replica: 8 or 16 bytes * (rows * cols + 2 * rows^2), here 175 TiB,
@@ -486,9 +486,10 @@ def test_matrix_memory_budget_refuses_before_sampling(argv, handler, capsys, mon
 
 def test_matrix_memory_budget_admits_its_largest_replica():
     # complex dim s needs 16 * 3 * s^2 bytes of X and W, beside its s pooled eigenvalues,
-    # one replica and 4 bins: 9458 is the largest dim whose sum fits 4 GiB
+    # one replica, two moment rows and 4 bins: 9458 is the largest dim whose sum fits 4 GiB
     def need(s):
-        return 16 * 3 * s**2 + cli.EIG_BYTES * s + cli.REPLICA_BYTES + 4 * cli.BIN_BYTES
+        return (16 * 3 * s**2 + cli.EIG_BYTES * s + cli.REPLICA_BYTES + 2 * cli.ORDER_BYTES
+                + 4 * cli.BIN_BYTES)
 
     assert need(9458) <= cli.MEMORY_BUDGET < need(9459)
     for size, ok in ((9458, True), (9459, False)):
@@ -510,6 +511,14 @@ def test_samples_memory_budget_refuses_before_drawing(samples, capsys, monkeypat
     assert main(["sample-law", "--r", "2", "--samples", samples, "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "over the 4 GiB budget" in err, err
+
+
+def test_refused_total_never_reads_as_the_budget(capsys, monkeypatch):
+    # one draw over: the total is rounded up, so it does not read as 4 GiB
+    monkeypatch.setattr(cli, "beta_product_samples", _refuse)
+    assert main(["sample-law", "--r", "2", "--samples", "53686676", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample-law needs 4.01 GiB, over the 4 GiB budget ("), err
 
 
 def test_samples_memory_budget_admits_its_largest_count():
@@ -666,8 +675,8 @@ def test_triangular_sup_discrepancy_is_exact(pooled, monkeypatch):
     real, seen = cli.shape_ensemble_spectra, []
 
     def spectra(*args, **kwargs):
-        out = real(*args, **kwargs) if pooled is None else [np.array(pooled, dtype=float)]
-        seen.append(np.concatenate(out))
+        out = real(*args, **kwargs) if pooled is None else np.array([pooled], dtype=float)
+        seen.append(out.ravel())
         return out
 
     monkeypatch.setattr(cli, "shape_ensemble_spectra", spectra)
@@ -703,14 +712,15 @@ def test_bins_and_grid_memory_budget_refuses_before_work(argv, capsys, monkeypat
 
 
 def test_bins_and_grid_memory_budget_admits_its_largest_count():
-    # the bins get what a complex size-3 replica (16 * (9 + 2 * 9) bytes) and its
-    # 3 pooled eigenvalues leave of the budget; law's grid has the budget to itself
-    replica = 16 * 27 + 3 * cli.EIG_BYTES + cli.REPLICA_BYTES
+    # the bins get what a complex size-3 replica (16 * (9 + 2 * 9) bytes), its
+    # 3 pooled eigenvalues and two moment rows leave of the budget; law's grid
+    # has the budget to itself
+    replica = 16 * 27 + 3 * cli.EIG_BYTES + cli.REPLICA_BYTES + 2 * cli.ORDER_BYTES
     for field, unit, rest, base in (
             ("bins", cli.BIN_BYTES, replica, dict(subcommand="triangular", size=3, replicas=1, seed=1, kmax=1)),
             ("grid", cli.GRID_BYTES, 0, dict(subcommand="law", r=2, tol=1e-5, kmax=1))):
         largest = (cli.MEMORY_BUDGET - rest) // unit
-        assert largest == {"bins": 8_259_550, "grid": 5_804_009}[field]
+        assert largest == {"bins": 8_259_545, "grid": 5_804_009}[field]
         cli._validate(RunConfig(**base, **{field: largest}))
         with pytest.raises(ConfigError, match="budget"):
             cli._validate(RunConfig(**base, **{field: largest + 1}))
@@ -751,8 +761,14 @@ def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
     (["shape", "--parts", "5,4,4,1", "--dilation", "100000"], ["diagram boxes 1.96e+03 GiB"]),
     (["shape", "--parts", "5,4,4,1", "--dilation", "9" * 400], ["diagram boxes inf GiB"]),
     (["shape", "--parts", "9" * 400], ["diagram boxes inf GiB"]),
+    # where no moment overflows nothing else bounds kmax: 1e8 orders of two replicas
+    (["simulate", "--parts", "1", "--dilation", "1", "--entries", "rademacher", "--replicas", "2",
+      "--seed", "1", "--kmax", "100000000"], ["moment rows 112 GiB", "per-replica moments 2.98 GiB"]),
+    (["triangular", "--size", "2", "--replicas", "1", "--seed", "1", "--kmax", "9" * 400],
+     ["moment rows inf GiB"]),
 ], ids=["sample-law-draws-and-bins", "triangular-replica-and-bins", "simulate-pooled",
-        "simulate-huge-replicas", "shape-dilation", "shape-huge-dilation", "shape-huge-part"])
+        "simulate-huge-replicas", "shape-dilation", "shape-huge-dilation", "shape-huge-part",
+        "simulate-kmax", "triangular-huge-kmax"])
 def test_summed_memory_budget_refuses_before_work(argv, parts, capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work before the budget check")
@@ -769,13 +785,18 @@ def test_summed_memory_budget_refuses_before_work(argv, parts, capsys, monkeypat
 
 
 def test_pooled_and_shape_memory_budget_admits_its_largest_count():
-    # dim-2 replicas: 16 * (4 + 8) bytes of matrices and 64 bins leave the rest to the spectra
+    # dim-2 replicas: 16 * (4 + 8) bytes of matrices, five moment rows and 64 bins leave
+    # the rest to the spectra and their moments at k = 0..4
     budget = cli.MEMORY_BUDGET
-    replicas = (budget - 16 * 12 - 64 * cli.BIN_BYTES) // (2 * cli.EIG_BYTES + cli.REPLICA_BYTES)
+    replicas = ((budget - 16 * 12 - 5 * cli.ORDER_BYTES - 64 * cli.BIN_BYTES)
+                // (2 * cli.EIG_BYTES + cli.REPLICA_BYTES + 5 * cli.MOMENT_BYTES))
     base = dict(subcommand="simulate", r=1, dilation=2, seed=1, kmax=4, bins=64)
     cli._validate(RunConfig(**base, replicas=replicas))
     with pytest.raises(ConfigError, match="pooled eigenvalues"):
         cli._validate(RunConfig(**base, replicas=replicas + 1))
+    # at kmax 2e5 a dim-1 run of two replicas needs 0.23 GiB of moment rows; it is admitted
+    cli._validate(RunConfig(subcommand="simulate", parts=[1], dilation=1, entries="rademacher",
+                            replicas=2, seed=1, kmax=200_000, bins=64))
     boxes = budget // cli.BOX_BYTES  # (1,) dilated d times has d^2 boxes
     side = math.isqrt(boxes)
     cli._validate(RunConfig(subcommand="shape", parts=[1], dilation=side))
@@ -787,9 +808,15 @@ def test_pooled_and_shape_memory_budget_admits_its_largest_count():
     RunConfig(subcommand="triangular", size=20, replicas=1000, seed=1, kmax=3, bins=64),
     RunConfig(subcommand="simulate", r=1, dilation=1, replicas=4000, seed=1, kmax=4, bins=64),
     RunConfig(subcommand="shape", parts=[5, 4, 4, 1], dilation=100, format="text"),
-], ids=["triangular-pooled", "simulate-pooled-dim-1", "shape-boxes"])
+    RunConfig(subcommand="triangular", size=1, replicas=1000, seed=1, kmax=20, bins=64),
+    RunConfig(subcommand="triangular", size=1, replicas=1000, seed=1, kmax=100, bins=64),
+    RunConfig(subcommand="simulate", r=2, dilation=100, replicas=20, seed=1, kmax=20, bins=64),
+    RunConfig(subcommand="simulate", r=1, dilation=1, replicas=4000, seed=1, kmax=100, bins=64),
+], ids=["triangular-pooled", "simulate-pooled-dim-1", "shape-boxes", "triangular-kmax-20",
+        "triangular-kmax-100", "simulate-kmax-20", "simulate-kmax-100"])
 def test_summed_memory_budget_covers_the_traced_peak(cfg):
-    # EIG_BYTES, REPLICA_BYTES and BOX_BYTES: the summed parts bound the traced peak
+    # EIG_BYTES, REPLICA_BYTES, ORDER_BYTES, MOMENT_BYTES and BOX_BYTES: the summed
+    # parts bound the traced peak
     import tracemalloc
 
     need = sum(cli._memory_needs(cfg, cfg.parts and cli.Partition(cfg.parts)).values())

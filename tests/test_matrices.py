@@ -11,7 +11,6 @@ from youngspec.matrices import (
     ShapedMatrix,
     covariance,
     sample_shaped,
-    truncate_standardize,
 )
 from youngspec.partitions import Partition, square, staircase
 from youngspec.spectra import eigenvalues
@@ -73,7 +72,7 @@ def test_block_index_matches_diagram():
 
 def test_truncation_noop_for_bounded_kind():
     base = EntryDistribution("rademacher")
-    trunc = truncate_standardize(base, 2.0)
+    trunc = EntryDistribution("rademacher", 2.0)
     a = sample_shaped(staircase(3), base, (9, 0))
     b = sample_shaped(staircase(3), trunc, (9, 0))
     assert np.array_equal(a.entries, b.entries)
@@ -81,7 +80,7 @@ def test_truncation_noop_for_bounded_kind():
 
 def test_truncation_degenerate():
     with pytest.raises(DegenerateTruncationError):
-        truncate_standardize(EntryDistribution("rademacher"), 1.0)
+        EntryDistribution("rademacher", 1.0)
     with pytest.raises(DegenerateTruncationError):
         EntryDistribution("rademacher", trunc=0.5)
 
@@ -94,7 +93,7 @@ def test_truncation_rejects_nonpositive_and_nonfinite_cutoffs(cutoff):
 
 
 def test_truncated_moments_complex_gaussian():
-    dist = truncate_standardize(EntryDistribution("complex-gaussian"), 6.0)
+    dist = EntryDistribution("complex-gaussian", 6.0)
     rng = substream(31, 0)
     x = dist.sample(rng, 10**6)
     second = np.mean(np.abs(x) ** 2)
@@ -105,7 +104,7 @@ def test_truncated_moments_complex_gaussian():
 
 def test_truncated_moments_biting_cutoff():
     # cutoff well inside the support: standardization must restore unit variance
-    dist = truncate_standardize(EntryDistribution("centered-uniform"), 1.0)
+    dist = EntryDistribution("centered-uniform", 1.0)
     rng = substream(32, 0)
     x = dist.sample(rng, 10**6).real
     assert abs(np.mean(x)) < 4 * np.std(x) / math.sqrt(10**6)
@@ -210,7 +209,7 @@ def test_entry_dtypes():
     lam = staircase(3).dilate(2)
     for kind in ENTRY_KINDS:
         want = np.complex128 if kind == "complex-gaussian" else np.float64
-        for dist in (EntryDistribution(kind), truncate_standardize(EntryDistribution(kind), 2.5)):
+        for dist in (EntryDistribution(kind), EntryDistribution(kind, 2.5)):
             x = sample_shaped(lam, dist, (61, 0))
             assert x.entries.dtype == want, kind
             assert covariance(x, 2).entries.dtype == want, kind

@@ -20,7 +20,6 @@ from youngspec.spectra import (
     _replica_eigenvalues,
     StepCDF,
     eigenvalues,
-    ensemble_moments,
     histogram,
     ks_distance,
     levy_distance,
@@ -413,25 +412,67 @@ def test_spectrum_shape_for_dilated_staircase():
     assert s.values.min() >= -1e-10 * s.values.max()
 
 
+def _ensemble_moments(lam, n, dist, k_max, replicas, seed):
+    """Moment table of the n-fold dilation of lam, scaled by n."""
+    return spectra_moments(shape_ensemble_spectra(lam.dilate(n), n, dist, replicas, seed), k_max)
+
+
 def test_ensemble_moment_order_zero_exact():
-    em = ensemble_moments(staircase(2), 4, EntryDistribution("rademacher"),
-                          k_max=2, replicas=8, seed=5)
+    em = _ensemble_moments(staircase(2), 4, EntryDistribution("rademacher"),
+                           k_max=2, replicas=8, seed=5)
     assert em.means[0] == 1.0
     assert em.variances[0] == 0.0
 
 
 def test_ensemble_first_moment_converges():
     r, n, reps = 2, 20, 200
-    em = ensemble_moments(staircase(r), n, EntryDistribution("complex-gaussian"),
-                          k_max=1, replicas=reps, seed=77)
+    em = _ensemble_moments(staircase(r), n, EntryDistribution("complex-gaussian"),
+                           k_max=1, replicas=reps, seed=77)
     se = math.sqrt(em.variances[1] / reps)
     assert abs(em.means[1] - (r + 1) / 2) < 4 * se
 
 
 def test_ensemble_deterministic():
-    a = ensemble_moments(staircase(2), 6, EntryDistribution("centered-uniform"),
-                         k_max=3, replicas=6, seed=21)
-    b = ensemble_moments(staircase(2), 6, EntryDistribution("centered-uniform"),
-                         k_max=3, replicas=6, seed=21)
+    a = _ensemble_moments(staircase(2), 6, EntryDistribution("centered-uniform"),
+                          k_max=3, replicas=6, seed=21)
+    b = _ensemble_moments(staircase(2), 6, EntryDistribution("centered-uniform"),
+                          k_max=3, replicas=6, seed=21)
     assert np.array_equal(a.means, b.means)
     assert np.array_equal(a.variances, b.variances)
+
+
+@pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
+def test_ensemble_spectra_is_one_row_per_replica(kind):
+    # one C-contiguous float64 array; ravel() pools it without a copy
+    shape, replicas = Partition((3, 2)).dilate(4), 5
+    spectra = shape_ensemble_spectra(shape, 4, EntryDistribution(kind), replicas, seed=8)
+    assert spectra.dtype == np.float64 and spectra.shape == (replicas, shape.length())
+    assert spectra.flags.c_contiguous
+    assert np.shares_memory(spectra, spectra.ravel())
+    for i, row in enumerate(spectra):
+        w = covariance(sample_shaped(shape, EntryDistribution(kind), (8, i)), 4)
+        assert np.array_equal(row, eigenvalues(w).values)
+
+
+def test_ensemble_spectra_equal_across_jobs():
+    # a real two-worker pool fills the same array as the serial run
+    args = (staircase(3).dilate(5), 5, EntryDistribution("complex-gaussian"), 3, 13)
+    serial = shape_ensemble_spectra(*args, jobs=1)
+    pooled = shape_ensemble_spectra(*args, jobs=2)
+    assert pooled.dtype == serial.dtype and pooled.flags.c_contiguous
+    assert np.array_equal(serial, pooled)
+
+
+@pytest.mark.parametrize("replicas, dim", [(1, 7), (2, 1), (3, 50), (6, 1000), (2, 9000)])
+def test_spectra_moments_match_per_replica_reference(replicas, dim):
+    # bit for bit: each replica's mean(lambda^k) on its own, then the mean
+    # and unbiased variance of that table over the replicas
+    spectra = substream(41, dim).exponential(1.5, (replicas, dim))
+    k_max = 6
+    table = np.array([[float(np.mean(row**k)) for row in spectra] for k in range(k_max + 1)])
+    em = spectra_moments(spectra, k_max)
+    assert np.array_equal(em.means, table.mean(axis=1))
+    want = table.var(axis=1, ddof=1) if replicas > 1 else np.zeros(k_max + 1)
+    assert np.array_equal(em.variances, want)
+    listed = spectra_moments(list(spectra), k_max)  # a list of equal-length arrays too
+    assert np.array_equal(listed.means, em.means) and np.array_equal(listed.variances, em.variances)
