@@ -96,20 +96,19 @@ _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 # bytes a run may hold in its largest arrays, summed over its parts: one
 # replica's X, W and product scratch, the pooled spectra with their step CDF
-# and Levy graphs, the moment rows and simulate's per-replica moments,
+# and Levy graphs, the moment rows (no table of replica moments is held),
 # sample-law's draws likewise, a histogram's or a density grid's arrays with
 # their JSON text, and a shape's rendered diagram
 MEMORY_BUDGET = 4 << 30
 # traced peak bytes a sample (1e5 to 4e5, r = 1 to 3), a bin (1e5 to 4e5,
-# triangular the largest), a law grid point (2e4 to 8e4, r = 1, 2, 4), a
-# pooled eigenvalue plus a replica (simulate --r 1 and triangular at kmax 0:
-# 82 to 93 an eigenvalue at dim 20 to 200, 370 to 380 a replica at dim 1), a
-# moment order (row and JSON: 980 to 990 simulate, 1,190 to 1,210 triangular,
-# kmax 100 to 2e4), a replica's moment at one order (simulate's table and its
-# deviations from the mean: 16) and a diagram box (shape, 1.4e5 to 1.3e6
-# boxes: 14.1 to 14.5), by tracemalloc over build_record and render_output
+# triangular the largest), a law grid point (2e4 to 8e4, r = 1, 2, 4), a pooled
+# eigenvalue plus a replica (82 to 93 an eigenvalue at dim 20 to 200, 409 to
+# 414 a replica at dim 1, 4,000 replicas), a moment order (row and JSON: 980 to
+# 990 simulate, 1,190 to 1,210 triangular, kmax 100 to 2e4) and a diagram box
+# (shape, 1.4e5 to 1.3e6 boxes: 14.1 to 14.5), by tracemalloc over build_record
+# and render_output
 SAMPLE_BYTES, BIN_BYTES, GRID_BYTES = 80, 520, 740
-EIG_BYTES, REPLICA_BYTES, ORDER_BYTES, MOMENT_BYTES, BOX_BYTES = 105, 275, 1200, 16, 15
+EIG_BYTES, REPLICA_BYTES, ORDER_BYTES, BOX_BYTES = 105, 310, 1200, 15
 _UNIT_BYTES = {"samples": (SAMPLE_BYTES, "draws"), "bins": (BIN_BYTES, "histogram bins"),
                "grid": (GRID_BYTES, "grid points")}
 
@@ -136,9 +135,9 @@ def _floats(text: str) -> list[float]:
 _SETTINGS = {
     "tol": ({"type": float}, "a positive number", lambda v: _finite(v) and v > 0),
     "trunc": ({"type": float}, "a number", _real),
-    "range": ({"type": _floats}, "two finite numbers lo < hi",
+    "range": ({"type": _floats}, "two finite numbers lo < hi with hi - lo finite",
               lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-              and all(map(_finite, v)) and v[0] < v[1]),
+              and all(map(_finite, v)) and v[0] < v[1] and _finite(v[1] - v[0])),
     "parts": ({"type": _ints}, "a list of integers",
               lambda v: isinstance(v, list) and all(type(x) is int for x in v)),
     "out": ({}, "a file name", lambda v: isinstance(v, str)),
@@ -222,8 +221,6 @@ def _memory_needs(cfg: RunConfig, lam: Partition | None) -> dict[str, int]:
                                            * (rows * cols + 2 * rows * rows))
         needs["pooled eigenvalues"] = cfg.replicas * (EIG_BYTES * rows + REPLICA_BYTES)
         needs["moment rows"] = (cfg.kmax + 1) * ORDER_BYTES
-        if cfg.subcommand == "simulate":  # triangular pools the replicas before its moments
-            needs["per-replica moments"] = (cfg.kmax + 1) * cfg.replicas * MOMENT_BYTES
     if cfg.subcommand == "shape":
         needs["diagram boxes"] = BOX_BYTES * lam.weight() * (cfg.dilation or 1) ** 2
     for name, (unit, what) in _UNIT_BYTES.items():
@@ -407,13 +404,14 @@ def _run_sample_law(cfg: RunConfig) -> dict:
 
 def _run_triangular(cfg: RunConfig) -> dict:
     dist = EntryDistribution(cfg.entries, cfg.trunc)
-    shape = staircase(cfg.size)
-    pooled = shape_ensemble_spectra(shape, cfg.size, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs).ravel()
-    moments = []
-    for k in range(cfg.kmax + 1):
-        ref = _moment_float(dh_moment(k), k, "triangular law")
-        mk = float(np.mean(pooled**k))
-        moments.append({"k": k, "mean": mk, "limit": ref, "rel_err": abs(mk - ref) / ref})
+    # before the ensemble, so a moment beyond the float range costs no spectra
+    limits = [_moment_float(dh_moment(k), k, "triangular law") for k in range(cfg.kmax + 1)]
+    spectra = shape_ensemble_spectra(staircase(cfg.size), cfg.size, dist, cfg.replicas, cfg.seed,
+                                     jobs=cfg.jobs)
+    pooled = spectra.ravel()
+    means = spectra_moments(spectra, cfg.kmax).means.tolist()
+    moments = [{"k": k, "mean": mk, "limit": ref, "rel_err": abs(mk - ref) / ref}
+               for k, (mk, ref) in enumerate(zip(means, limits))]
     hist = histogram(pooled, cfg.bins, (0.0, 1.05 * np.e))
     mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
     dh_vals = dh_density(mids).tolist()

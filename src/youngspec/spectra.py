@@ -264,17 +264,18 @@ def spectra_moments(spectra, k_max: int) -> EnsembleMoments:
     """Mean and unbiased variance over replicas of m_k = mean(lambda^k), k = 0..k_max.
 
     ``spectra`` has a row a replica (a list of equal-length arrays does
-    too). A single replica has no spread; its variances are reported as 0.
-    The first order at which some replica's moment leaves the float range
-    raises OutsideDomainError, before any higher order is computed.
+    too). Each order's replica moments are folded into its mean and variance
+    at once: no table is held. A single replica has no spread; its variances
+    are 0. The first order at which some replica's moment leaves the float
+    range raises OutsideDomainError, before any higher order is computed.
     """
     spectra = np.asarray(spectra, dtype=float)
-    table = np.empty((k_max + 1, len(spectra)))
+    means, variances = np.empty(k_max + 1), np.empty(k_max + 1)
     # a mean or variance beyond the float range is left to the caller's check
     with np.errstate(over="ignore"):
-        for k, row in enumerate(table):
-            np.mean(spectra**k, axis=1, out=row)
+        for k in range(k_max + 1):
+            row = np.mean(spectra**k, axis=1)
             if not np.all(np.isfinite(row)):
                 raise OutsideDomainError(f"empirical moment k = {k} exceeds the float range")
-        variances = table.var(axis=1, ddof=1) if len(spectra) > 1 else np.zeros(k_max + 1)
-        return EnsembleMoments(means=table.mean(axis=1), variances=variances)
+            means[k], variances[k] = row.mean(), row.var(ddof=1) if len(row) > 1 else 0.0
+    return EnsembleMoments(means=means, variances=variances)

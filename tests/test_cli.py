@@ -14,7 +14,7 @@ from youngspec import cli
 from youngspec.cli import RunConfig, build_record, main, render_output
 from youngspec.errors import ConfigError
 from youngspec.limitlaw import density_with_error, dh_cdf
-from youngspec.spectra import StepCDF
+from youngspec.spectra import StepCDF, spectra_moments
 from youngspec.streams import substream
 
 from _oracle import limit_density
@@ -246,8 +246,11 @@ def test_config_file_loses_to_abbreviated_flag(tmp_path, capsys):
     ["simulate", "--r", "1", "--dilation", "2", "--replicas", "2", "--seed", "1", "--trunc", "inf"],
     ["simulate", "--r", "1", "--dilation", "2", "--replicas", "2", "--seed", "1",
      "--range=-inf,inf"],
+    # each end is finite but hi - lo is not
+    ["simulate", "--r", "1", "--dilation", "1", "--replicas", "1", "--seed", "1",
+     "--range=-1e308,1e308"],
 ], ids=["negative-part", "empty-shape", "degenerate-truncation", "missing-config-file",
-        "infinite-truncation", "infinite-range"])
+        "infinite-truncation", "infinite-range", "infinite-range-width"])
 def test_bad_input_is_validation_error(argv, capsys):
     code = main(argv)
     err = capsys.readouterr().err
@@ -306,8 +309,9 @@ def _refuse(*args, **kwargs):
 # ``late`` names a cli step patched to raise: the failure must come before it
 @pytest.mark.parametrize("argv, late, wanted", [
     (["moments", "--r", "3", "--kmax", "2000"], None, "k = 320 of the r = 3 law"),
-    (["triangular", "--size", "5", "--replicas", "2", "--seed", "1", "--kmax", "800"], None,
-     "k = 721 of the triangular law"),
+    # the limit moments overflow at k = 721, before any spectrum is drawn
+    (["triangular", "--size", "5", "--replicas", "2", "--seed", "1", "--kmax", "800"],
+     "shape_ensemble_spectra", "k = 721 of the triangular law"),
     (["simulate", "--parts", "5,4", "--dilation", "3", "--replicas", "2", "--seed", "1",
       "--kmax", "1500"], None, "empirical moment k = 317 exceeds the float range"),
     # every moment up to k = 200 is finite, but some variances are not
@@ -330,6 +334,36 @@ def test_unrepresentable_results_are_numerical_failures(argv, late, wanted, caps
     assert code == 3 and out == "", out[:200]
     assert err.startswith("numerical failure: OutsideDomainError") and wanted in err, err
     assert err.count("\n") == 1, err
+
+
+def test_triangular_empirical_moment_overflow_is_numerical_failure(capsys, monkeypatch):
+    # five eigenvalues 3.0 sum 3^k past the float range at k = 645, dh_moment(k) only at
+    # k = 721: the empirical overflow is named and leaks no numpy warning, which the
+    # pytest settings turn into an error
+    monkeypatch.setattr(cli, "shape_ensemble_spectra", lambda *args, **kwargs: np.full((2, 5), 3.0))
+    code = main(["triangular", "--size", "5", "--replicas", "2", "--seed", "1", "--kmax", "700"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "", out[:200]
+    assert err == ("numerical failure: OutsideDomainError: "
+                   "empirical moment k = 645 exceeds the float range\n"), err
+
+
+@pytest.mark.parametrize("argv, dim", [
+    (["simulate", "--r", "2", "--dilation", "2", "--replicas", "3", "--seed", "1"], 4),
+    (["triangular", "--size", "3", "--replicas", "3", "--seed", "1"], 3),
+], ids=["simulate", "triangular"])
+def test_ensembles_take_their_moments_in_one_pass(argv, dim, capsys, monkeypatch):
+    # both ensemble subcommands take every moment through one spectra_moments call
+    calls = []
+
+    def spy(spectra, k_max):
+        calls.append((spectra.shape, k_max))
+        return spectra_moments(spectra, k_max)
+
+    monkeypatch.setattr(cli, "spectra_moments", spy)
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert calls == [((3, dim), record["config"]["kmax"])]
 
 
 def test_tree_budget_is_numerical_failure():
@@ -763,7 +797,7 @@ def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
     (["shape", "--parts", "9" * 400], ["diagram boxes inf GiB"]),
     # where no moment overflows nothing else bounds kmax: 1e8 orders of two replicas
     (["simulate", "--parts", "1", "--dilation", "1", "--entries", "rademacher", "--replicas", "2",
-      "--seed", "1", "--kmax", "100000000"], ["moment rows 112 GiB", "per-replica moments 2.98 GiB"]),
+      "--seed", "1", "--kmax", "100000000"], ["moment rows 112 GiB"]),
     (["triangular", "--size", "2", "--replicas", "1", "--seed", "1", "--kmax", "9" * 400],
      ["moment rows inf GiB"]),
 ], ids=["sample-law-draws-and-bins", "triangular-replica-and-bins", "simulate-pooled",
@@ -786,10 +820,10 @@ def test_summed_memory_budget_refuses_before_work(argv, parts, capsys, monkeypat
 
 def test_pooled_and_shape_memory_budget_admits_its_largest_count():
     # dim-2 replicas: 16 * (4 + 8) bytes of matrices, five moment rows and 64 bins leave
-    # the rest to the spectra and their moments at k = 0..4
+    # the rest to the spectra
     budget = cli.MEMORY_BUDGET
     replicas = ((budget - 16 * 12 - 5 * cli.ORDER_BYTES - 64 * cli.BIN_BYTES)
-                // (2 * cli.EIG_BYTES + cli.REPLICA_BYTES + 5 * cli.MOMENT_BYTES))
+                // (2 * cli.EIG_BYTES + cli.REPLICA_BYTES))
     base = dict(subcommand="simulate", r=1, dilation=2, seed=1, kmax=4, bins=64)
     cli._validate(RunConfig(**base, replicas=replicas))
     with pytest.raises(ConfigError, match="pooled eigenvalues"):
@@ -812,11 +846,12 @@ def test_pooled_and_shape_memory_budget_admits_its_largest_count():
     RunConfig(subcommand="triangular", size=1, replicas=1000, seed=1, kmax=100, bins=64),
     RunConfig(subcommand="simulate", r=2, dilation=100, replicas=20, seed=1, kmax=20, bins=64),
     RunConfig(subcommand="simulate", r=1, dilation=1, replicas=4000, seed=1, kmax=100, bins=64),
+    RunConfig(subcommand="simulate", r=1, dilation=1, replicas=4000, seed=1, kmax=20, bins=64),
 ], ids=["triangular-pooled", "simulate-pooled-dim-1", "shape-boxes", "triangular-kmax-20",
-        "triangular-kmax-100", "simulate-kmax-20", "simulate-kmax-100"])
+        "triangular-kmax-100", "simulate-kmax-20", "simulate-kmax-100", "simulate-dim-1-kmax-20"])
 def test_summed_memory_budget_covers_the_traced_peak(cfg):
-    # EIG_BYTES, REPLICA_BYTES, ORDER_BYTES, MOMENT_BYTES and BOX_BYTES: the summed
-    # parts bound the traced peak
+    # EIG_BYTES, REPLICA_BYTES, ORDER_BYTES and BOX_BYTES: the summed parts bound
+    # the traced peak
     import tracemalloc
 
     need = sum(cli._memory_needs(cfg, cfg.parts and cli.Partition(cfg.parts)).values())
