@@ -8,13 +8,16 @@ parsing and rule, _SETTINGS) and one each subcommand (handler, help,
 formats, flag defaults, _SUBCOMMANDS); a setting with a default is
 required, so a config file's null for one (--entries, --oracle-trees
 too) is refused. The rules are checked on the resolved RunConfig,
-whatever produced it.
+whatever produced it. simulate, sample-law and triangular summarise a
+sample one way: a histogram over one window (_window) and, against a
+limit law, Levy and KS distances to its cdf_grid CDF (_distances).
 
 Exit codes: 0 success; 2 validation error (a missing setting, a value of
-the wrong type or out of range, an unreadable config file, an unwritable
---out, a bad shape or entry law, a run whose replica, pooled spectra,
-draws, bins, grid and diagram sum past the memory budget); 3 numerical
-failure from the library, a result beyond the float range too.
+the wrong type or out of range, a --range its --bins cannot split, an
+unreadable config file, an unwritable --out, a bad shape or entry law, a
+run whose replica, pooled spectra, draws, bins, grid and diagram sum past
+the memory budget); 3 numerical failure from the library, a result
+beyond the float range too.
 """
 
 from __future__ import annotations
@@ -33,36 +36,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .combinatorics import (
-    count_r_plane_trees,
-    dh_moment,
-    gen_catalan,
-    limit_moment,
-)
-from .errors import ConfigError, InsufficientPointsError, OutsideDomainError, YoungSpecError
-from .limitlaw import (
-    beta_product_moment,
-    beta_product_samples,
-    cdf_grid,
-    contour_moment,
-    density_grid,
-    density_with_error,
-    dh_density,
-    dh_cdf,
-    edge_exponent_fit,
-    support_edge,
-)
+from .combinatorics import count_r_plane_trees, dh_moment, gen_catalan, limit_moment
+from .errors import (ConfigError, InsufficientPointsError, InvalidRangeError, OutsideDomainError,
+                     YoungSpecError)
+from .limitlaw import (beta_product_moment, beta_product_samples, cdf_grid, contour_moment,
+                       density_grid, density_with_error, dh_cdf, dh_density, edge_exponent_fit,
+                       support_edge)
 from .matrices import ENTRY_KINDS, EntryDistribution
 from .partitions import Partition, balance_ratio, render, staircase
-from .spectra import (
-    Histogram,
-    StepCDF,
-    histogram,
-    ks_distance,
-    levy_distance,
-    shape_ensemble_spectra,
-    spectra_moments,
-)
+from .spectra import (StepCDF, histogram, histogram_edges, ks_distance, levy_distance,
+                      shape_ensemble_spectra, spectra_moments)
 from .streams import substream
 
 
@@ -131,13 +114,13 @@ def _floats(text: str) -> list[float]:
 
 # each setting's flag spec, what its value must be, and the test; the entry
 # law has no test here (EntryDistribution checks it), the shape checks its
-# own parts further, and an integer setting must be an int (a bool is not one)
+# own parts further and --range the histogram's edge rule, and an integer
+# setting must be an int (a bool is not one)
 _SETTINGS = {
     "tol": ({"type": float}, "a positive number", lambda v: _finite(v) and v > 0),
     "trunc": ({"type": float}, "a number", _real),
-    "range": ({"type": _floats}, "two finite numbers lo < hi with hi - lo finite",
-              lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-              and all(map(_finite, v)) and v[0] < v[1] and _finite(v[1] - v[0])),
+    "range": ({"type": _floats}, "two finite numbers",
+              lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite, v))),
     "parts": ({"type": _ints}, "a list of integers",
               lambda v: isinstance(v, list) and all(type(x) is int for x in v)),
     "out": ({}, "a file name", lambda v: isinstance(v, str)),
@@ -200,6 +183,12 @@ def _validate(cfg: RunConfig) -> None:
         parts = ", ".join(f"{what} {_gib(need)}" for what, need in needs.items())
         raise ConfigError(f"{sc} needs {_gib(total, up=True)}, over the {_gib(MEMORY_BUDGET)} budget "
                           f"({parts})")
+    if cfg.range is not None and cfg.bins is not None:  # after the budget, which bounds the bins
+        try:
+            histogram_edges(cfg.bins, cfg.range)
+        except InvalidRangeError:
+            raise ConfigError(f"--range must be split by --bins {cfg.bins} into bins of positive "
+                              f"width, got {cfg.range!r}") from None
 
 
 def _gib(n: int, up: bool = False) -> str:
@@ -229,8 +218,32 @@ def _memory_needs(cfg: RunConfig, lam: Partition | None) -> dict[str, int]:
     return needs
 
 
-def _hist_payload(h: Histogram) -> dict:
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(h).items()}
+def _window(values: np.ndarray, cfg: RunConfig, edge: float | None,
+            mean: Fraction | None = None) -> tuple[dict, np.ndarray]:
+    """The histogram record of ``values`` and its bin midpoints, over --range or else from 0 to
+    5 % past ``edge``: the limit law's, or with none the largest value, or ``mean`` (the law's
+    mean eigenvalue) where the largest is not positive."""
+    if cfg.range is None and edge is None:
+        edge = top if (top := float(values.max())) > 0 else float(mean)
+    hist = histogram(values, cfg.bins, tuple(cfg.range or (0.0, 1.05 * edge)))
+    return ({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(hist).items()},
+            0.5 * (hist.edges[:-1] + hist.edges[1:]))
+
+
+def _ensemble(cfg: RunConfig, shape: Partition, scale: int, edge: float | None,
+              mean: Fraction | None = None) -> tuple:
+    """--replicas spectra of W = X X*/scale on ``shape``: pooled, their moments, their window."""
+    dist = EntryDistribution(cfg.entries, cfg.trunc)
+    spectra = shape_ensemble_spectra(shape, scale, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs)
+    pooled = spectra.ravel()
+    return pooled, spectra_moments(spectra, cfg.kmax), *_window(pooled, cfg, edge, mean)
+
+
+def _distances(values: np.ndarray, limit) -> dict:
+    """Lévy and KS distances from the step CDF of ``values`` to the ``limit`` CDF."""
+    ecdf = StepCDF(values)
+    return {"levy_to_limit": float(levy_distance(ecdf, limit)),
+            "ks_to_limit": float(ks_distance(ecdf, limit))}
 
 
 def _frac(x: Fraction) -> str:
@@ -292,44 +305,28 @@ def _run_trees(cfg: RunConfig) -> dict:
 
 
 def _run_simulate(cfg: RunConfig) -> dict:
-    dist = EntryDistribution(cfg.entries, cfg.trunc)
     if cfg.r is not None:
-        base = staircase(cfg.r)
-        edge = float(support_edge(cfg.r))
+        base, edge = staircase(cfg.r), float(support_edge(cfg.r))
         # before the ensemble, so a moment beyond the float range costs no spectra
         limit_moments = [_moment_float(limit_moment(cfg.r, k), k, f"r = {cfg.r} law")
                          for k in range(cfg.kmax + 1)]
     else:
-        base = Partition(cfg.parts)
-        edge = None
+        base, edge = Partition(cfg.parts), None
     shape = base.dilate(cfg.dilation)
-    spectra = shape_ensemble_spectra(shape, cfg.dilation, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs)
-    pooled = spectra.ravel()
-
-    em = spectra_moments(spectra, cfg.kmax)
-    moments = [{"k": k, "mean": float(em.means[k]), "variance": float(em.variances[k])}
-               for k in range(cfg.kmax + 1)]
-
-    rng = cfg.range if cfg.range is not None else [0.0, 1.05 * edge if edge else float(pooled.max()) * 1.05]
-    hist = histogram(pooled, cfg.bins, tuple(rng))
-
+    pooled, em, hist, _ = _ensemble(cfg, shape, cfg.dilation, edge, balance_ratio(base, cfg.dilation))
     results = {
         "shape": list(base.parts),
         "dilation": cfg.dilation,
         "matrix_dim": shape.length(),
-        "moments": moments,
-        "histogram": _hist_payload(hist),
+        "moments": [{"k": k, "mean": float(em.means[k]), "variance": float(em.variances[k])}
+                    for k in range(cfg.kmax + 1)],
+        "histogram": hist,
         "pooled_count": int(pooled.size),
         "levy_to_limit": None,
         "ks_to_limit": None,
     }
     if cfg.r is not None:
-        limit = cdf_grid(cfg.r)
-        ecdf = StepCDF(pooled)
-        results["levy_to_limit"] = float(levy_distance(ecdf, limit))
-        results["ks_to_limit"] = float(ks_distance(ecdf, limit))
-        results["r"] = cfg.r
-        results["limit_moments"] = limit_moments
+        results.update(_distances(pooled, cdf_grid(cfg.r)), r=cfg.r, limit_moments=limit_moments)
     return results
 
 
@@ -381,41 +378,28 @@ def _edge_fits(grid, r: int) -> dict:
 
 def _run_sample_law(cfg: RunConfig) -> dict:
     r = cfg.r
-    rng = substream(cfg.seed, 0)
-    draws = beta_product_samples(r, cfg.samples, rng)
+    draws = beta_product_samples(r, cfg.samples, substream(cfg.seed, 0))
     edge = float(support_edge(r))
-    hist = histogram(draws, cfg.bins, (0.0, 1.05 * edge))
-    mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
+    hist, mids = _window(draws, cfg, edge)
     dens, dens_err = np.zeros_like(mids), np.zeros_like(mids)
     inside = mids < edge
     dens[inside], dens_err[inside] = density_with_error(r, mids[inside])
-    gcdf = density_grid(r, n=512).cdf()
-    ecdf = StepCDF(draws)
     return {
         "r": r,
         "samples": cfg.samples,
-        "histogram": _hist_payload(hist),
+        "histogram": hist,
         "density_at_midpoints": dens.tolist(),
         "density_abs_err_at_midpoints": dens_err.tolist(),
-        "ks_to_limit": float(ks_distance(ecdf, gcdf)),
-        "levy_to_limit": float(levy_distance(ecdf, gcdf)),
+        **_distances(draws, cdf_grid(r, grid_size=512)),
     }
 
 
 def _run_triangular(cfg: RunConfig) -> dict:
-    dist = EntryDistribution(cfg.entries, cfg.trunc)
     # before the ensemble, so a moment beyond the float range costs no spectra
     limits = [_moment_float(dh_moment(k), k, "triangular law") for k in range(cfg.kmax + 1)]
-    spectra = shape_ensemble_spectra(staircase(cfg.size), cfg.size, dist, cfg.replicas, cfg.seed,
-                                     jobs=cfg.jobs)
-    pooled = spectra.ravel()
-    means = spectra_moments(spectra, cfg.kmax).means.tolist()
+    pooled, em, hist, mids = _ensemble(cfg, staircase(cfg.size), cfg.size, math.e)
     moments = [{"k": k, "mean": mk, "limit": ref, "rel_err": abs(mk - ref) / ref}
-               for k, (mk, ref) in enumerate(zip(means, limits))]
-    hist = histogram(pooled, cfg.bins, (0.0, 1.05 * np.e))
-    mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
-    dh_vals = dh_density(mids).tolist()
-
+               for k, (mk, ref) in enumerate(zip(em.means.tolist(), limits))]
     # sup |S - F| over the window of acceptance criterion 9: F is continuous, so it
     # is reached at lo, at hi or on either side of the jump at an atom in (lo, hi]
     lo, hi = 0.2, 2.5
@@ -429,8 +413,8 @@ def _run_triangular(cfg: RunConfig) -> dict:
         "size": cfg.size,
         "replicas": cfg.replicas,
         "moments": moments,
-        "histogram": _hist_payload(hist),
-        "dh_density_at_midpoints": dh_vals,
+        "histogram": hist,
+        "dh_density_at_midpoints": dh_density(mids).tolist(),
         "window": [lo, hi],
         "sup_discrepancy": sup,
     }

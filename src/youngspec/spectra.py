@@ -33,6 +33,7 @@ __all__ = [
     "levy_distance",
     "ks_distance",
     "histogram",
+    "histogram_edges",
     "shape_ensemble_spectra",
     "spectra_moments",
 ]
@@ -197,21 +198,30 @@ class Histogram:
     total: int
 
 
-def histogram(values, bins: int, value_range: tuple[float, float]) -> Histogram:
-    """Density histogram of ``values`` on ``bins`` equal bins over a finite ``value_range``."""
+def histogram_edges(bins: int, value_range) -> np.ndarray:
+    """The ``bins`` + 1 equal-width edges over (lo, hi); InvalidRangeError unless they increase."""
     lo, hi = value_range
     with np.errstate(over="ignore", invalid="ignore"):  # hi - lo may overflow; bins may be 0 wide
         edges = np.linspace(lo, hi, max(bins, 0) + 1)
         ok = bins >= 1 and -np.inf < lo < hi < np.inf and np.all(np.diff(edges) > 0)
     if not ok:
         raise InvalidRangeError(f"bad histogram spec: bins={bins}, range=({lo}, {hi})")
+    return edges
+
+
+def histogram(values, bins: int, value_range: tuple[float, float]) -> Histogram:
+    """Density histogram of ``values`` on ``bins`` equal bins over ``value_range``."""
+    lo, hi = value_range
+    edges = histogram_edges(bins, value_range)
     vals = np.asarray(values, dtype=float)
     total = vals.size
     counts, _ = np.histogram(vals, bins=edges)
     below = int(np.sum(vals < lo))
     above = int(np.sum(vals > hi))
-    widths = np.diff(edges)
-    density = counts / (max(total, 1) * widths)  # all 0 for no values
+    scaled_widths = max(total, 1) * np.diff(edges)
+    # a count in a bin under 1 / float max wide has a density beyond the float range: inf
+    with np.errstate(over="ignore"):
+        density = counts / scaled_widths  # all 0 for no values
     return Histogram(edges=edges, counts=counts.astype(float), density=density,
                      below=below, above=above, total=total)
 

@@ -9,12 +9,16 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from youngspec import cli
 from youngspec.cli import RunConfig, build_record, main, render_output
-from youngspec.errors import ConfigError
-from youngspec.limitlaw import density_with_error, dh_cdf
-from youngspec.spectra import StepCDF, spectra_moments
+from youngspec.errors import ConfigError, InvalidRangeError
+from youngspec.limitlaw import density_with_error, dh_cdf, support_edge
+from youngspec.matrices import EntryDistribution
+from youngspec.partitions import Partition
+from youngspec.spectra import StepCDF, histogram, shape_ensemble_spectra, spectra_moments
 from youngspec.streams import substream
 
 from _oracle import limit_density
@@ -249,12 +253,72 @@ def test_config_file_loses_to_abbreviated_flag(tmp_path, capsys):
     # each end is finite but hi - lo is not
     ["simulate", "--r", "1", "--dilation", "1", "--replicas", "1", "--seed", "1",
      "--range=-1e308,1e308"],
+    # hi - lo is one ulp, below what 64 bins can split
+    ["simulate", "--r", "1", "--dilation", "1", "--replicas", "1", "--seed", "1",
+     "--range=1,1.0000000000000002"],
 ], ids=["negative-part", "empty-shape", "degenerate-truncation", "missing-config-file",
-        "infinite-truncation", "infinite-range", "infinite-range-width"])
+        "infinite-truncation", "infinite-range", "infinite-range-width", "unsplittable-range"])
 def test_bad_input_is_validation_error(argv, capsys):
     code = main(argv)
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error: "), err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_ENDS = st.floats(allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@example(lo=0.0, hi=5e-324, bins=1)  # one bin of the least width: its count's density is inf
+@given(lo=_ENDS, hi=st.one_of(_ENDS, st.tuples(_ENDS, st.integers(-3, 5000)).map(
+    lambda p: p[0] + p[1] * math.ulp(p[0]))), bins=st.integers(0, 4096))
+def test_validated_range_is_one_histogram_can_take(lo, hi, bins):
+    # _validate applies the histogram's own edge rule: it admits a (range, bins) iff histogram does
+    cfg = RunConfig(subcommand="simulate", r=1, dilation=1, replicas=1, seed=1, kmax=0, bins=bins,
+                    range=[lo, hi])
+    try:
+        cli._validate(cfg)
+        admitted = True
+    except ConfigError:
+        admitted = False
+    try:
+        histogram(np.zeros(1), bins, (lo, hi))
+        accepted = True
+    except InvalidRangeError:
+        accepted = False
+    assert admitted == accepted, (lo, hi, bins)
+
+
+def _pooled_max(parts, dilation, replicas, seed):
+    shape = Partition(parts).dilate(dilation)
+    dist = EntryDistribution("complex-gaussian")
+    return float(shape_ensemble_spectra(shape, dilation, dist, replicas, seed).max())
+
+
+@pytest.mark.parametrize("argv, lo, hi", [
+    (["simulate", "--r", "2", "--dilation", "6", "--replicas", "2", "--seed", "1", "--kmax", "1",
+      "--bins", "7"], 0.0, 1.05 * float(support_edge(2))),
+    (["sample-law", "--r", "3", "--samples", "300", "--seed", "2", "--bins", "5"],
+     0.0, 1.05 * float(support_edge(3))),
+    (["triangular", "--size", "10", "--replicas", "2", "--seed", "3", "--kmax", "1", "--bins", "6"],
+     0.0, 1.05 * math.e),
+    (["simulate", "--parts", "3,1", "--dilation", "4", "--replicas", "2", "--seed", "5", "--kmax", "1",
+      "--bins", "9"], 0.0, 1.05 * _pooled_max([3, 1], 4, 2, 5)),
+    (["simulate", "--parts", "3,1", "--dilation", "4", "--replicas", "2", "--seed", "5", "--kmax", "1",
+      "--bins", "9", "--range", "0.5,9"], 0.5, 9.0),
+    (["simulate", "--r", "2", "--dilation", "6", "--replicas", "2", "--seed", "1", "--kmax", "1",
+      "--bins", "7", "--range=-1,3.25"], -1.0, 3.25),
+    # every entry is truncated to 0, so the spectrum is all 0: the window ends 5 % past the
+    # law's mean eigenvalue |lambda| / len(lambda) = 1, not at (0, 0)
+    (["simulate", "--parts", "1", "--dilation", "1", "--replicas", "1", "--seed", "1",
+      "--entries", "centered-uniform", "--trunc", "0.01"], 0.0, 1.05),
+], ids=["simulate-r", "sample-law", "triangular", "simulate-parts", "simulate-parts-range",
+        "simulate-r-range", "all-zero-spectrum"])
+def test_default_histogram_window(argv, lo, hi, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0, argv
+    rec = json.loads(out)
+    edges = np.array(rec["results"]["histogram"]["edges"])
+    assert edges.tobytes() == np.linspace(lo, hi, rec["config"]["bins"] + 1).tobytes()
 
 
 _SIMULATE = {"subcommand": "simulate", "r": 1, "dilation": 2, "replicas": 2, "seed": 1}
@@ -320,12 +384,16 @@ def _refuse(*args, **kwargs):
     # the limit moments overflow at k = 377, before any spectrum is drawn
     (["simulate", "--r", "2", "--dilation", "2", "--replicas", "2", "--seed", "1",
       "--kmax", "200000"], "shape_ensemble_spectra", "moment k = 377 of the r = 2 law"),
+    # the all-zero spectrum's one eigenvalue lies in a bin 5e-324 wide: its density is inf
+    (["simulate", "--parts", "1", "--dilation", "1", "--replicas", "1", "--seed", "1",
+      "--entries", "centered-uniform", "--trunc", "0.01", "--range=0,5e-324", "--bins", "1"], None,
+     "simulate result exceeds the float range"),
     # L(10^4) = 10001^10001 / 10^40000 has more digits than Python prints
     (["law", "--r", "10000", "--grid", "16", "--kmax", "0"], None, "too many digits"),
     # L(10^5) has 500,005 digits in its numerator; printing fails before the grid is solved
     (["law", "--r", "100000", "--grid", "16", "--kmax", "0"], "density_grid", "too many digits"),
 ], ids=["moments", "triangular", "simulate-parts", "simulate-parts-variance",
-        "simulate-limit-moments", "law-edge-digits", "law-edge-digits-first"])
+        "simulate-limit-moments", "subnormal-bin", "law-edge-digits", "law-edge-digits-first"])
 def test_unrepresentable_results_are_numerical_failures(argv, late, wanted, capsys, monkeypatch):
     if late:
         monkeypatch.setattr(cli, late, _refuse)
@@ -583,6 +651,11 @@ def test_samples_memory_budget_covers_the_traced_peak():
     assert 0.75 * cli.SAMPLE_BYTES * cfg.samples < peak <= cli.SAMPLE_BYTES * cfg.samples * 1.05
 
 
+# the captures perfbench's limit-CDF accuracy check unpacks: exactly one of each, with these keys
+_LIMIT_CAPTURES = {"limitlaw.density_grid": {"r", "edge", "x", "f", "err"},
+                   "spectra.levy_distance": {"atoms", "counts", "xs", "fs", "value"}}
+
+
 def test_benchmark_trace_hooks_run(tmp_path):
     # perfbench wraps the program's functions by name; a traced job must still run
     repo = Path(__file__).resolve().parents[1]
@@ -590,22 +663,25 @@ def test_benchmark_trace_hooks_run(tmp_path):
     matrix_spans = {"matrices.sample_shaped", "matrices.covariance", "spectra.eigenvalues"}
     jobs = [
         (["simulate", "--r", "2", "--dilation", "6", "--replicas", "2", "--seed", "1",
-          "--kmax", "2", "--bins", "4"], matrix_spans),
-        (["law", "--r", "2", "--grid", "64", "--kmax", "2"], {"limitlaw.density_grid"}),
+          "--kmax", "2", "--bins", "4"], matrix_spans, _LIMIT_CAPTURES),
+        (["law", "--r", "2", "--grid", "64", "--kmax", "2"], {"limitlaw.density_grid"}, {}),
         (["sample-law", "--r", "2", "--samples", "500", "--seed", "2", "--bins", "4"],
-         {"limitlaw.beta_product_samples", "spectra.levy_distance"}),
+         {"limitlaw.beta_product_samples", "spectra.levy_distance"}, _LIMIT_CAPTURES),
         (["triangular", "--size", "12", "--replicas", "2", "--entries", "real-gaussian",
-          "--seed", "3", "--bins", "4"], matrix_spans),
+          "--seed", "3", "--bins", "4"], matrix_spans, {}),
     ]
-    for argv, wanted in jobs:
+    for argv, wanted, captures in jobs:
         report, trace = tmp_path / "report.json", tmp_path / "spans.pkl"
         proc = subprocess.run([sys.executable, str(repo / "perfbench" / "job.py"), str(report),
                                "--trace", str(trace), "--", *argv],
                               env=env, cwd=tmp_path, capture_output=True, text=True)
         assert proc.returncode == 0, (argv, proc.stderr)
         assert json.loads(report.read_text())["rc"] == 0, argv
-        names = {span[0] for span in pickle.loads(trace.read_bytes())["spans"]}
+        traced = pickle.loads(trace.read_bytes())
+        names = {span[0] for span in traced["spans"]}
         assert wanted <= names, (argv, wanted - names)
+        for name, keys in captures.items():
+            assert [set(c) for c in traced["captured"].get(name, [])] == [keys], (argv, name)
 
 
 def test_build_record_direct():
