@@ -173,6 +173,8 @@ def _validate(cfg: RunConfig) -> None:
         lam = None if cfg.parts is None else Partition(cfg.parts)
         if sc in ("simulate", "triangular"):
             EntryDistribution(cfg.entries, cfg.trunc)
+        if cfg.seed is not None:
+            substream(cfg.seed)
     except (ValueError, OverflowError) as exc:  # a cutoff beyond the float range overflows
         raise ConfigError(str(exc)) from exc
     if sc == "simulate" and lam is not None and lam.weight() == 0:
@@ -206,7 +208,7 @@ def _memory_needs(cfg: RunConfig, lam: Partition | None) -> dict[str, int]:
         rows, cols = ((cfg.size, cfg.size) if cfg.subcommand == "triangular"
                       else (cfg.r * cfg.dilation,) * 2 if lam is None  # staircase(r) is r by r
                       else (lam.length() * cfg.dilation, lam.parts[0] * cfg.dilation))
-        needs["one replica's matrices"] = ((16 if cfg.entries == "complex-gaussian" else 8)
+        needs["one replica's matrices"] = (EntryDistribution(cfg.entries).itemsize
                                            * (rows * cols + 2 * rows * rows))
         needs["pooled eigenvalues"] = cfg.replicas * (EIG_BYTES * rows + REPLICA_BYTES)
         needs["moment rows"] = (cfg.kmax + 1) * ORDER_BYTES
@@ -227,7 +229,7 @@ def _window(values: np.ndarray, cfg: RunConfig, edge: float | None,
         edge = top if (top := float(values.max())) > 0 else float(mean)
     hist = histogram(values, cfg.bins, tuple(cfg.range or (0.0, 1.05 * edge)))
     return ({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(hist).items()},
-            0.5 * (hist.edges[:-1] + hist.edges[1:]))
+            0.5 * hist.edges[:-1] + 0.5 * hist.edges[1:])  # no sum of two ends overflows
 
 
 def _ensemble(cfg: RunConfig, shape: Partition, scale: int, edge: float | None,
@@ -382,7 +384,7 @@ def _run_sample_law(cfg: RunConfig) -> dict:
     edge = float(support_edge(r))
     hist, mids = _window(draws, cfg, edge)
     dens, dens_err = np.zeros_like(mids), np.zeros_like(mids)
-    inside = mids < edge
+    inside = (mids > 0) & (mids < edge)
     dens[inside], dens_err[inside] = density_with_error(r, mids[inside])
     return {
         "r": r,

@@ -274,9 +274,15 @@ class DensityGrid:
     cdf_values: np.ndarray
 
     def moment(self, k: int) -> float:
-        """k-th moment of the law, a Gauss-Legendre sum in the edge angle."""
+        """k-th moment of the law, a Gauss-Legendre sum in the edge angle; OutsideDomainError
+        names k where the sum leaves the float range."""
         log_x, mass = _mass_nodes(self.r)
-        return float(np.sum(mass * np.exp(k * log_x)))
+        with np.errstate(over="ignore"):
+            value = float(np.sum(mass * np.exp(k * log_x)))
+        if not math.isfinite(value):
+            raise OutsideDomainError(f"grid moment k = {k} of the r = {self.r} law exceeds the "
+                                     "float range")
+        return value
 
     def integral(self) -> float:
         return self.moment(0)
@@ -307,7 +313,8 @@ def density_grid(r: int, n: int = 768, tol: float | None = None) -> DensityGrid:
     fs, errs, cdf = _law(r, _cdf_knots(xs))
     fs, errs = fs[-xs.size:], errs[-xs.size:]
     if tol is not None:
-        over = np.flatnonzero(errs > tol * np.maximum(1.0, np.abs(fs)))
+        with np.errstate(over="ignore"):  # a bound past the float range is inf, which no error exceeds
+            over = np.flatnonzero(errs > tol * np.maximum(1.0, np.abs(fs)))
         if over.size:
             i = over[0]
             raise ToleranceNotMetError(
@@ -400,14 +407,18 @@ def contour_moment(r: int, k: int) -> ContourMoment:
     saddle circle |z| = 1/r, where the integrand's modulus peaks at L^k
     instead of 2^((r+1)k) on the unit circle, so no digits cancel. The
     integrand is a Laurent polynomial of degree (r+1)k, so one pass at the
-    first power of two above that degree is exact up to rounding.
+    first power of two above that degree is exact up to rounding. A sum of
+    its terms past the float range raises OutsideDomainError naming k.
     """
     if r < 1 or k < 0:
         raise InvalidOrderError(f"bad orders r={r}, k={k}")
     n = 1 << ((r + 1) * k).bit_length()
     ph = np.exp(2j * np.pi * np.arange(n) / n) / r
-    g = (ph ** (-1) * (1.0 + ph) ** (r + 1)) ** k
-    val = complex(np.mean(g) / (k + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (ph ** (-1) * (1.0 + ph) ** (r + 1)) ** k
+        val = complex(np.mean(g) / (k + 1))
+    if not np.isfinite(val):
+        raise OutsideDomainError(f"contour moment k = {k} of the r = {r} law exceeds the float range")
     return ContourMoment(value=val.real, imag_residual=abs(val.imag))
 
 

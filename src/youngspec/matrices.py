@@ -2,11 +2,13 @@
 
 Entries are i.i.d. with mean zero and unit second absolute moment; the
 diagram acts as a hard mask (exact structural zeros). The covariance
-matrix is W = X X* / N for a dilation/scale parameter N. Real entry kinds
-stay float64 throughout, so W and its spectrum are computed in real
-arithmetic; only complex-gaussian is complex128. Entries are drawn,
-truncated and masked in place, and a complex W is built BLOCK columns at a
-time, so one replica holds X, W and one BLOCK-wide slice of scratch.
+matrix is W = X X* / N for a dilation/scale parameter N. One table
+(_LAWS) states each entry kind once: its dtype, its draw and its truncated
+second moment. Real entry kinds stay float64 throughout, so W and its
+spectrum are computed in real arithmetic; only complex-gaussian is
+complex128. Entries are drawn, truncated and masked in place, and a
+complex W is built BLOCK columns at a time, so one replica holds X, W and
+one BLOCK-wide slice of scratch.
 """
 
 from __future__ import annotations
@@ -29,34 +31,44 @@ __all__ = [
     "covariance",
 ]
 
-ENTRY_KINDS = ("complex-gaussian", "real-gaussian", "rademacher", "centered-uniform")
-
 _SQRT3 = math.sqrt(3.0)
 
 BLOCK = 256  # columns per complex block product; rows per block of the Hermitian gate
 
 
-def _truncated_second_moment(kind: str, cutoff: float) -> float:
-    """E[|X|^2 1_{|X|<C}] for the unit-variance base distributions.
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    # one float buffer for both parts; bit-identical to (re + 1j * im) / sqrt(2)
+    buf = rng.standard_normal(shape)
+    z = np.empty(buf.shape, dtype=complex)
+    z.real = buf
+    z.imag = rng.standard_normal(out=buf)
+    z /= math.sqrt(2.0)
+    return z
 
-    All four kinds are symmetric about zero, so the truncated mean
-    vanishes and this is the full truncated variance.
-    """
+
+# each entry kind's dtype, draw of an array of a given shape and truncated second moment
+# E[|X|^2 1_{|X|<C}] at a cutoff 0 < C < inf
+_LAWS = {
+    # |X|^2 is Exp(1); the tail (1 + C^2) e^(-C^2) is below half an ulp of 1 from C = 7 on
+    "complex-gaussian": (np.dtype(complex), _complex_gaussian,
+                         lambda c: 1.0 - (1.0 + c * c) * math.exp(-c * c) if c < 7.0 else 1.0),
+    "real-gaussian": (np.dtype(float), lambda rng, shape: rng.standard_normal(shape),
+                      lambda c: math.erf(c / math.sqrt(2.0))
+                      - c * math.sqrt(2.0 / math.pi) * math.exp(-c * c / 2.0)),
+    "rademacher": (np.dtype(float), lambda rng, shape: 2.0 * rng.integers(0, 2, size=shape) - 1.0,
+                   lambda c: 1.0 if c > 1.0 else 0.0),
+    "centered-uniform": (np.dtype(float), lambda rng, shape: rng.uniform(-_SQRT3, _SQRT3, size=shape),
+                         lambda c: 1.0 if c >= _SQRT3 else c**3 / (3.0 * _SQRT3)),
+}
+ENTRY_KINDS = tuple(_LAWS)
+
+
+def _truncated_second_moment(kind: str, cutoff: float) -> float:
+    """The kind's E[|X|^2 1_{|X|<C}]: its truncated variance, as every kind is symmetric."""
     c = float(cutoff)
     if not 0.0 < c < math.inf:
         raise DegenerateTruncationError(f"cutoff {c} is not a positive finite number")
-    if kind == "complex-gaussian":
-        # |X|^2 is Exp(1)
-        return 1.0 - (1.0 + c * c) * math.exp(-c * c)
-    if kind == "real-gaussian":
-        return math.erf(c / math.sqrt(2.0)) - c * math.sqrt(2.0 / math.pi) * math.exp(-c * c / 2.0)
-    if kind == "rademacher":
-        return 1.0 if c > 1.0 else 0.0
-    if kind == "centered-uniform":
-        if c >= _SQRT3:
-            return 1.0
-        return c**3 / (3.0 * _SQRT3)
-    raise ValueError(f"unknown entry kind {kind!r}")
+    return _LAWS[kind][2](c)
 
 
 @dataclass(frozen=True)
@@ -75,35 +87,18 @@ class EntryDistribution:
     def __post_init__(self):
         if self.kind not in ENTRY_KINDS:
             raise ValueError(f"unknown entry kind {self.kind!r}; choose from {ENTRY_KINDS}")
-        if self.trunc is not None:
-            s2 = _truncated_second_moment(self.kind, self.trunc)
-            if s2 <= 0.0:
-                raise DegenerateTruncationError(
-                    f"truncation at {self.trunc} leaves {self.kind} with zero variance"
-                )
+        if self.trunc is not None and not _truncated_second_moment(self.kind, self.trunc) > 0.0:
+            raise DegenerateTruncationError(f"truncation at {self.trunc} leaves {self.kind} "
+                                            "with zero variance")
 
-    def _base_draw(self, rng: np.random.Generator, shape) -> np.ndarray:
-        if self.kind == "complex-gaussian":
-            # one float buffer for both parts; bit-identical to (re + 1j * im) / sqrt(2)
-            buf = rng.standard_normal(shape)
-            z = np.empty(buf.shape, dtype=complex)
-            z.real = buf
-            z.imag = rng.standard_normal(out=buf)
-            z /= math.sqrt(2.0)
-            return z
-        if self.kind == "real-gaussian":
-            return rng.standard_normal(shape)
-        if self.kind == "rademacher":
-            x = 2.0 * rng.integers(0, 2, size=shape)
-            x -= 1.0
-            return x
-        if self.kind == "centered-uniform":
-            return rng.uniform(-_SQRT3, _SQRT3, size=shape)
-        raise ValueError(self.kind)
+    @property
+    def itemsize(self) -> int:
+        """Bytes an entry takes: 16 for complex-gaussian, 8 for the real kinds."""
+        return _LAWS[self.kind][0].itemsize
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Draw an array of entries: complex128 for complex-gaussian, float64 otherwise."""
-        x = self._base_draw(rng, shape)
+        """Draw an array of entries of the kind's dtype."""
+        x = _LAWS[self.kind][1](rng, shape)
         if self.trunc is not None:
             x[np.abs(x) >= self.trunc] = 0.0
             x /= math.sqrt(_truncated_second_moment(self.kind, self.trunc))

@@ -8,8 +8,9 @@ English convention (row 1 on top, rows never longer than the row above).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import (
     EmptyPartitionError,
@@ -29,13 +30,18 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class Partition:
-    """Immutable weakly decreasing sequence of nonnegative integer parts."""
+    """Immutable weakly decreasing sequence of nonnegative integer parts.
 
-    __slots__ = ("_parts",)
+    ``parts`` may be any iterable of integers; it is stored as a tuple with
+    trailing zeros trimmed.
+    """
 
-    def __init__(self, parts: Sequence[int] = ()):
-        cleaned = [int(p) for p in parts]
+    parts: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        cleaned = [int(p) for p in self.parts]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         for p in cleaned:
@@ -44,32 +50,25 @@ class Partition:
         for a, b in zip(cleaned, cleaned[1:]):
             if a < b:
                 raise NotWeaklyDecreasingError(f"parts not weakly decreasing: {a} < {b}")
-        self._parts = tuple(cleaned)
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
+        object.__setattr__(self, "parts", tuple(cleaned))
 
     def length(self) -> int:
         """Number of nonzero parts."""
-        return len(self._parts)
+        return len(self.parts)
 
     def weight(self) -> int:
         """Sum of the parts (number of boxes)."""
-        return sum(self._parts)
+        return sum(self.parts)
 
     def part(self, i: int) -> int:
         """1-based part access; zero beyond the stored length."""
         if i < 1:
             raise IndexOutOfRangeError(f"row index {i} < 1")
-        return self._parts[i - 1] if i <= len(self._parts) else 0
+        return self.parts[i - 1] if i <= len(self.parts) else 0
 
     def conjugate(self) -> "Partition":
         """Reflect the diagram in the main diagonal."""
-        if not self._parts:
-            return Partition()
-        cols = self._parts[0]
-        return Partition(tuple(sum(1 for p in self._parts if p >= j) for j in range(1, cols + 1)))
+        return Partition([sum(p >= j for p in self.parts) for j in range(1, self.part(1) + 1)])
 
     def contains(self, other: "Partition") -> bool:
         """True iff the diagram of ``other`` fits inside this diagram."""
@@ -85,25 +84,13 @@ class Partition:
         """Replace every box by an n-by-n grid of boxes."""
         if n < 1:
             raise InvalidDilationError(f"dilation factor {n} < 1")
-        out: list[int] = []
-        for p in self._parts:
-            out.extend([n * p] * n)
-        return Partition(out)
+        return Partition([n * p for p in self.parts for _ in range(n)])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
+        return iter(self.parts)
 
     def __bool__(self) -> bool:
-        return bool(self._parts)
-
-    def __repr__(self) -> str:
-        return f"Partition{self._parts}"
+        return bool(self.parts)
 
 
 def staircase(r: int) -> Partition:

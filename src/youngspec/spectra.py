@@ -218,10 +218,14 @@ def histogram(values, bins: int, value_range: tuple[float, float]) -> Histogram:
     counts, _ = np.histogram(vals, bins=edges)
     below = int(np.sum(vals < lo))
     above = int(np.sum(vals > hi))
-    scaled_widths = max(total, 1) * np.diff(edges)
+    n, widths = max(total, 1), np.diff(edges)
     # a count in a bin under 1 / float max wide has a density beyond the float range: inf
     with np.errstate(over="ignore"):
+        scaled_widths = n * widths
         density = counts / scaled_widths  # all 0 for no values
+    # where n * width overflows the density may still be a float: divide twice there
+    wide = np.isinf(scaled_widths)
+    density[wide] = counts[wide] / n / widths[wide]
     return Histogram(edges=edges, counts=counts.astype(float), density=density,
                      below=below, above=above, total=total)
 

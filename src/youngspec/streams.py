@@ -2,7 +2,9 @@
 
 Replica substreams are keyed by (master seed, replica index) through a
 counter-based Philox generator, so serial and parallel ensemble runs
-draw identical numbers regardless of scheduling order.
+draw identical numbers regardless of scheduling order. The key is the
+pair as given: a seed or index outside [0, 2^64) is refused, never
+reduced, so no two pairs share a stream.
 """
 
 from __future__ import annotations
@@ -12,14 +14,10 @@ from numpy.random import Generator, Philox
 
 __all__ = ["substream"]
 
-_MASK64 = (1 << 64) - 1
-
 
 def substream(seed: int, index: int = 0) -> Generator:
     """Independent generator for replica ``index`` under master ``seed``."""
-    if seed < 0:
-        raise ValueError(f"seed {seed} < 0")
-    if index < 0:
-        raise ValueError(f"substream index {index} < 0")
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    for name, value in (("seed", seed), ("substream index", index)):
+        if not 0 <= value < 1 << 64:
+            raise ValueError(f"{name} {value} is outside [0, 2^64)")
+    return Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))

@@ -256,12 +256,41 @@ def test_config_file_loses_to_abbreviated_flag(tmp_path, capsys):
     # hi - lo is one ulp, below what 64 bins can split
     ["simulate", "--r", "1", "--dilation", "1", "--replicas", "1", "--seed", "1",
      "--range=1,1.0000000000000002"],
+    ["trees", "--r", "2", "--vertices", "3", "--out", "no-such-dir/out.json"],
+    # Philox takes a 64-bit key: a larger seed is refused, not reduced to one that is taken
+    ["sample-law", "--r", "1", "--samples", "5", "--seed", str(1 << 64), "--bins", "2"],
 ], ids=["negative-part", "empty-shape", "degenerate-truncation", "missing-config-file",
-        "infinite-truncation", "infinite-range", "infinite-range-width", "unsplittable-range"])
+        "infinite-truncation", "infinite-range", "infinite-range-width", "unsplittable-range",
+        "unwritable-out", "seed-past-64-bits"])
 def test_bad_input_is_validation_error(argv, capsys):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_largest_seed_still_runs(capsys):
+    code, out = run_cli(["sample-law", "--r", "1", "--samples", "5", "--seed", str((1 << 64) - 1),
+                         "--bins", "2"], capsys)
+    assert code == 0 and json.loads(out)["provenance"]["substreams"] == [[(1 << 64) - 1, 0]]
+
+
+@pytest.mark.parametrize("stored, wanted", [
+    ([1], "config file must hold a JSON object"),
+    ({"subcommand": "law"}, "config file is for 'law', not 'trees'"),
+    ({"r": 2, "colour": 3}, "unknown config key 'colour'"),
+], ids=["not-an-object", "other-subcommand", "unknown-key"])
+def test_config_file_refusals(stored, wanted, tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(stored))
+    code = main(["--config", str(cfg_file), "trees", "--r", "2", "--vertices", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err == f"error: {wanted}\n", err
+
+
+def test_no_subcommand_prints_help(capsys):
+    code = main([])
+    out, err = capsys.readouterr()
+    assert code == 2 and out.startswith("usage: youngspec") and err == ""
 
 
 _ENDS = st.floats(allow_nan=False)
@@ -364,6 +393,8 @@ def test_hand_built_config_is_validated():
         build_record(RunConfig(subcommand="moments", r=1, kmax=2, format="csv"))
     with pytest.raises(ConfigError, match="--tol must be a positive number"):
         build_record(RunConfig(subcommand="law", r=2, grid=16, tol=float("nan"), kmax=1))
+    with pytest.raises(ConfigError, match="unknown subcommand 'bogus'"):
+        build_record(RunConfig(subcommand="bogus"))
 
 
 def _refuse(*args, **kwargs):
@@ -516,6 +547,16 @@ def test_sample_law_midpoint_densities_are_exact(capsys):
     for i in (2, 40, 85):
         ref = limit_density(2, float(mids[i]))
         assert abs(got[i] - ref) <= 1e-12 * ref, (i, got[i], ref)
+
+
+def test_sample_law_density_only_inside_the_support():
+    # no flag sets sample-law's --range, but a hand-built config may: the midpoint 0 of
+    # (-1, 1) lies outside (0, L), where the density is 0, not an OutsideSupportError
+    rec = build_record(RunConfig(subcommand="sample-law", r=2, samples=100, seed=1, bins=4,
+                                 range=[-1.0, 7.0]))
+    res = rec["results"]
+    assert res["density_at_midpoints"][0] == 0.0
+    assert res["density_at_midpoints"][1:] == density_with_error(2, np.array([2.0, 4.0, 6.0]))[0].tolist()
 
 
 def test_console_entry_point():

@@ -376,6 +376,24 @@ def test_contour_moment_large_orders():
         assert contour_moment(r, k).value == pytest.approx(exact, rel=1e-12), (r, k)
 
 
+def test_moment_sums_past_the_float_range_name_their_order():
+    # at r = 30 the exact m_160 is finite (it overflows at k = 163), but the contour rule's
+    # 8,192 terms of modulus up to L^160 sum past the float range, and so do the grid's
+    # nodes at k = 161: each raises OutsideDomainError naming k, with no numpy warning
+    assert math.isfinite(contour_moment(30, 159).value)
+    with pytest.raises(OutsideDomainError, match="contour moment k = 160 of the r = 30 law"):
+        contour_moment(30, 160)
+    grid = density_grid(30, n=40)
+    assert math.isfinite(grid.moment(160))
+    with pytest.raises(OutsideDomainError, match="grid moment k = 161 of the r = 30 law"):
+        grid.moment(161)
+
+
+def test_density_grid_takes_a_tolerance_up_to_the_float_max():
+    # tol * max(1, |f|) overflows to inf, which no error exceeds
+    assert density_grid(2, n=100, tol=1.7e308).x.size == 100
+
+
 def test_contour_moment_imag_diagnostic():
     for r, k in ((2, 4), (3, 5), (4, 6)):
         cm = contour_moment(r, k)

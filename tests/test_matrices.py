@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from youngspec import matrices
 from youngspec.errors import DegenerateTruncationError, EmptyPartitionError
 from youngspec.matrices import (
     BLOCK,
     ENTRY_KINDS,
     EntryDistribution,
     ShapedMatrix,
+    _truncated_second_moment,
     covariance,
     sample_shaped,
 )
@@ -114,8 +118,6 @@ def test_truncated_moments_biting_cutoff():
 def test_truncated_second_moments_against_quadrature():
     from scipy.integrate import quad
 
-    from youngspec.matrices import _truncated_second_moment
-
     phi = lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
     got = _truncated_second_moment("real-gaussian", 1.5)
     want, _ = quad(lambda t: t * t * phi(t), -1.5, 1.5)
@@ -132,6 +134,38 @@ def test_truncated_second_moments_against_quadrature():
 
     assert _truncated_second_moment("rademacher", 1.5) == 1.0
     assert _truncated_second_moment("rademacher", 0.9) == 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@example(c=6.99)
+@example(c=math.nextafter(7.0, 0.0))
+@example(c=7.0)
+@example(c=1.34e154)
+@example(c=1.4e154)  # the cutoff that made complex entries NaN
+@example(c=1.7e308)
+@given(c=st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+def test_complex_gaussian_truncated_moment_is_its_closed_form_where_that_is_finite(c):
+    # 1 - (1 + C^2) e^(-C^2) is inf * 0 = NaN once C^2 overflows (C > 1.34e154); its tail is
+    # below half an ulp of 1 from C = 7 on, so the moment reads 1.0 there
+    closed_form = 1.0 - (1.0 + c * c) * math.exp(-c * c)
+    got = _truncated_second_moment("complex-gaussian", c)
+    assert got == (closed_form if math.isfinite(closed_form) else 1.0), c
+    if c >= 7.0:
+        assert got == 1.0
+
+
+def test_entry_law_refuses_a_second_moment_that_is_not_positive(monkeypatch):
+    # NaN <= 0 is false, so a NaN moment used to be admitted
+    for bad in (math.nan, 0.0, -1e-17):
+        monkeypatch.setattr(matrices, "_truncated_second_moment", lambda kind, c, bad=bad: bad)
+        with pytest.raises(DegenerateTruncationError, match="zero variance"):
+            EntryDistribution("complex-gaussian", 2.0)
+
+
+def test_entry_itemsize_is_the_drawn_dtype():
+    for kind in ENTRY_KINDS:
+        dist = EntryDistribution(kind)
+        assert dist.itemsize == dist.sample(substream(3, 0), (2, 2)).itemsize, kind
 
 
 def test_all_kinds_unit_variance():
@@ -230,8 +264,6 @@ def test_real_spectrum_matches_complex_arithmetic():
 
 def _one_shot_draw(kind, trunc, rng, lam):
     """The entries by whole-array formulas, a new array per step: the reference for in-place sampling."""
-    from youngspec.matrices import _truncated_second_moment
-
     shape = (lam.length(), lam.parts[0])
     if kind == "complex-gaussian":
         re = rng.standard_normal(shape)

@@ -360,6 +360,17 @@ def test_histogram_overflow_and_empty():
         histogram([1.0], 0, (0.0, 1.0))
 
 
+def test_histogram_density_of_a_bin_wider_than_float_max_over_its_count():
+    # 2 * 1.7e308 overflows, but the density 2 / (2 * 1.7e308) is a (subnormal) float
+    h = histogram([0.5, 1.0], 1, (0.0, 1.7e308))
+    assert h.density.tolist() == [2 / 2 / 1.7e308] and h.density[0] > 0
+    h = histogram([-1.0, 1.0, 2.0, 3.0], 2, (-1e308, 3.1))
+    assert h.counts.tolist() == [0.0, 4.0] and h.density[1] == 4 / 4 / np.diff(h.edges)[1]
+    # where total * width is finite the density is counts / (total * width), bit for bit
+    h = histogram([1, 1, 3], 2, (0.0, 4.0))
+    assert h.density.tolist() == [2 / (3 * 2.0), 1 / (3 * 2.0)]
+
+
 @pytest.mark.parametrize("bins, value_range", [
     (4, (-math.inf, math.inf)), (4, (0.0, math.inf)), (4, (math.nan, 1.0)),
     (4, (-1e308, 1e308)),  # hi - lo overflows

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from youngspec.streams import substream
 
@@ -21,3 +22,14 @@ def test_substream_rejects_negative():
         substream(-1, 0)
     with pytest.raises(ValueError):
         substream(1, -2)
+
+
+def test_substream_keys_philox_with_the_pair_as_given():
+    # the largest key still runs; one past it is refused, where it used to be masked to 0
+    top = (1 << 64) - 1
+    want = Generator(Philox(key=np.array([top, top], dtype=np.uint64))).standard_normal(4)
+    assert np.array_equal(substream(top, top).standard_normal(4), want)
+    with pytest.raises(ValueError, match="seed 18446744073709551616 is outside"):
+        substream(1 << 64, 0)
+    with pytest.raises(ValueError, match="substream index 18446744073709551617 is outside"):
+        substream(0, (1 << 64) + 1)
