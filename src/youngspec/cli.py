@@ -79,19 +79,21 @@ _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 # bytes a run may hold in its largest arrays, summed over its parts: one
 # replica's X, W and product scratch, the pooled spectra with their step CDF
-# and Levy graphs, the moment rows (no table of replica moments is held),
-# sample-law's draws likewise, a histogram's or a density grid's arrays with
-# their JSON text, and a shape's rendered diagram
+# and its distances' blocks, the moment rows (no table of replica moments is
+# held), sample-law's draws likewise, a histogram's or a density grid's arrays
+# with their JSON text, and a shape's rendered diagram
 MEMORY_BUDGET = 4 << 30
-# traced peak bytes a sample (1e5 to 4e5, r = 1 to 3), a bin (1e5 to 4e5,
-# triangular the largest), a law grid point (2e4 to 8e4, r = 1, 2, 4), a pooled
-# eigenvalue plus a replica (82 to 93 an eigenvalue at dim 20 to 200, 409 to
-# 414 a replica at dim 1, 4,000 replicas), a moment order (row and JSON: 980 to
-# 990 simulate, 1,190 to 1,210 triangular, kmax 100 to 2e4) and a diagram box
-# (shape, 1.4e5 to 1.3e6 boxes: 14.1 to 14.5), by tracemalloc over build_record
-# and render_output
-SAMPLE_BYTES, BIN_BYTES, GRID_BYTES = 80, 520, 740
-EIG_BYTES, REPLICA_BYTES, ORDER_BYTES, BOX_BYTES = 105, 310, 1200, 15
+# traced peak bytes a sample (28.2 at 2e5, r = 1 to 3: 24 of draws, sorted
+# atoms and counts, the rest one block of 2^14 knots of a distance; 25.0 at
+# 1e6), a bin (1e5 to 4e5, triangular the largest), a law grid point (2e4 to
+# 8e4, r = 1, 2, 4), a pooled eigenvalue plus a replica (74 to 83 an
+# eigenvalue at dim 20 to 200, 409 to 414 a replica at dim 1, 4,000
+# replicas), a moment order (row and JSON: 980 to 990 simulate, 1,190 to
+# 1,210 triangular, kmax 100 to 2e4) and a diagram box (shape, 1.4e5 to
+# 1.3e6 boxes: 14.1 to 14.5), by tracemalloc over build_record and
+# render_output
+SAMPLE_BYTES, BIN_BYTES, GRID_BYTES = 29, 520, 740
+EIG_BYTES, REPLICA_BYTES, ORDER_BYTES, BOX_BYTES = 97, 310, 1200, 15
 _UNIT_BYTES = {"samples": (SAMPLE_BYTES, "draws"), "bins": (BIN_BYTES, "histogram bins"),
                "grid": (GRID_BYTES, "grid points")}
 

@@ -370,17 +370,32 @@ def stieltjes(r: int, z: complex, tol: float = 1e-12) -> complex:
 # -- Beta-product representation -------------------------------------------
 
 
+# (r, k, prod_j prod_{i<k} (a_j + i)/(c_j + i)) of the last beta_product_moment call: a
+# memo of exact values, so no call's result depends on the calls before it
+_beta_run = (1, 0, Fraction(1))
+
+
 def beta_product_moment(r: int, k: int) -> Fraction:
-    """Exact k-th moment of U(0, L) * prod Beta(j/(r+1), j/(r(r+1)))."""
+    """Exact k-th moment of U(0, L) * prod Beta(j/(r+1), j/(r(r+1))).
+
+    E[Beta(a, b)^k] = prod_{i<k} (a + i)/(a + b + i). The product over the
+    r factors is carried on from the last call's order when r is the same
+    and k no lower, so ascending orders cost r integer products each.
+    """
+    global _beta_run
     if k < 0:
         raise InvalidOrderError(f"order {k} < 0")
-    val = support_edge(r) ** k / (k + 1)
-    for j in range(1, r + 1):
-        aj = Fraction(j, r + 1)
-        cj = Fraction(j, r)  # = a_j + b_j
-        for i in range(k):
-            val *= (aj + i) / (cj + i)
-    return val
+    run_r, done, prod = _beta_run
+    if run_r != r or done > k:
+        done, prod = 0, Fraction(1)
+    for i in range(done, k):
+        num = den = 1
+        for j in range(1, r + 1):  # a_j + i = (j + (r+1) i)/(r+1), c_j + i = (j + r i)/r
+            num *= j + (r + 1) * i
+            den *= j + r * i
+        prod *= Fraction(num * r**r, den * (r + 1) ** r)
+    _beta_run = (r, k, prod)
+    return support_edge(r) ** k / (k + 1) * prod
 
 
 def beta_product_samples(r: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,12 +2,16 @@
 
 Distance computations work on a small CDF protocol: objects exposing
 ``eval`` / ``eval_left`` (vectorized, right-continuous values and left
-limits, as new arrays) and ``knots`` (the jump or grid abscissae with the
-values and left limits there, bit for bit those of ``eval`` and
-``eval_left``; between knots a CDF is constant or linear). The completed
-graph, jumps filled in by vertical segments, is derived from the knots.
-Step CDFs come from spectra and the limit law supplies a piecewise-linear
-grid CDF. An ensemble's spectra are one float64 array, a row a replica:
+limits, as new arrays), ``sides`` (both at once), ``len`` (the number of
+knots) and ``knots(start, stop)`` (the jump or grid abscissae indexed start
+to stop - 1 with the values and left limits there, bit for bit those of
+``eval`` and ``eval_left``; between knots a CDF is constant or linear). The
+completed graph, jumps filled in by vertical segments, is derived from the
+knots. The Levy and KS distances walk the larger CDF's knots in blocks of
+2^14 and evaluate the other CDF once at each knot, so beside the two CDFs
+they hold one block's arrays and the smaller CDF's graph. A step CDF of n
+values holds 16 bytes a value, built with one sort of a copy. Step CDFs come
+from spectra and the limit law supplies a piecewise-linear grid CDF. An ensemble's spectra are one float64 array, a row a replica:
 ``ravel()`` pools them without a copy, and ``spectra_moments`` takes an
 order's moments of all replicas in one mean over the rows.
 """
@@ -75,14 +79,32 @@ def eigenvalues(w: CovarianceMatrix) -> Spectrum:
 
 
 class StepCDF:
-    """Right-continuous step CDF with jump 1/n at each atom (with multiplicity)."""
+    """Right-continuous step CDF with jump 1/n at each atom (with multiplicity).
+
+    It holds its sorted distinct atoms and the counts of values below each
+    atom and of all of them; a NaN value raises OutsideDomainError.
+    """
 
     def __init__(self, values):
-        self.atoms, self.multiplicities = np.unique(np.asarray(values, dtype=float),
-                                                    return_counts=True)
-        # counts of values <= each atom; a leading 0 for points below the first
-        self._at_most = np.concatenate([[0], np.cumsum(self.multiplicities)])
-        self._n = int(self._at_most[-1])
+        ordered = np.sort(np.asarray(values, dtype=float), axis=None)  # a copy, as np.unique sorts
+        if ordered.size and np.isnan(ordered[-1]):  # NaNs sort last
+            raise OutsideDomainError("a step CDF's values must not be NaN")
+        # each run of equal values starts where it differs from its predecessor,
+        # so the run keeps its first element as np.unique does, -0.0 or 0.0
+        starts = np.ones(ordered.size + 1, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:-1])
+        # counts of values below each atom, then of all of them
+        self._at_most = np.flatnonzero(starts)
+        # with no ties the sorted copy is the atoms
+        self.atoms = ordered if len(self._at_most) > ordered.size else ordered[self._at_most[:-1]]
+        self._n = ordered.size
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        return np.diff(self._at_most)
+
+    def __len__(self) -> int:
+        return len(self.atoms)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
@@ -92,10 +114,14 @@ class StepCDF:
         x = np.asarray(x, dtype=float)
         return self._at_most[np.searchsorted(self.atoms, x, side="left")] / self._n
 
-    def knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The atoms, the CDF at them and its left limits there."""
-        counts = self._at_most / self._n
-        return self.atoms, counts[1:], counts[:-1]
+    def sides(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``eval`` and ``eval_left`` at x."""
+        return self.eval(x), self.eval_left(x)
+
+    def knots(self, start: int = 0, stop: int | None = None):
+        """The atoms indexed start..stop-1, the CDF at them and its left limits there."""
+        counts = self._at_most[start:len(self) + 1 if stop is None else stop + 1] / self._n
+        return self.atoms[start:stop], counts[1:], counts[:-1]
 
 
 class GridCDF:
@@ -121,23 +147,38 @@ class GridCDF:
         self.xs = xs
         self.fs = np.maximum.accumulate(fs)
 
+    def __len__(self) -> int:
+        return len(self.xs)
+
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         return np.interp(x, self.xs, self.fs, left=0.0, right=self.fs[-1])
 
     def eval_left(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > self.xs[0], self.eval(x), 0.0)
+        return self.sides(x)[1]
 
-    def knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The grid, with the CDF and its left limits there (0 at ``xs[0]``)."""
-        return self.xs, self.fs, np.concatenate([[0.0], self.fs[1:]])
+    def sides(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``eval`` and ``eval_left`` at x, from one interpolation."""
+        at = self.eval(x)
+        return at, np.where(np.asarray(x, dtype=float) > self.xs[0], at, 0.0)
+
+    def knots(self, start: int = 0, stop: int | None = None):
+        """The grid points indexed start..stop-1, with the CDF and its left limits there
+        (0 at ``xs[0]``)."""
+        at = self.fs[start:stop]
+        return self.xs[start:stop], at, np.concatenate([[0.0], at[1:]]) if start == 0 else at
+
+
+# knots of the larger CDF that a distance walks at a time: beside the CDFs' own
+# arrays and the smaller CDF's graph, it builds arrays of one block's vertices
+# (two a knot) at most; smaller blocks cost more numpy calls, larger more memory
+_BLOCK = 1 << 14
 
 
 def _max_gap(own: np.ndarray, other: np.ndarray) -> float:
-    """max |own - other|, computed in place in ``other``, a new array."""
+    """max |own - other|, computed in place in ``other``, a new array; 0 for none."""
     np.subtract(other, own, out=other)
-    return np.abs(other, out=other).max()
+    return np.abs(other, out=other).max(initial=0.0)
 
 
 def _rotated_graph(pts, at, left) -> tuple[np.ndarray, np.ndarray]:
@@ -145,6 +186,29 @@ def _rotated_graph(pts, at, left) -> tuple[np.ndarray, np.ndarray]:
     y = np.column_stack([left, at]).ravel()
     x = np.repeat(pts, 2)
     return np.add(x, y, out=x), y
+
+
+def _heights(u, y, count):
+    """The graph's own heights at its first ``count`` vertices, as np.interp(u, u, y) gives
+    them: where rounding or a knot without a jump puts vertices on one u, the last one's."""
+    if np.all(u[1:] > u[:-1]):
+        return y[:count]
+    return np.interp(u[:count], u, y)
+
+
+def _levy_block(big, start: int, us, ys, small_own) -> float:
+    """The largest gap at the larger graph's vertices of the knots from ``start`` a block on
+    and at the smaller graph's (``us``, ``ys``) vertices that fall in that block."""
+    last = start + _BLOCK >= len(big)
+    # the block's knots and the next block's first: every bracket np.interp reads is here
+    ub, yb = _rotated_graph(*big.knots(start, start + _BLOCK + 1))
+    owned = len(ub) if last else len(ub) - 2
+    # own vertices on the next block's first u share its gap; that block reads their height
+    cut = owned if last else np.searchsorted(ub[:owned], ub[owned])
+    lo = np.searchsorted(us, ub[0]) if start else 0
+    hi = len(us) if last else np.searchsorted(us, ub[owned])
+    return max(_max_gap(_heights(ub, yb, cut), np.interp(ub[:cut], us, ys, left=0.0, right=ys[-1])),
+               _max_gap(small_own[lo:hi], np.interp(us[lo:hi], ub, yb, left=0.0, right=yb[-1])))
 
 
 def levy_distance(f, g) -> float:
@@ -159,30 +223,44 @@ def levy_distance(f, g) -> float:
     largest at a knot of one of them. Each knot p of a CDF gives the
     vertices (p, left limit) and (p, value), in that order; between knots
     the graph is a straight segment. At its own knots a graph's height is
-    its vertex height, so each graph's knots are interpolated into the
-    other graph only: n + m interpolations for n and m vertices, where the
-    union of knots took 2(n + m). Where rounding or a knot without a jump
-    puts two vertices of one graph on one u, np.interp gives that graph's
-    own heights, as it did on the union.
+    its vertex height, so each vertex is interpolated into the other graph
+    only, once. Where rounding or a knot without a jump puts two vertices
+    of one graph on one u, np.interp gives that graph's own heights, the
+    last such vertex's, as it did on the union of knots.
+
+    The smaller CDF's graph is built whole. The larger one's is built a
+    block of knots at a time, with the next block's first knot, so every
+    bracket np.interp reads lies in one block; a block takes the smaller
+    graph's vertices from its first u up to the next block's first u.
     """
-    (uf, yf), (ug, yg) = (_rotated_graph(*cdf.knots()) for cdf in (f, g))
+    big, small = (f, g) if len(f) >= len(g) else (g, f)
+    us, ys = _rotated_graph(*small.knots())
+    small_own = _heights(us, ys, len(us))
     gap = 0.0
-    for (u, y), (v, z) in (((uf, yf), (ug, yg)), ((ug, yg), (uf, yf))):
-        own = y if np.all(u[1:] > u[:-1]) else np.interp(u, u, y, left=0.0, right=y[-1])
-        gap = max(gap, _max_gap(own, np.interp(u, v, z, left=0.0, right=z[-1])))
+    for start in range(0, len(big), _BLOCK):  # one block's arrays at a time
+        gap = max(gap, _levy_block(big, start, us, ys, small_own))
     return float(gap)
+
+
+def _ks_gap(a, b, start: int = 0, stop: int | None = None) -> float:
+    """The largest gap, on values and on left limits, at a's knots from start to stop."""
+    pts, at, left = a.knots(start, stop)
+    b_at, b_left = b.sides(pts)
+    return max(_max_gap(at, b_at), _max_gap(left, b_left))
 
 
 def ks_distance(f, g) -> float:
     """Sup-norm distance between two CDFs, on values and left limits.
 
     The gap is largest at a knot of one of them, on one side; each CDF's
-    knots carry its own values, so only the other CDF is evaluated there.
+    knots carry its own values, so only the other CDF is evaluated there,
+    once a knot for both sides. The larger CDF's knots are read a block at
+    a time.
     """
-    gap = 0.0
-    for a, b in ((f, g), (g, f)):
-        pts, at, left = a.knots()
-        gap = max(gap, _max_gap(at, b.eval(pts)), _max_gap(left, b.eval_left(pts)))
+    big, small = (f, g) if len(f) >= len(g) else (g, f)
+    gap = _ks_gap(small, big)
+    for start in range(0, len(big), _BLOCK):
+        gap = max(gap, _ks_gap(big, small, start, start + _BLOCK))
     return float(gap)
 
 

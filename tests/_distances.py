@@ -20,14 +20,19 @@ def _graph(cdf) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([cdf.xs[:1], cdf.xs]), np.concatenate([[0.0], cdf.fs])
 
 
-def levy_union(f, g) -> float:
-    """Largest gap between the completed graphs' heights at every vertex of either."""
+def levy_union_gaps(f, g) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex u of either completed graph and the gap between their heights there."""
     (xf, yf), (xg, yg) = _graph(f), _graph(g)
     uf, ug = xf + yf, xg + yg
     u = np.concatenate([uf, ug])
     on_f = np.interp(u, uf, yf, left=0.0, right=yf[-1])
     on_g = np.interp(u, ug, yg, left=0.0, right=yg[-1])
-    return float(np.max(np.abs(on_f - on_g)))
+    return u, np.abs(on_f - on_g)
+
+
+def levy_union(f, g) -> float:
+    """Largest gap between the completed graphs' heights at every vertex of either."""
+    return float(np.max(levy_union_gaps(f, g)[1]))
 
 
 def ks_union(f, g) -> float:

@@ -644,9 +644,9 @@ def test_matrix_memory_budget_admits_its_largest_replica():
                 cli._validate(cfg)
 
 
-@pytest.mark.parametrize("samples", ["10000000000000", "53687092", "9" * 400])
+@pytest.mark.parametrize("samples", ["10000000000000", "148102321", "9" * 400])
 def test_samples_memory_budget_refuses_before_drawing(samples, capsys, monkeypatch):
-    # SAMPLE_BYTES per draw: 728 TiB, one sample over 4 GiB, and a count past the float range
+    # SAMPLE_BYTES per draw: 264 TiB, one sample over 4 GiB, and a count past the float range
     def forbidden(*args, **kwargs):
         raise AssertionError("draws before the budget check")
 
@@ -659,7 +659,7 @@ def test_samples_memory_budget_refuses_before_drawing(samples, capsys, monkeypat
 def test_refused_total_never_reads_as_the_budget(capsys, monkeypatch):
     # one draw over: the total is rounded up, so it does not read as 4 GiB
     monkeypatch.setattr(cli, "beta_product_samples", _refuse)
-    assert main(["sample-law", "--r", "2", "--samples", "53686676", "--seed", "1"]) == 2
+    assert main(["sample-law", "--r", "2", "--samples", "148101173", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sample-law needs 4.01 GiB, over the 4 GiB budget ("), err
 
@@ -667,7 +667,7 @@ def test_refused_total_never_reads_as_the_budget(capsys, monkeypatch):
 def test_samples_memory_budget_admits_its_largest_count():
     # the draws get what the 4 bins leave of the budget
     largest = (cli.MEMORY_BUDGET - 4 * cli.BIN_BYTES) // cli.SAMPLE_BYTES
-    assert largest == 53_687_065
+    assert largest == 148_102_248
     for samples, ok in ((largest, True), (largest + 1, False)):
         cfg = RunConfig(subcommand="sample-law", r=2, samples=samples, seed=1, bins=4)
         if ok:
@@ -678,10 +678,11 @@ def test_samples_memory_budget_admits_its_largest_count():
 
 
 def test_samples_memory_budget_covers_the_traced_peak():
-    # SAMPLE_BYTES bounds a run's traced peak per sample, constant part included
+    # SAMPLE_BYTES bounds a run's traced peak per sample, constant part included: the
+    # distances' blocks are a constant part, so the run spans a dozen of them
     import tracemalloc
 
-    cfg = RunConfig(subcommand="sample-law", r=2, samples=20_000, seed=1, bins=16)
+    cfg = RunConfig(subcommand="sample-law", r=2, samples=200_000, seed=1, bins=16)
     cli._run_sample_law(cfg)  # caches and imports are not per-sample
     tracemalloc.start()
     try:
@@ -899,13 +900,13 @@ def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
 
 @pytest.mark.parametrize("argv, parts", [
     # each part alone fits the 4 GiB budget; their sum does not
-    (["sample-law", "--r", "2", "--samples", "53687091", "--bins", "8259552", "--seed", "1"],
+    (["sample-law", "--r", "2", "--samples", "148102320", "--bins", "8259552", "--seed", "1"],
      ["draws 4 GiB", "histogram bins 4 GiB"]),
     (["triangular", "--size", "9000", "--replicas", "1", "--seed", "1", "--bins", "1000000"],
      ["one replica's matrices 3.62 GiB", "pooled eigenvalues", "histogram bins 0.484 GiB"]),
     # 2e9 pooled eigenvalues of 1e6 replicas at dim 2000
     (["simulate", "--r", "2", "--dilation", "1000", "--replicas", "1000000", "--seed", "1"],
-     ["one replica's matrices 0.179 GiB", "pooled eigenvalues 196 GiB"]),
+     ["one replica's matrices 0.179 GiB", "pooled eigenvalues 181 GiB"]),
     (["simulate", "--r", "1", "--dilation", "1", "--replicas", "9" * 400, "--seed", "1"],
      ["pooled eigenvalues inf GiB"]),
     # 1.4e11 glyphs of (5, 4, 4, 1) dilated 10^5 times

@@ -305,6 +305,31 @@ def test_beta_product_moment_telescopes_to_binomial():
             assert beta_product_moment(r, k) == limit_moment(r, k)
 
 
+def _beta_product_moment_factor_by_factor(r: int, k: int) -> Fraction:
+    """L^k/(k+1) times, for each Beta(a_j, b_j) factor, prod_{i<k} (a_j + i)/(a_j + b_j + i)."""
+    val = support_edge(r) ** k / (k + 1)
+    for j in range(1, r + 1):
+        aj, cj = Fraction(j, r + 1), Fraction(j, r)
+        for i in range(k):
+            val *= (aj + i) / (cj + i)
+    return val
+
+
+def test_beta_product_moment_equals_the_factor_by_factor_product():
+    # ascending orders carry the running product on; a lower order or another r starts over
+    calls = [(r, k) for r in range(1, 9) for k in range(41)]
+    calls += [(8, 40), (8, 3), (3, 17), (8, 0), (2, 40), (2, 39), (5, 40), (5, 40)]
+    for r, k in calls:
+        assert beta_product_moment(r, k) == _beta_product_moment_factor_by_factor(r, k), (r, k)
+
+
+def test_beta_product_moment_to_high_order_at_large_r():
+    # law --r 30 --kmax 159 checks every order up to 159; one rebuilt product an order
+    # took seconds there, the running product takes milliseconds
+    for k in range(160):
+        assert beta_product_moment(30, k) == limit_moment(30, k)
+
+
 def test_beta_product_parameters_positive():
     for r in range(1, 8):
         for j in range(1, r + 1):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from youngspec.matrices import (
     covariance,
     sample_shaped,
 )
+from youngspec import spectra
 from youngspec.partitions import Partition, staircase
 from youngspec.spectra import (
     GridCDF,
@@ -28,7 +30,7 @@ from youngspec.spectra import (
 )
 from youngspec.streams import substream
 
-from _distances import ks_union, levy_union
+from _distances import ks_union, levy_union, levy_union_gaps
 
 step_cdfs = st.lists(st.floats(-5, 5), min_size=1, max_size=12).map(StepCDF)
 small_steps = st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=40).map(StepCDF)
@@ -332,6 +334,135 @@ def test_ks_evaluates_each_cdf_only_at_the_other_knots(monkeypatch):
                             sizes[name].append(np.size(x)) or method(self, x))
     assert ks_distance(f, g) == want > 0
     assert sizes == {"eval": [m], "eval_left": [m]}
+
+
+# knots of the larger CDF that the distances walk at a time
+B = spectra._BLOCK
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5]), st.one_of(small_steps, tied_steps),
+       st.one_of(small_steps, tied_steps, grid_cdfs()))
+def test_distances_equal_union_references_with_small_blocks(block, f, g):
+    # blocks of a few knots put a boundary between almost every pair of knots
+    with mock.patch.object(spectra, "_BLOCK", block):
+        _assert_union_distances(f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.floats(10.0, 18.0),
+       st.lists(st.integers(0, 30), min_size=1, max_size=40),
+       st.lists(st.integers(0, 30), min_size=1, max_size=40))
+def test_merged_vertices_equal_union_references_with_small_blocks(block, exp10, ticks, ticks2):
+    base = 10.0 ** exp10
+    f = StepCDF(base * (1.0 + 1e-15 * np.array(ticks, dtype=float)))
+    g = StepCDF(base * (1.0 + 1e-15 * np.array(ticks2, dtype=float)))
+    with mock.patch.object(spectra, "_BLOCK", block):
+        _assert_union_distances(f, g)
+
+
+def _lattice(knots: int, heavy: int, copies: int) -> np.ndarray:
+    """Values on the lattice (k + 1/2)/knots, the atom at index ``heavy`` taken ``copies``
+    times: the step is furthest from the uniform law at that atom."""
+    atoms = (np.arange(knots) + 0.5) / knots
+    return substream(23, knots).permutation(np.concatenate([atoms, np.full(copies - 1, atoms[heavy])]))
+
+
+def _assert_gap_only_at_knot(big, k, small):
+    # the largest gap is attained only at u from the (k, left) vertex of the larger CDF
+    # up to its (k + 1, left) vertex: only the knot k, which ends the first block, and
+    # the smaller graph's vertices between them carry it
+    u, gaps = levy_union_gaps(big, small)
+    at = u[gaps == gaps.max()]
+    span = spectra._rotated_graph(*big.knots(k, k + 2))[0]
+    assert span[0] <= at.min() and at.max() < span[2], (at, span)
+
+
+_UNIFORM = GridCDF(np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 101))
+
+
+@pytest.mark.parametrize("knots", [2 * B - 1, 2 * B, 2 * B + 1])
+def test_distances_at_block_multiples_equal_union_references(knots):
+    # a run of 500 tied values on the first block's last knot
+    f = StepCDF(_lattice(knots, B - 1, 500))
+    assert len(f) == knots
+    _assert_gap_only_at_knot(f, B - 1, _UNIFORM)
+    _assert_union_distances(f, _UNIFORM)
+
+
+def test_tied_run_across_a_block_boundary_step_vs_step():
+    # both steps are longer than a block; the run of 700 tied values on the first
+    # block's last knot spans a block's length of sorted positions
+    f = StepCDF(_lattice(B + B // 4, B - 1, 700))
+    g = StepCDF(substream(37, 2).uniform(0.0, 1.0, B + 3))
+    assert len(f) > len(g) > B
+    _assert_gap_only_at_knot(f, B - 1, g)
+    _assert_union_distances(f, g)
+
+
+def test_vertices_merged_across_a_block_boundary_equal_union_references():
+    # consecutive floats from just below 2^40 (about 1.1e12): past 2^40 the float
+    # spacing doubles, and the top vertex of the first block's last knot, a run of 350
+    # tied values, rounds onto the u of both vertices of the next block's first knot
+    start = np.float64(2.0**40 - (B + 1) * 2.0**-13)
+    atoms = (start.view(np.int64) + np.arange(B + B // 4)).view(np.float64)
+    f = StepCDF(np.concatenate([atoms, np.full(349, atoms[B - 1])]))
+    u = spectra._rotated_graph(*f.knots(B - 1, B + 1))[0]
+    assert u[0] < u[1] == u[2] == u[3]
+    _assert_union_distances(f, StepCDF(atoms[::7]))
+    _assert_union_distances(f, GridCDF(atoms[::64], np.linspace(0.0, 1.0, len(atoms[::64]))))
+
+
+def test_grid_longer_than_a_block_equal_union_references():
+    # the grid is walked in blocks; the step's top vertex, where the gap is largest,
+    # falls between the u of the grid's knots B - 1 and B
+    xs = np.linspace(0.0, 1.0, 2 * B + 1)
+    g = GridCDF(xs, xs)
+    f = StepCDF([-0.5 / B] * 3)
+    _assert_gap_only_at_knot(g, B - 1, f)
+    _assert_union_distances(f, g)
+
+
+def test_step_cdf_atoms_and_counts_are_np_unique_bit_for_bit():
+    rng = substream(29, 0)
+    zeros = rng.choice([-0.0, 0.0], 3000)
+    for values in ([0.0, -0.0, 1.0, -0.0, 0.0, -1.0], [-0.0], [0.0, -0.0], zeros,
+                   np.concatenate([zeros, rng.integers(-3, 4, 3000) / 2.0]),
+                   rng.standard_normal(5000), rng.integers(0, 50, 70_000) / 7.0):
+        f = StepCDF(values)
+        atoms, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
+        assert f.atoms.tobytes() == atoms.tobytes()
+        assert f.multiplicities.dtype == counts.dtype
+        assert f.multiplicities.tobytes() == counts.tobytes()
+
+
+@pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan, 0.5], [np.nan, np.nan]])
+def test_step_cdf_refuses_nan(values):
+    # np.unique would fold the NaNs into one atom past every other
+    with pytest.raises(OutsideDomainError, match="NaN"):
+        StepCDF(values)
+
+
+def test_distances_traced_memory_is_bounded_per_sample():
+    # StepCDF holds 16 bytes a sample (atoms and counts) and builds a run mask of 1;
+    # the distances build one block's arrays at a time, never one a sample: at
+    # four blocks and one knot the whole layer stays within 30 bytes a sample
+    # (the union of knots took 72)
+    import tracemalloc
+
+    n = 4 * B + 1
+    values = substream(31, 0).uniform(0.0, 1.0, n)
+    grid = GridCDF(np.linspace(0.0, 1.0, 512), np.linspace(0.0, 1.0, 512) ** 2)
+    ks_distance(StepCDF(values[:100]), grid)  # first-call allocations are not per sample
+    tracemalloc.start()
+    try:
+        f = StepCDF(values)
+        levy_distance(f, grid)
+        ks_distance(f, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * n, peak / n
 
 
 def test_grid_cdf_eval():
