@@ -11,9 +11,10 @@ knots. The Levy and KS distances walk the larger CDF's knots in blocks of
 2^14 and evaluate the other CDF once at each knot, so beside the two CDFs
 they hold one block's arrays and the smaller CDF's graph. A step CDF of n
 values holds 16 bytes a value, built with one sort of a copy. Step CDFs come
-from spectra and the limit law supplies a piecewise-linear grid CDF. An ensemble's spectra are one float64 array, a row a replica:
-``ravel()`` pools them without a copy, and ``spectra_moments`` takes an
-order's moments of all replicas in one mean over the rows.
+from spectra and the limit law supplies a piecewise-linear grid CDF. An
+ensemble's spectra are one float64 array, a row a replica: ``ravel()`` pools
+them without a copy, and ``spectra_moments`` takes an order's moments of all
+replicas in one mean over the rows.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class StepCDF:
 
     def knots(self, start: int = 0, stop: int | None = None):
         """The atoms indexed start..stop-1, the CDF at them and its left limits there."""
-        counts = self._at_most[start:len(self) + 1 if stop is None else stop + 1] / self._n
+        counts = self._at_most[start:None if stop is None else stop + 1] / self._n
         return self.atoms[start:stop], counts[1:], counts[:-1]
 
 
