@@ -9,7 +9,8 @@ A run calls ``perfbench/run.py --workload W --seed S --seconds T`` once per
 workload and seed, each in a fresh process, and reads the JSON object on
 its last line. The summary file holds the checkout's git revision, the
 machine (platform, CPU model, CPUs this process may use), the Python,
-numpy, scipy and OpenBLAS versions, and for each workload and end-to-end
+numpy, scipy and OpenBLAS versions, OpenBLAS's thread count (null where
+numpy is not built on scipy-openblas), and for each workload and end-to-end
 metric the median, first and third quartiles and count over the seeds,
 beside the raw values and how many runs passed their checks.
 
@@ -27,6 +28,7 @@ one a seed, in which B reads better (BENCHMARK.json gives the direction).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -36,13 +38,22 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 WORKLOADS = ("ensemble-r2", "law-r4", "sample-law-r2", "triangular")
 
 
 def machine() -> dict:
-    """Platform, CPU model and usable CPUs, and the interpreter's library versions."""
+    """Platform, CPU model and usable CPUs, the interpreter's library versions and the number
+    of threads numpy's OpenBLAS runs, which the perfbench jobs inherit."""
     import numpy as np
     import scipy
+
+    from youngspec.spectra import _openblas
+
+    lib = _openblas()
+    threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if threads is not None:
+        threads.restype, threads.argtypes = ctypes.c_int, ()
 
     cpuinfo = Path("/proc/cpuinfo")
     lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
@@ -51,7 +62,8 @@ def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"platform": platform.platform(), "cpu_model": model, "cpus": len(os.sched_getaffinity(0)),
             "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": threads() if threads is not None else None}
 
 
 def git_rev(checkout: Path) -> str | None:

@@ -42,7 +42,7 @@ from .errors import (ConfigError, InsufficientPointsError, InvalidRangeError, Ou
 from .limitlaw import (beta_product_moment, beta_product_samples, cdf_grid, contour_moment,
                        density_grid, density_with_error, dh_cdf, dh_density, edge_exponent_fit,
                        support_edge)
-from .matrices import ENTRY_KINDS, EntryDistribution
+from .matrices import BLOCK, CHUNK, ENTRY_KINDS, EntryDistribution
 from .partitions import Partition, balance_ratio, render, staircase
 from .spectra import (StepCDF, histogram, histogram_edges, ks_distance, levy_distance,
                       shape_ensemble_spectra, spectra_moments)
@@ -78,22 +78,25 @@ class RunConfig:
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 # bytes a run may hold in its largest arrays, summed over its parts: one
-# replica's X, W and product scratch, the pooled spectra with their step CDF
-# and its distances' blocks, the moment rows (no table of replica moments is
-# held), sample-law's draws likewise, a histogram's or a density grid's arrays
-# with their JSON text, and a shape's rendered diagram
+# replica's X, W and row-block or draw scratch, the pooled spectra with their
+# step CDF and its distances' blocks, the moment rows (no table of replica
+# moments is held), sample-law's draws likewise and one block of their
+# distances' walk, a histogram's or a density grid's arrays with their JSON
+# text, and a shape's rendered diagram
 MEMORY_BUDGET = 4 << 30
 # traced peak bytes a sample (28.2 at 2e5, r = 1 to 3: 24 of draws, sorted
 # atoms and counts, the rest one block of 2^14 knots of a distance; 25.0 at
-# 1e6), a bin (1e5 to 4e5, triangular the largest), a law grid point (2e4 to
-# 8e4, r = 1, 2, 4), a pooled eigenvalue plus a replica (74 to 83 an
-# eigenvalue at dim 20 to 200, 409 to 414 a replica at dim 1, 4,000
-# replicas), a moment order (row and JSON: 980 to 990 simulate, 1,190 to
-# 1,210 triangular, kmax 100 to 2e4) and a diagram box (shape, 1.4e5 to
-# 1.3e6 boxes: 14.1 to 14.5), by tracemalloc over build_record and
-# render_output
-SAMPLE_BYTES, BIN_BYTES, GRID_BYTES = 29, 520, 740
-EIG_BYTES, REPLICA_BYTES, ORDER_BYTES, BOX_BYTES = 97, 310, 1200, 15
+# 1e6), of the distances' walk beside them (WALK_BYTES: up to 1.01e6 above 29
+# a sample, 1.6e4 to 3e4 samples, r = 1 to 20), a bin (1e3 to 8e3: 665 to 671
+# sample-law, 520 to 530 triangular, 378 to 384 simulate), a law grid point
+# (2e4 to 8e4, r = 1, 2, 4), a pooled eigenvalue plus a replica (456 a
+# replica at dim 1, 2,000 to 4,000 replicas; 67 to 76 an eigenvalue,
+# replica included, triangular at dim 20 to 200, 8 to 16 simulate), a moment
+# order (row and JSON: 947 to 989 simulate, kmax 100 to 2e4; 1,112 to 1,335
+# triangular, kmax 50 to 300) and a diagram box (shape, 1.4e5 to 1.3e6
+# boxes: 14.1 to 14.5), by tracemalloc over build_record and render_output
+SAMPLE_BYTES, BIN_BYTES, GRID_BYTES, WALK_BYTES = 29, 680, 740, 1_100_000
+EIG_BYTES, REPLICA_BYTES, ORDER_BYTES, BOX_BYTES = 78, 390, 1350, 15
 _UNIT_BYTES = {"samples": (SAMPLE_BYTES, "draws"), "bins": (BIN_BYTES, "histogram bins"),
                "grid": (GRID_BYTES, "grid points")}
 
@@ -210,10 +213,16 @@ def _memory_needs(cfg: RunConfig, lam: Partition | None) -> dict[str, int]:
         rows, cols = ((cfg.size, cfg.size) if cfg.subcommand == "triangular"
                       else (cfg.r * cfg.dilation,) * 2 if lam is None  # staircase(r) is r by r
                       else (lam.length() * cfg.dilation, lam.parts[0] * cfg.dilation))
-        needs["one replica's matrices"] = (EntryDistribution(cfg.entries).itemsize
-                                           * (rows * cols + 2 * rows * rows))
+        # a replica peaks drawing X (a chunk's |X| and mask), in the product (X, W and the
+        # conjugate of BLOCK rows of X) or in the Hermitian gate (W and three BLOCK-row blocks)
+        item, block = EntryDistribution(cfg.entries).itemsize, min(BLOCK, rows)
+        x, w = item * rows * cols, item * rows * rows
+        needs["one replica's matrices"] = max(x + 9 * min(rows * cols, CHUNK), x + w + item * block * cols,
+                                              w + 3 * item * block * rows)
         needs["pooled eigenvalues"] = cfg.replicas * (EIG_BYTES * rows + REPLICA_BYTES)
         needs["moment rows"] = (cfg.kmax + 1) * ORDER_BYTES
+    if cfg.subcommand == "sample-law":
+        needs["distances' block"] = WALK_BYTES
     if cfg.subcommand == "shape":
         needs["diagram boxes"] = BOX_BYTES * lam.weight() * (cfg.dilation or 1) ** 2
     for name, (unit, what) in _UNIT_BYTES.items():
@@ -408,11 +417,10 @@ def _run_triangular(cfg: RunConfig) -> dict:
     # is reached at lo, at hi or on either side of the jump at an atom in (lo, hi]
     lo, hi = 0.2, 2.5
     ecdf = StepCDF(pooled)
-    atoms, at, below = ecdf.knots()
-    inside = (atoms > lo) & (atoms <= hi)
-    fs = dh_cdf(np.concatenate([[lo, hi], atoms[inside]]))
-    sup = float(np.max(np.abs(np.concatenate([ecdf.eval([lo, hi]), at[inside], below[inside]])
-                              - np.concatenate([fs, fs[2:]]))))
+    atoms, at, below = ecdf.knots(*np.searchsorted(ecdf.atoms, (lo, hi), side="right"))
+    fs = dh_cdf(atoms)
+    sup = float(max(np.max(np.abs(ecdf.eval([lo, hi]) - dh_cdf([lo, hi]))),
+                    np.max(np.abs(at - fs), initial=0.0), np.max(np.abs(below - fs), initial=0.0)))
     return {
         "size": cfg.size,
         "replicas": cfg.replicas,

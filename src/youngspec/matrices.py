@@ -6,9 +6,10 @@ matrix is W = X X* / N for a dilation/scale parameter N. One table
 (_LAWS) states each entry kind once: its dtype, its draw and its truncated
 second moment. Real entry kinds stay float64 throughout, so W and its
 spectrum are computed in real arithmetic; only complex-gaussian is
-complex128. Entries are drawn, truncated and masked in place, and a
-complex W is built BLOCK columns at a time, so one replica holds X, W and
-one BLOCK-wide slice of scratch.
+complex128. Entries are drawn, truncated and masked in place, 2^16 at a
+time where a draw or a truncation needs scratch, and a complex W is built
+BLOCK columns at a time. So one replica holds X, W and scratch of BLOCK
+rows, and spectra.eigenvalues then solves W in its own buffer.
 """
 
 from __future__ import annotations
@@ -33,17 +34,35 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 
-BLOCK = 256  # columns per complex block product; rows per block of the Hermitian gate
+BLOCK = 64  # columns per complex block product; rows per block of the Hermitian gate
+CHUNK = 1 << 16  # entries a draw, a truncation or a complex part handles at a time
+
+
+def _chunks(flat: np.ndarray):
+    """Consecutive views of CHUNK entries of a 1-d array, in order."""
+    return (flat[i:i + CHUNK] for i in range(0, flat.size, CHUNK))
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    # one float buffer for both parts; bit-identical to (re + 1j * im) / sqrt(2)
-    buf = rng.standard_normal(shape)
-    z = np.empty(buf.shape, dtype=complex)
-    z.real = buf
-    z.imag = rng.standard_normal(out=buf)
+    # all real parts, then all imaginary parts, through one bounded buffer: the
+    # generator's stream is sequential, so this is bit-identical to (re + 1j * im) / sqrt(2)
+    z = np.empty(shape, dtype=complex)
+    flat = z.reshape(-1)
+    buf = np.empty(min(flat.size, CHUNK))
+    for part in (flat.real, flat.imag):
+        for chunk in _chunks(part):
+            chunk[...] = rng.standard_normal(out=buf[:chunk.size])
     z /= math.sqrt(2.0)
     return z
+
+
+def _rademacher(rng: np.random.Generator, shape) -> np.ndarray:
+    # a chunk's integers at a time, bit-identical to 2.0 * rng.integers(0, 2, size=shape) - 1.0
+    x = np.empty(shape)
+    for chunk in _chunks(x.reshape(-1)):
+        np.multiply(rng.integers(0, 2, size=chunk.size), 2.0, out=chunk)
+        chunk -= 1.0
+    return x
 
 
 # each entry kind's dtype, draw of an array of a given shape and truncated second moment
@@ -55,8 +74,7 @@ _LAWS = {
     "real-gaussian": (np.dtype(float), lambda rng, shape: rng.standard_normal(shape),
                       lambda c: math.erf(c / math.sqrt(2.0))
                       - c * math.sqrt(2.0 / math.pi) * math.exp(-c * c / 2.0)),
-    "rademacher": (np.dtype(float), lambda rng, shape: 2.0 * rng.integers(0, 2, size=shape) - 1.0,
-                   lambda c: 1.0 if c > 1.0 else 0.0),
+    "rademacher": (np.dtype(float), _rademacher, lambda c: 1.0 if c > 1.0 else 0.0),
     "centered-uniform": (np.dtype(float), lambda rng, shape: rng.uniform(-_SQRT3, _SQRT3, size=shape),
                          lambda c: 1.0 if c >= _SQRT3 else c**3 / (3.0 * _SQRT3)),
 }
@@ -100,7 +118,8 @@ class EntryDistribution:
         """Draw an array of entries of the kind's dtype."""
         x = _LAWS[self.kind][1](rng, shape)
         if self.trunc is not None:
-            x[np.abs(x) >= self.trunc] = 0.0
+            for chunk in _chunks(x.reshape(-1)):  # a chunk's |X| and mask at a time
+                chunk[np.abs(chunk) >= self.trunc] = 0.0
             x /= math.sqrt(_truncated_second_moment(self.kind, self.trunc))
         return x
 

@@ -1,5 +1,9 @@
 """Hermitian spectra, empirical distributions, moments and CDF metrics.
 
+A spectrum is solved in W's own buffer by LAPACK in numpy's OpenBLAS, bit
+for bit np.linalg.eigvalsh's values (which solves a copy where numpy has
+another library), so a replica holds no matrix beside X and W.
+
 Distance computations work on a small CDF protocol: objects exposing
 ``eval`` / ``eval_left`` (vectorized, right-continuous values and left
 limits, as new arrays), ``sides`` (both at once), ``len`` (the number of
@@ -19,8 +23,10 @@ replicas in one mean over the rows.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -55,28 +61,76 @@ class Spectrum:
     dim: int
 
 
+# the LAPACKE driver (jobz N) that solves a W of each dtype
+_DRIVERS = {np.dtype(float): "dsyevd", np.dtype(complex): "zheevd"}
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (scipy-openblas64: 64-bit ints) through ctypes, loaded once,
+    with the drivers of _DRIVERS typed; None where numpy is built against another library
+    or it lacks a driver."""
+    import ctypes
+
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy has loaded: one library, one thread pool
+        for driver in _DRIVERS.values():
+            solve = getattr(lib, f"scipy_LAPACKE_{driver}64_", None)
+            if solve is None:
+                return None
+            solve.restype = ctypes.c_int64
+            solve.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                              ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+        return lib
+    return None
+
+
 def eigenvalues(w: CovarianceMatrix) -> Spectrum:
-    """Full real spectrum of a Hermitian (or real symmetric) matrix, ascending.
+    """Full real spectrum of a Hermitian (or real symmetric) matrix, ascending, bit for bit
+    np.linalg.eigvalsh's of ``w.entries``, whose buffer it consumes.
 
     Entries further than 1e-10 of the largest from Hermitian, checked BLOCK
-    rows at a time, raise NotHermitianError; eigvalsh reads only the lower triangle.
+    rows at a time, raise NotHermitianError. Like eigvalsh, the solve reads
+    only the lower triangle: each row block overwrites its part of the upper
+    one with the lower one's conjugate. Then ?syevd or ?heevd (jobz N) of
+    numpy's OpenBLAS solves W in its own buffer, read as column-major. That
+    is W's transpose, whose lower triangle is the conjugate of W's: the same
+    driver on conjugated data gives the same bits. Entries that are not
+    C-contiguous, writeable float64 or complex128 are converted first. Where
+    numpy's library has no such driver, eigvalsh solves a copy. A failed
+    solve raises SolverFailureError, as on LAPACK's path a NaN in the lower
+    triangle does.
     """
-    m = w.entries
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitianError(f"matrix shape {m.shape} is not square")
+    if w.entries.ndim != 2 or w.entries.shape[0] != w.entries.shape[1]:
+        raise NotHermitianError(f"matrix shape {w.entries.shape} is not square")
+    m = np.require(w.entries, complex if np.iscomplexobj(w.entries) else float, ["C", "A", "W"])
+    n = len(m)
     scale = asym = 0.0
-    for i in range(0, m.shape[0], BLOCK):
-        rows = m[i:i + BLOCK]
+    for i in range(0, n, BLOCK):
+        rows, mirror = m[i:i + BLOCK], m[:, i:i + BLOCK].conj().T
         scale = np.maximum(scale, np.abs(rows).max())  # not max(): a NaN must get through
-        asym = np.maximum(asym, np.abs(rows - m[:, i:i + BLOCK].conj().T).max())
+        asym = np.maximum(asym, np.abs(rows - mirror).max())
+        # every pair these rows hold is checked: a later block reads the mirrored entries
+        # only as pairs with its own rows, which stay as they are
+        upper = np.arange(i, n) > np.arange(i, i + len(rows))[:, None]
+        np.copyto(rows[:, i:], mirror[:, i:], where=upper)
     scale, asym = float(scale), float(asym)
     if scale > 0 and asym > _HERM_TOL * scale:
         raise NotHermitianError(f"asymmetry {asym:.3e} exceeds {_HERM_TOL:.1e} * {scale:.3e}")
-    try:
-        vals = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failures are exotic
-        raise SolverFailureError(str(exc)) from exc
-    return Spectrum(values=vals, dim=m.shape[0])
+    lib = _openblas()
+    if lib is None:
+        try:
+            return Spectrum(values=np.linalg.eigvalsh(m), dim=n)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(str(exc)) from exc
+    vals, driver = np.empty(n), _DRIVERS[m.dtype]
+    # column-major layout (102), lower triangle, leading dimension at least 1
+    info = getattr(lib, f"scipy_LAPACKE_{driver}64_")(102, b"N", b"L", n, m.ctypes.data, max(n, 1),
+                                                       vals.ctypes.data)
+    if info:
+        raise SolverFailureError(f"LAPACKE {driver} failed with info = {info}")
+    return Spectrum(values=vals, dim=n)
 
 
 class StepCDF:
@@ -319,7 +373,7 @@ class EnsembleMoments:
 
 def _replica_eigenvalues(args) -> np.ndarray:
     lam_parts, scale, dist, seed, index = args
-    # X is gone once W is built: the gate and eigvalsh run beside W alone
+    # X is gone once W is built: the gate and the solve run in W's buffer, beside one row block
     w = covariance(sample_shaped(Partition(lam_parts), dist, (seed, index)), scale)
     return eigenvalues(w).values
 

@@ -54,7 +54,10 @@ def test_bench_script_smoke_run_on_law_r4(tmp_path):
         assert stats["n"] == 1 and stats["q1"] == stats["median"] == stats["q3"]
     assert law["metrics"]["ok_ratio"]["median"] == 1.0
     assert bench["seeds"] == [1] and bench["machine"]["cpus"] >= 1
-    assert set(bench["machine"]) == {"platform", "cpu_model", "cpus", "python", "numpy", "scipy", "blas"}
+    assert set(bench["machine"]) == {"platform", "cpu_model", "cpus", "python", "numpy", "scipy", "blas",
+                                     "blas_threads"}
+    threads = bench["machine"]["blas_threads"]
+    assert threads is None or threads >= 1
     proc = subprocess.run([sys.executable, str(SCRIPT), "--compare", str(out), str(out)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

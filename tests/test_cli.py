@@ -609,14 +609,15 @@ def test_subcommands_leave_out_numpy_ma():
      "shape_ensemble_spectra"),
     (["simulate", "--parts", "5,4,4,1", "--dilation", "7000", "--entries", "rademacher",
       "--replicas", "1", "--seed", "1"], "shape_ensemble_spectra"),
-    (["triangular", "--size", "10000", "--replicas", "1", "--seed", "1"], "shape_ensemble_spectra"),
+    (["triangular", "--size", "12000", "--replicas", "1", "--seed", "1"], "shape_ensemble_spectra"),
     # a byte count past the float range is reported as inf GiB, not an OverflowError
     (["simulate", "--r", "2", "--dilation", "9" * 400, "--replicas", "1", "--seed", "1"],
      "shape_ensemble_spectra"),
 ])
 def test_matrix_memory_budget_refuses_before_sampling(argv, handler, capsys, monkeypatch):
-    # X and W of one replica: 8 or 16 bytes * (rows * cols + 2 * rows^2), here 175 TiB,
-    # 19 GiB, 4.5 GiB and about 2e802 bytes, over the 4 GiB budget; nothing is dilated or sampled
+    # X and W of one replica: 8 or 16 bytes * (rows * cols + rows^2) and a row block's scratch,
+    # here 116 TiB, 13 GiB, 4.3 GiB and about 1e802 bytes, over the 4 GiB budget; nothing is
+    # dilated or sampled
     def forbidden(*args, **kwargs):
         raise AssertionError("work before the budget check")
 
@@ -628,14 +629,15 @@ def test_matrix_memory_budget_refuses_before_sampling(argv, handler, capsys, mon
 
 
 def test_matrix_memory_budget_admits_its_largest_replica():
-    # complex dim s needs 16 * 3 * s^2 bytes of X and W, beside its s pooled eigenvalues,
-    # one replica, two moment rows and 4 bins: 9458 is the largest dim whose sum fits 4 GiB
+    # complex dim s needs 16 * 2 * s^2 bytes of X and W and 16 * 64 * s of the product's
+    # conjugate rows, beside its s pooled eigenvalues, one replica, two moment rows and 4 bins:
+    # 11568 is the largest dim whose sum fits 4 GiB
     def need(s):
-        return (16 * 3 * s**2 + cli.EIG_BYTES * s + cli.REPLICA_BYTES + 2 * cli.ORDER_BYTES
+        return (16 * (2 * s**2 + 64 * s) + cli.EIG_BYTES * s + cli.REPLICA_BYTES + 2 * cli.ORDER_BYTES
                 + 4 * cli.BIN_BYTES)
 
-    assert need(9458) <= cli.MEMORY_BUDGET < need(9459)
-    for size, ok in ((9458, True), (9459, False)):
+    assert need(11568) <= cli.MEMORY_BUDGET < need(11569)
+    for size, ok in ((11568, True), (11569, False)):
         cfg = RunConfig(subcommand="triangular", size=size, replicas=1, seed=1, kmax=1, bins=4)
         if ok:
             cli._validate(cfg)
@@ -659,15 +661,15 @@ def test_samples_memory_budget_refuses_before_drawing(samples, capsys, monkeypat
 def test_refused_total_never_reads_as_the_budget(capsys, monkeypatch):
     # one draw over: the total is rounded up, so it does not read as 4 GiB
     monkeypatch.setattr(cli, "beta_product_samples", _refuse)
-    assert main(["sample-law", "--r", "2", "--samples", "148101173", "--seed", "1"]) == 2
+    assert main(["sample-law", "--r", "2", "--samples", "148062889", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sample-law needs 4.01 GiB, over the 4 GiB budget ("), err
 
 
 def test_samples_memory_budget_admits_its_largest_count():
-    # the draws get what the 4 bins leave of the budget
-    largest = (cli.MEMORY_BUDGET - 4 * cli.BIN_BYTES) // cli.SAMPLE_BYTES
-    assert largest == 148_102_248
+    # the draws get what the 4 bins and a distance block leave of the budget
+    largest = (cli.MEMORY_BUDGET - 4 * cli.BIN_BYTES - cli.WALK_BYTES) // cli.SAMPLE_BYTES
+    assert largest == 148_064_295
     for samples, ok in ((largest, True), (largest + 1, False)):
         cfg = RunConfig(subcommand="sample-law", r=2, samples=samples, seed=1, bins=4)
         if ok:
@@ -864,15 +866,15 @@ def test_bins_and_grid_memory_budget_refuses_before_work(argv, capsys, monkeypat
 
 
 def test_bins_and_grid_memory_budget_admits_its_largest_count():
-    # the bins get what a complex size-3 replica (16 * (9 + 2 * 9) bytes), its
-    # 3 pooled eigenvalues and two moment rows leave of the budget; law's grid
-    # has the budget to itself
-    replica = 16 * 27 + 3 * cli.EIG_BYTES + cli.REPLICA_BYTES + 2 * cli.ORDER_BYTES
+    # the bins get what a complex size-3 replica (its Hermitian gate's W and three row
+    # blocks, 16 * (9 + 3 * 9) bytes), its 3 pooled eigenvalues and two moment rows leave
+    # of the budget; law's grid has the budget to itself
+    replica = 16 * 36 + 3 * cli.EIG_BYTES + cli.REPLICA_BYTES + 2 * cli.ORDER_BYTES
     for field, unit, rest, base in (
             ("bins", cli.BIN_BYTES, replica, dict(subcommand="triangular", size=3, replicas=1, seed=1, kmax=1)),
             ("grid", cli.GRID_BYTES, 0, dict(subcommand="law", r=2, tol=1e-5, kmax=1))):
         largest = (cli.MEMORY_BUDGET - rest) // unit
-        assert largest == {"bins": 8_259_545, "grid": 5_804_009}[field]
+        assert largest == {"bins": 6_316_122, "grid": 5_804_009}[field]
         cli._validate(RunConfig(**base, **{field: largest}))
         with pytest.raises(ConfigError, match="budget"):
             cli._validate(RunConfig(**base, **{field: largest + 1}))
@@ -900,13 +902,13 @@ def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
 
 @pytest.mark.parametrize("argv, parts", [
     # each part alone fits the 4 GiB budget; their sum does not
-    (["sample-law", "--r", "2", "--samples", "148102320", "--bins", "8259552", "--seed", "1"],
+    (["sample-law", "--r", "2", "--samples", "148102320", "--bins", "6316128", "--seed", "1"],
      ["draws 4 GiB", "histogram bins 4 GiB"]),
-    (["triangular", "--size", "9000", "--replicas", "1", "--seed", "1", "--bins", "1000000"],
-     ["one replica's matrices 3.62 GiB", "pooled eigenvalues", "histogram bins 0.484 GiB"]),
+    (["triangular", "--size", "9000", "--replicas", "1", "--seed", "1", "--bins", "3000000"],
+     ["one replica's matrices 2.42 GiB", "pooled eigenvalues", "histogram bins 1.9 GiB"]),
     # 2e9 pooled eigenvalues of 1e6 replicas at dim 2000
     (["simulate", "--r", "2", "--dilation", "1000", "--replicas", "1000000", "--seed", "1"],
-     ["one replica's matrices 0.179 GiB", "pooled eigenvalues 181 GiB"]),
+     ["one replica's matrices 0.121 GiB", "pooled eigenvalues 146 GiB"]),
     (["simulate", "--r", "1", "--dilation", "1", "--replicas", "9" * 400, "--seed", "1"],
      ["pooled eigenvalues inf GiB"]),
     # 1.4e11 glyphs of (5, 4, 4, 1) dilated 10^5 times
@@ -915,7 +917,7 @@ def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
     (["shape", "--parts", "9" * 400], ["diagram boxes inf GiB"]),
     # where no moment overflows nothing else bounds kmax: 1e8 orders of two replicas
     (["simulate", "--parts", "1", "--dilation", "1", "--entries", "rademacher", "--replicas", "2",
-      "--seed", "1", "--kmax", "100000000"], ["moment rows 112 GiB"]),
+      "--seed", "1", "--kmax", "100000000"], ["moment rows 126 GiB"]),
     (["triangular", "--size", "2", "--replicas", "1", "--seed", "1", "--kmax", "9" * 400],
      ["moment rows inf GiB"]),
 ], ids=["sample-law-draws-and-bins", "triangular-replica-and-bins", "simulate-pooled",
@@ -937,16 +939,16 @@ def test_summed_memory_budget_refuses_before_work(argv, parts, capsys, monkeypat
 
 
 def test_pooled_and_shape_memory_budget_admits_its_largest_count():
-    # dim-2 replicas: 16 * (4 + 8) bytes of matrices, five moment rows and 64 bins leave
-    # the rest to the spectra
+    # dim-2 replicas: 16 * (4 + 3 * 4) bytes of matrices (the Hermitian gate's W and three
+    # row blocks), five moment rows and 64 bins leave the rest to the spectra
     budget = cli.MEMORY_BUDGET
-    replicas = ((budget - 16 * 12 - 5 * cli.ORDER_BYTES - 64 * cli.BIN_BYTES)
+    replicas = ((budget - 16 * 16 - 5 * cli.ORDER_BYTES - 64 * cli.BIN_BYTES)
                 // (2 * cli.EIG_BYTES + cli.REPLICA_BYTES))
     base = dict(subcommand="simulate", r=1, dilation=2, seed=1, kmax=4, bins=64)
     cli._validate(RunConfig(**base, replicas=replicas))
     with pytest.raises(ConfigError, match="pooled eigenvalues"):
         cli._validate(RunConfig(**base, replicas=replicas + 1))
-    # at kmax 2e5 a dim-1 run of two replicas needs 0.23 GiB of moment rows; it is admitted
+    # at kmax 2e5 a dim-1 run of two replicas needs 0.25 GiB of moment rows; it is admitted
     cli._validate(RunConfig(subcommand="simulate", parts=[1], dilation=1, entries="rademacher",
                             replicas=2, seed=1, kmax=200_000, bins=64))
     boxes = budget // cli.BOX_BYTES  # (1,) dilated d times has d^2 boxes

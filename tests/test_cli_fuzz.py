@@ -7,18 +7,25 @@ stderr and nothing on stdout. A run that succeeds prints nothing on stderr,
 and its record holds no NaN or infinity, echoes a seed that keys its stream
 as given (Philox takes 64 bits) and gives every occupied histogram bin a
 positive density. Settings that take floats are drawn from extreme values.
+
+A second property holds the memory budget to what a run traces: for
+simulate, triangular and sample-law configurations whose summed need is over
+1 MB, the tracemalloc peak of the record and its rendering is at most that
+need.
 """
 
 import contextlib
 import io
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from youngspec import cli
+from youngspec.cli import RunConfig, build_record, render_output
 from youngspec.matrices import ENTRY_KINDS
 
 _EXTREME = st.sampled_from([0.0, 5e-324, 1e-300, 1.4e154, 1e308, 1.7e308])
@@ -115,3 +122,44 @@ def test_every_run_exits_0_2_or_3_with_one_line_and_no_warning(argv):
     hist = record["results"].get("histogram")
     if hist is not None:
         assert all(d > 0 for c, d in zip(hist["counts"], hist["density"]) if c > 0), (argv, hist)
+
+
+_TRUNC = st.sampled_from([None, 0.5, 1.5, 3.0])
+_SHAPES = st.one_of(st.builds(lambda r: {"r": r}, _n(4)),
+                    st.lists(_n(6), min_size=1, max_size=4).map(
+                        lambda xs: {"parts": sorted(xs, reverse=True)}))
+# tall, square and wide diagrams at dims up to about 400, thousands of pooled eigenvalues,
+# every entry law with and without a cutoff, long moment rows, many bins and draws
+_BUDGETED = st.one_of(
+    st.builds(lambda shape, **kw: RunConfig(subcommand="simulate", **shape, **kw), _SHAPES,
+              dilation=st.integers(20, 80), replicas=st.integers(1, 20),
+              entries=_ENTRIES, trunc=_TRUNC, kmax=st.integers(0, 60),
+              bins=st.integers(1, 3000), seed=st.integers(0, 3)),
+    st.builds(RunConfig, subcommand=st.just("triangular"), size=st.integers(30, 250),
+              replicas=st.integers(1, 20), entries=_ENTRIES, kmax=st.integers(0, 20),
+              bins=st.integers(1, 3000), seed=st.integers(0, 3)),
+    st.builds(RunConfig, subcommand=st.just("sample-law"), r=_n(4), samples=st.integers(1, 60_000),
+              bins=st.integers(1, 3000), seed=st.integers(0, 3)),
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+# a bin traced 665 bytes in sample-law, past the 520 of BIN_BYTES
+@example(RunConfig(subcommand="sample-law", r=1, samples=1, bins=2017, seed=0))
+# one block of the distances' walk, about 1 MB, had no part of its own: 1.74 of the need
+@example(RunConfig(subcommand="sample-law", r=4, samples=41398, bins=1, seed=0))
+@given(_BUDGETED)
+def test_traced_peak_is_within_the_summed_memory_need(cfg):
+    need = sum(cli._memory_needs(cfg, cfg.parts and cli.Partition(cfg.parts)).values())
+    assume(need > 1 << 20)
+    try:
+        render_output(build_record(cfg), cfg)  # caches and imports are not the run's
+    except cli.YoungSpecError:  # a moment past the float range: nothing to hold to the budget
+        assume(False)
+    tracemalloc.start()
+    try:
+        render_output(build_record(cfg), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need, (cfg, peak / need)

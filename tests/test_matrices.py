@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,15 +292,25 @@ def test_in_place_draw_is_bit_identical_to_one_shot_formula(kind, trunc):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("trunc", [None, 1.5])
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+def test_chunked_draw_is_bit_identical_to_one_shot_formula(kind, trunc):
+    # chunks of 7 entries split the 180 draws, each part's and the truncation's, mid-row
+    lam = Partition((5, 4, 4, 1)).dilate(3)
+    with mock.patch.object(matrices, "CHUNK", 7):
+        got = sample_shaped(lam, EntryDistribution(kind, trunc), (8, 2)).entries
+    assert got.tobytes() == _one_shot_draw(kind, trunc, substream(8, 2), lam).tobytes()
+
+
 def test_block_covariance_matches_one_shot_product():
-    # dim 600 spans three column blocks, the last one partial
-    lam = Partition((2, 1)).dilate(300)
+    # dim 160 spans three column blocks, the last one partial
+    lam = Partition((2, 1)).dilate(80)
     assert 2 * BLOCK < lam.length() < 3 * BLOCK
     x = sample_shaped(lam, EntryDistribution("complex-gaussian"), (12, 0)).entries
-    got = covariance(ShapedMatrix(shape=lam, entries=x), 300).entries
-    want = x @ x.conj().T / 300
+    got = covariance(ShapedMatrix(shape=lam, entries=x), 80).entries
+    want = x @ x.conj().T / 80
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     # real entries keep the single product
     x = sample_shaped(lam, EntryDistribution("real-gaussian"), (12, 0)).entries
-    got = covariance(ShapedMatrix(shape=lam, entries=x), 300).entries
-    assert np.array_equal(got, x @ x.T / 300)
+    got = covariance(ShapedMatrix(shape=lam, entries=x), 80).entries
+    assert np.array_equal(got, x @ x.T / 80)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from youngspec.errors import InvalidRangeError, NotHermitianError, OutsideDomainError
+from youngspec.errors import InvalidRangeError, NotHermitianError, OutsideDomainError, SolverFailureError
 from youngspec.matrices import (
     BLOCK,
     CovarianceMatrix,
@@ -61,10 +62,11 @@ def test_eigenvalues_scalar_case():
 def test_eigenvalue_trace_identity():
     x = sample_shaped(staircase(2).dilate(3), EntryDistribution("complex-gaussian"), (8, 1))
     w = covariance(x, 3)
-    s = eigenvalues(w)
+    # eigenvalues consumes W: the references come first
     tr = np.trace(w.entries).real
-    assert abs(s.values.sum() - tr) <= 1e-10 * abs(tr)
     frob = np.sum(np.abs(w.entries) ** 2)
+    s = eigenvalues(w)
+    assert abs(s.values.sum() - tr) <= 1e-10 * abs(tr)
     assert abs(np.sum(s.values**2) - frob) <= 1e-9 * frob
 
 
@@ -88,13 +90,13 @@ def test_eigenvalues_rejects_non_hermitian():
 
 @pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
 def test_hermitian_gate_reads_the_last_partial_block(kind):
-    # dim 600 has row blocks [0, 256), [256, 512) and the partial [512, 600);
-    # the one asymmetric pair (598, 599) lies inside the last
-    lam = Partition((2, 1)).dilate(300)
-    assert lam.length() % BLOCK
-    w = covariance(sample_shaped(lam, EntryDistribution(kind), (13, 0)), 300)
+    # dim 160 has row blocks [0, 64), [64, 128) and the partial [128, 160);
+    # the one asymmetric pair (158, 159) lies inside the last
+    lam = Partition((2, 1)).dilate(80)
+    assert 2 * BLOCK < lam.length() < 3 * BLOCK
+    w = covariance(sample_shaped(lam, EntryDistribution(kind), (13, 0)), 80)
     m = w.entries
-    m[598, 599] += 1e-6 * np.abs(m).max()
+    m[158, 159] += 1e-6 * np.abs(m).max()
     asym, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
     assert np.count_nonzero(np.abs(m - m.conj().T) > 1e-10 * scale) == 2
     # the whole-matrix gate's message, figure for figure
@@ -104,11 +106,12 @@ def test_hermitian_gate_reads_the_last_partial_block(kind):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("kind, bound", [("complex-gaussian", 3.0), ("real-gaussian", 2.5),
-                                         ("rademacher", 2.5)])
+@pytest.mark.parametrize("kind, bound", [("complex-gaussian", 2.25), ("real-gaussian", 2.1),
+                                         ("rademacher", 2.1)])
 def test_replica_peak_memory_is_bounded(kind, bound):
-    # one replica holds X, W and a BLOCK-wide slice of scratch; the one-shot
-    # pipeline peaked at 4.0 times the bytes of X on both dtypes
+    # one replica holds X, W and scratch of BLOCK rows or a draw's chunk: 2.11, 2.0 and 2.0
+    # times the bytes of X; the one-shot pipeline peaked at 4.0 on both dtypes, and a 256-row
+    # block with a whole-array complex draw at 2.43
     import tracemalloc
 
     lam = Partition((2, 1)).dilate(300)
@@ -122,6 +125,80 @@ def test_replica_peak_memory_is_bounded(kind, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * x_bytes, peak / x_bytes
+
+
+_OPENBLAS = spectra._openblas() is not None
+
+
+def _fallback():
+    """The solve without numpy's OpenBLAS drivers: np.linalg.eigvalsh."""
+    return mock.patch.object(spectra, "_openblas", return_value=None)
+
+
+def test_numpy_openblas_drivers_are_found():
+    # numpy built on scipy-openblas ships the LAPACKE drivers, so its spectra take the in-place path
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") == "scipy-openblas":
+        assert _OPENBLAS
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "fallback"])
+@pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
+@pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 200, 600])
+def test_spectrum_is_eigvalsh_bit_for_bit(dim, kind, fallback):
+    # odd dims give a complex W that is Hermitian only up to rounding: the lower triangle counts
+    lam = Partition((1,)).dilate(dim)
+    w = covariance(sample_shaped(lam, EntryDistribution(kind), (21, dim)), dim)
+    want = np.linalg.eigvalsh(w.entries)
+    with _fallback() if fallback else contextlib.nullcontext():
+        got = eigenvalues(w).values
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "fallback"])
+def test_tied_rademacher_spectra_are_eigvalsh_bit_for_bit(fallback):
+    # simulate --parts 1 --dilation 1 --entries rademacher: every value is 1
+    dist = EntryDistribution("rademacher")
+    with _fallback() if fallback else contextlib.nullcontext():
+        rows = shape_ensemble_spectra(Partition((1,)), 1, dist, 3, 11)
+    for i, row in enumerate(rows):
+        w = covariance(sample_shaped(Partition((1,)), dist, (11, i)), 1)
+        assert row.tobytes() == np.linalg.eigvalsh(w.entries).tobytes() == np.ones(1).tobytes()
+
+
+@pytest.mark.skipif(not _OPENBLAS, reason="numpy's library has no LAPACKE drivers")
+@pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
+def test_lapack_path_solves_w_in_its_own_buffer(kind):
+    w = covariance(sample_shaped(staircase(2).dilate(40), EntryDistribution(kind), (22, 0)), 40)
+    diagonal = np.diag(w.entries).copy()
+    eigenvalues(w)
+    # the gate's triangle copy leaves the diagonal alone; the driver writes its tridiagonal
+    # reduction's diagonal there, so it solved W's buffer and no copy
+    assert not np.array_equal(np.diag(w.entries), diagonal)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "fallback"])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_all_nan_matrix_is_a_solver_failure(dtype, fallback):
+    # NaN passes the Hermitian gate; the solver refuses it
+    w = CovarianceMatrix(dim=3, scale=1, entries=np.full((3, 3), np.nan, dtype=dtype))
+    with _fallback() if fallback else contextlib.nullcontext(), pytest.raises(SolverFailureError):
+        eigenvalues(w)
+
+
+@pytest.mark.parametrize("entries", [
+    np.asfortranarray(np.diag([3.0, 1.0, 2.0]) + 0.5),  # not C-contiguous
+    np.diag([3.0, 1.0, 2.0]).astype(np.float32) + 0.5,  # not float64
+    np.diag([3.0, 1.0, 2.0]).astype(int) + 1,  # not a float
+])
+def test_other_layouts_and_dtypes_are_converted_first(entries):
+    want = np.linalg.eigvalsh(np.array(entries, dtype=float))
+    frozen = np.array(entries, dtype=complex)
+    frozen.flags.writeable = False
+    for m in (entries, frozen):
+        got = eigenvalues(CovarianceMatrix(dim=3, scale=1, entries=m)).values
+        assert got.dtype == np.float64 and np.allclose(got, want, rtol=1e-6)
+    assert not frozen.flags.writeable  # a read-only W is solved in a copy
 
 
 def test_empirical_cdf_examples():
@@ -157,10 +234,10 @@ def test_empirical_moment_examples():
 def test_empirical_moment_matrix_power_oracle():
     x = sample_shaped(staircase(3).dilate(2), EntryDistribution("real-gaussian"), (55, 0))
     w = covariance(x, 2)
-    s = eigenvalues(w)
     m = w.entries
-    w3 = m @ m @ m
+    w3 = m @ m @ m  # before eigenvalues, which consumes W
     oracle = np.trace(w3).real / w.dim
+    s = eigenvalues(w)
     assert abs(_moments(s.values, 3)[3] - oracle) <= 1e-8 * abs(oracle)
 
 
