@@ -28,7 +28,6 @@ one a seed, in which B reads better (BENCHMARK.json gives the direction).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import platform
@@ -51,10 +50,6 @@ def machine() -> dict:
     from youngspec.spectra import _openblas
 
     lib = _openblas()
-    threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    if threads is not None:
-        threads.restype, threads.argtypes = ctypes.c_int, ()
-
     cpuinfo = Path("/proc/cpuinfo")
     lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
     model = next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")),
@@ -63,7 +58,7 @@ def machine() -> dict:
     return {"platform": platform.platform(), "cpu_model": model, "cpus": len(os.sched_getaffinity(0)),
             "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_threads": threads() if threads is not None else None}
+            "blas_threads": lib.scipy_openblas_get_num_threads64_() if lib is not None else None}
 
 
 def git_rev(checkout: Path) -> str | None:

@@ -3,7 +3,8 @@
 Every stochastic subcommand requires an explicit seed; rerunning any
 command with the same configuration reproduces the numerical payload
 byte for byte (only the wall-clock provenance field differs), including
-under different --jobs settings. One row declares each setting (flag
+under different --jobs settings (the most replicas solved at once; by
+default the CPUs). One row declares each setting (flag
 parsing and rule, _SETTINGS) and one each subcommand (handler, help,
 formats, flag defaults, _SUBCOMMANDS); a setting with a default is
 required, so a config file's null for one (--entries, --oracle-trees
@@ -42,10 +43,10 @@ from .errors import (ConfigError, InsufficientPointsError, InvalidRangeError, Ou
 from .limitlaw import (beta_product_moment, beta_product_samples, cdf_grid, contour_moment,
                        density_grid, density_with_error, dh_cdf, dh_density, edge_exponent_fit,
                        support_edge)
-from .matrices import BLOCK, CHUNK, ENTRY_KINDS, EntryDistribution
+from .matrices import ENTRY_KINDS, EntryDistribution
 from .partitions import Partition, balance_ratio, render, staircase
-from .spectra import (StepCDF, histogram, histogram_edges, ks_distance, levy_distance,
-                      shape_ensemble_spectra, spectra_moments)
+from .spectra import (StepCDF, histogram, histogram_edges, ks_distance, levy_distance, replica_bytes,
+                      replica_workers, shape_ensemble_spectra, spectra_moments)
 from .streams import substream
 
 
@@ -68,7 +69,7 @@ class RunConfig:
     samples: int | None = None
     size: int | None = None
     seed: int | None = None
-    jobs: int = 1
+    jobs: int | None = None
     out: str | None = None
     format: str = "json"
     oracle_trees: bool = False
@@ -77,26 +78,31 @@ class RunConfig:
 
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
-# bytes a run may hold in its largest arrays, summed over its parts: one
-# replica's X, W and row-block or draw scratch, the pooled spectra with their
-# step CDF and its distances' blocks, the moment rows (no table of replica
-# moments is held), sample-law's draws likewise and one block of their
-# distances' walk, a histogram's or a density grid's arrays with their JSON
-# text, and a shape's rendered diagram
+# bytes a run may hold in its largest arrays, summed over its parts: the X, W
+# and row-block or draw scratch of each replica solved at once, the pooled
+# spectra with their step CDF and one block of their distances' walk or of
+# triangular's window, the moment rows (no table of replica moments is held),
+# sample-law's draws likewise and one block of their distances' walk, a
+# histogram's or a density grid's arrays with their JSON text, and a shape's
+# rendered diagram
 MEMORY_BUDGET = 4 << 30
+# knots a block of the distances' walk or of triangular's window holds
+KNOT_BLOCK = 1 << 14
 # traced peak bytes a sample (28.2 at 2e5, r = 1 to 3: 24 of draws, sorted
 # atoms and counts, the rest one block of 2^14 knots of a distance; 25.0 at
 # 1e6), of the distances' walk beside them (WALK_BYTES: up to 1.01e6 above 29
 # a sample, 1.6e4 to 3e4 samples, r = 1 to 20), a bin (1e3 to 8e3: 665 to 671
 # sample-law, 520 to 530 triangular, 378 to 384 simulate), a law grid point
-# (2e4 to 8e4, r = 1, 2, 4), a pooled eigenvalue plus a replica (456 a
-# replica at dim 1, 2,000 to 4,000 replicas; 67 to 76 an eigenvalue,
-# replica included, triangular at dim 20 to 200, 8 to 16 simulate), a moment
-# order (row and JSON: 947 to 989 simulate, kmax 100 to 2e4; 1,112 to 1,335
-# triangular, kmax 50 to 300) and a diagram box (shape, 1.4e5 to 1.3e6
-# boxes: 14.1 to 14.5), by tracemalloc over build_record and render_output
+# (2e4 to 8e4, r = 1, 2, 4), a pooled eigenvalue, a replica and a knot of the
+# pooled spectra's block (simulate --r and triangular at dim 2 to 200, 2e3 to
+# 1.28e5 eigenvalues: the three put every traced peak at 0.51 to 0.97 of the
+# run's summed need; an eigenvalue costs 24 to 27 above 4.8e4 eigenvalues, its
+# value, sorted atom and count; 456 a replica at dim 1), a moment order (row
+# and JSON: 947 to 989 simulate, kmax 100 to 2e4; 1,112 to 1,335 triangular,
+# kmax 50 to 300) and a diagram box (shape, 1.4e5 to 1.3e6 boxes: 14.1 to
+# 14.5), by tracemalloc over build_record and render_output
 SAMPLE_BYTES, BIN_BYTES, GRID_BYTES, WALK_BYTES = 29, 680, 740, 1_100_000
-EIG_BYTES, REPLICA_BYTES, ORDER_BYTES, BOX_BYTES = 78, 390, 1350, 15
+EIG_BYTES, REPLICA_BYTES, KNOT_BYTES, ORDER_BYTES, BOX_BYTES = 28, 390, 56, 1350, 15
 _UNIT_BYTES = {"samples": (SAMPLE_BYTES, "draws"), "bins": (BIN_BYTES, "histogram bins"),
                "grid": (GRID_BYTES, "grid points")}
 
@@ -213,13 +219,12 @@ def _memory_needs(cfg: RunConfig, lam: Partition | None) -> dict[str, int]:
         rows, cols = ((cfg.size, cfg.size) if cfg.subcommand == "triangular"
                       else (cfg.r * cfg.dilation,) * 2 if lam is None  # staircase(r) is r by r
                       else (lam.length() * cfg.dilation, lam.parts[0] * cfg.dilation))
-        # a replica peaks drawing X (a chunk's |X| and mask), in the product (X, W and the
-        # conjugate of BLOCK rows of X) or in the Hermitian gate (W and three BLOCK-row blocks)
-        item, block = EntryDistribution(cfg.entries).itemsize, min(BLOCK, rows)
-        x, w = item * rows * cols, item * rows * rows
-        needs["one replica's matrices"] = max(x + 9 * min(rows * cols, CHUNK), x + w + item * block * cols,
-                                              w + 3 * item * block * rows)
+        replica = replica_bytes(rows, cols, EntryDistribution(cfg.entries).itemsize)
+        workers = replica_workers(replica, cfg.replicas, cfg.jobs)  # each holds one replica
+        needs["one replica's matrices" if workers == 1 else f"{workers} replicas' matrices"] = \
+            workers * replica
         needs["pooled eigenvalues"] = cfg.replicas * (EIG_BYTES * rows + REPLICA_BYTES)
+        needs["one knot block"] = min(cfg.replicas * rows, KNOT_BLOCK) * KNOT_BYTES
         needs["moment rows"] = (cfg.kmax + 1) * ORDER_BYTES
     if cfg.subcommand == "sample-law":
         needs["distances' block"] = WALK_BYTES
@@ -414,13 +419,16 @@ def _run_triangular(cfg: RunConfig) -> dict:
     moments = [{"k": k, "mean": mk, "limit": ref, "rel_err": abs(mk - ref) / ref}
                for k, (mk, ref) in enumerate(zip(em.means.tolist(), limits))]
     # sup |S - F| over the window of acceptance criterion 9: F is continuous, so it
-    # is reached at lo, at hi or on either side of the jump at an atom in (lo, hi]
+    # is reached at lo, at hi or on either side of the jump at an atom in (lo, hi];
+    # dh_cdf, whose bisection holds arrays an atom, takes a block of atoms at a time
     lo, hi = 0.2, 2.5
     ecdf = StepCDF(pooled)
-    atoms, at, below = ecdf.knots(*np.searchsorted(ecdf.atoms, (lo, hi), side="right"))
-    fs = dh_cdf(atoms)
-    sup = float(max(np.max(np.abs(ecdf.eval([lo, hi]) - dh_cdf([lo, hi]))),
-                    np.max(np.abs(at - fs), initial=0.0), np.max(np.abs(below - fs), initial=0.0)))
+    sup = float(np.max(np.abs(ecdf.eval([lo, hi]) - dh_cdf([lo, hi]))))
+    first, stop = np.searchsorted(ecdf.atoms, (lo, hi), side="right")
+    for start in range(first, stop, KNOT_BLOCK):
+        atoms, at, below = ecdf.knots(start, min(start + KNOT_BLOCK, stop))
+        fs = dh_cdf(atoms)
+        sup = max(sup, float(np.max(np.abs(at - fs))), float(np.max(np.abs(below - fs))))
     return {
         "size": cfg.size,
         "replicas": cfg.replicas,
@@ -446,14 +454,14 @@ _SUBCOMMANDS = {
     "simulate": (_run_simulate, "ensemble run of a block- or diagram-shaped model", ("json", "csv"),
                  {"r": None, "parts": None, "dilation": NEEDED, "entries": "complex-gaussian",
                   "trunc": None, "replicas": NEEDED, "seed": NEEDED, "kmax": 4, "bins": 64,
-                  "range": None, "jobs": 1}),
+                  "range": None, "jobs": None}),
     "law": (_run_law, "density/CDF grids and moment cross-checks of the limit law", ("json", "csv"),
             {"r": NEEDED, "grid": 768, "tol": 1e-5, "kmax": 6}),
     "sample-law": (_run_sample_law, "Monte Carlo draws of the limit law vs its density",
                    ("json", "csv"), {"r": NEEDED, "samples": NEEDED, "seed": NEEDED, "bins": 64}),
     "triangular": (_run_triangular, "staircase-shaped simulation against the triangular limit law",
                    ("json", "csv"), {"size": NEEDED, "replicas": NEEDED, "entries": "complex-gaussian",
-                                     "seed": NEEDED, "kmax": 3, "bins": 64, "jobs": 1}),
+                                     "seed": NEEDED, "kmax": 3, "bins": 64, "jobs": None}),
 }
 _HANDLERS, _, _FORMATS, _FLAGS = (dict(zip(_SUBCOMMANDS, col)) for col in zip(*_SUBCOMMANDS.values()))
 _REQUIRED = {sc: [name for name, d in flags.items() if d is not None] for sc, flags in _FLAGS.items()}

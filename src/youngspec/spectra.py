@@ -2,7 +2,10 @@
 
 A spectrum is solved in W's own buffer by LAPACK in numpy's OpenBLAS, bit
 for bit np.linalg.eigvalsh's values (which solves a copy where numpy has
-another library), so a replica holds no matrix beside X and W.
+another library), so a replica holds no matrix beside X and W. An
+ensemble's mid-sized replicas run side by side on threads, each on one
+BLAS thread (the library releases the interpreter lock), so their bits do
+not depend on the number of workers or on the process's thread count.
 
 Distance computations work on a small CDF protocol: objects exposing
 ``eval`` / ``eval_left`` (vectorized, right-continuous values and left
@@ -24,14 +27,16 @@ replicas in one mean over the rows.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidRangeError, NotHermitianError, OutsideDomainError, SolverFailureError
-from .matrices import BLOCK, CovarianceMatrix, EntryDistribution, covariance, sample_shaped
+from .matrices import BLOCK, CHUNK, CovarianceMatrix, EntryDistribution, covariance, sample_shaped
 from .partitions import Partition
 
 __all__ = [
@@ -45,6 +50,8 @@ __all__ = [
     "ks_distance",
     "histogram",
     "histogram_edges",
+    "replica_bytes",
+    "replica_workers",
     "shape_ensemble_spectra",
     "spectra_moments",
 ]
@@ -68,20 +75,23 @@ _DRIVERS = {np.dtype(float): "dsyevd", np.dtype(complex): "zheevd"}
 @functools.cache
 def _openblas():
     """numpy's bundled OpenBLAS (scipy-openblas64: 64-bit ints) through ctypes, loaded once,
-    with the drivers of _DRIVERS typed; None where numpy is built against another library
-    or it lacks a driver."""
+    with the drivers of _DRIVERS and the thread-count getter and setter typed; None where
+    numpy is built against another library or it lacks one of them."""
     import ctypes
 
+    solve = (ctypes.c_int64, (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                              ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p))
+    signatures = {**{f"scipy_LAPACKE_{driver}64_": solve for driver in _DRIVERS.values()},
+                  "scipy_openblas_get_num_threads64_": (ctypes.c_int, ()),
+                  "scipy_openblas_set_num_threads64_": (None, (ctypes.c_int,))}
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*")):
         lib = ctypes.CDLL(str(path))  # the copy numpy has loaded: one library, one thread pool
-        for driver in _DRIVERS.values():
-            solve = getattr(lib, f"scipy_LAPACKE_{driver}64_", None)
-            if solve is None:
+        for name, (restype, argtypes) in signatures.items():
+            fn = getattr(lib, name, None)
+            if fn is None:
                 return None
-            solve.restype = ctypes.c_int64
-            solve.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                              ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+            fn.restype, fn.argtypes = restype, argtypes
         return lib
     return None
 
@@ -371,6 +381,42 @@ class EnsembleMoments:
     variances: np.ndarray
 
 
+# bytes of one replica's matrices (replica_bytes) between which replicas run side by
+# side: below, a replica's BLAS calls are too short to outweigh the interpreter lock the
+# workers share (on 2 vCPUs two workers ran staircases of dim 8 to 40 at 0.5 to 1.2 times
+# the speed of one, and of dim 48 to 200 at 1.2 to 1.9); above, two at once would hold
+# twice the memory of one (ensemble-r2's 33 MB replica) for little gain
+SIDE_BY_SIDE = (128 << 10, 8 << 20)
+
+
+def replica_bytes(rows: int, cols: int, itemsize: int) -> int:
+    """Peak bytes of one replica with a rows x cols X of ``itemsize``-byte entries.
+
+    It peaks drawing X (a chunk's |X| and mask), in the product (X, W and the
+    conjugate of BLOCK rows of X) or in the Hermitian gate (W and three
+    BLOCK-row blocks).
+    """
+    block = min(BLOCK, rows)
+    x, w = itemsize * rows * cols, itemsize * rows * rows
+    return max(x + 9 * min(rows * cols, CHUNK), x + w + itemsize * block * cols,
+               w + 3 * itemsize * block * rows)
+
+
+def _side_by_side(replica: int) -> bool:
+    """Whether replicas of ``replica`` bytes run side by side, each on one BLAS thread: where
+    they are mid-sized and numpy's OpenBLAS can be told its thread count."""
+    return SIDE_BY_SIDE[0] <= replica <= SIDE_BY_SIDE[1] and _openblas() is not None
+
+
+def replica_workers(replica: int, replicas: int, jobs: int | None = None) -> int:
+    """How many of ``replicas`` replicas of ``replica`` bytes run at once: up to ``jobs`` (None:
+    the CPUs), the replicas and the CPUs where they run side by side, else one."""
+    if not _side_by_side(replica):
+        return 1
+    cpus = os.cpu_count() or 1
+    return min(jobs or cpus, replicas, cpus)
+
+
 def _replica_eigenvalues(args) -> np.ndarray:
     lam_parts, scale, dist, seed, index = args
     # X is gone once W is built: the gate and the solve run in W's buffer, beside one row block
@@ -378,32 +424,63 @@ def _replica_eigenvalues(args) -> np.ndarray:
     return eigenvalues(w).values
 
 
-def _replica_rows(tasks: list[tuple], jobs: int):
-    """Each task's eigenvalues in task order, from a pool of workers when ``jobs`` > 1."""
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
+def _fill_rows(spectra: np.ndarray, tasks: list[tuple], workers: int) -> None:
+    """Row i of ``spectra`` from task i, on ``workers`` threads, the caller's among them.
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
-            yield from pool.map(_replica_eigenvalues, tasks)
-    else:
-        yield from map(_replica_eigenvalues, tasks)
+    Each worker takes the next index from one counter. The first failure
+    stops every worker from starting another replica and is raised here
+    once all have joined.
+    """
+    indices, failures = itertools.count(), []
+
+    def work():
+        try:
+            for i in indices:  # next() on a count is one step under the interpreter lock
+                if i >= len(tasks) or failures:
+                    return
+                spectra[i] = _replica_eigenvalues(tasks[i])
+        except BaseException as exc:  # re-raised below, in the caller
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
 
 
 def shape_ensemble_spectra(shape: Partition, scale: int, dist: EntryDistribution,
-                           replicas: int, seed: int, jobs: int = 1) -> np.ndarray:
+                           replicas: int, seed: int, jobs: int | None = None) -> np.ndarray:
     """Eigenvalues of `replicas` draws of W = X X*/scale on a fixed shape, one row a replica.
 
     The result is one C-contiguous float64 array of shape (replicas,
     shape.length()), so ``ravel()`` pools it without a copy. Replica i
-    always uses substream (seed, i) and fills row i, so the array is
-    identical for any `jobs` (capped at the replicas and CPUs).
+    always uses substream (seed, i) and fills row i. Mid-sized replicas
+    (SIDE_BY_SIDE) run on one BLAS thread each, up to ``replica_workers``
+    of them at once, and the process's thread count is restored afterwards;
+    tiny and large ones run one at a time on that count, as where numpy's
+    OpenBLAS cannot be told its count. Either way a replica's BLAS thread
+    count follows from its size alone, so the array is identical for any
+    `jobs`.
     """
     if replicas < 1:
         raise ValueError(f"replicas {replicas} < 1")
     spectra = np.empty((replicas, shape.length()))
     tasks = [(shape.parts, scale, dist, seed, i) for i in range(replicas)]
-    for i, values in enumerate(_replica_rows(tasks, jobs)):
-        spectra[i] = values
+    replica = replica_bytes(shape.length(), shape.parts[0] if shape else 0, dist.itemsize)
+    if not _side_by_side(replica):
+        _fill_rows(spectra, tasks, 1)
+        return spectra
+    lib = _openblas()
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        _fill_rows(spectra, tasks, replica_workers(replica, replicas, jobs))
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)
     return spectra
 
 

@@ -128,6 +128,8 @@ def test_simulate_jobs_equivalence(capsys):
          "--seed", "3", "--kmax", "2", "--bins", "6"],
         ["triangular", "--size", "12", "--replicas", "3", "--entries", "real-gaussian",
          "--seed", "3", "--bins", "6"],
+        # mid-sized replicas, solved side by side
+        ["triangular", "--size", "64", "--replicas", "4", "--seed", "3", "--bins", "6"],
     ]
     for base in cases:
         _, out1 = run_cli(base + ["--jobs", "1"], capsys)
@@ -490,6 +492,29 @@ def test_numerical_failure_exit_code(capsys):
     assert code == 3
 
 
+def test_replica_failure_in_a_worker_exits_3(capsys, monkeypatch):
+    # a replica that fails on a worker thread fails the run in the caller: one stderr line
+    from youngspec import spectra
+    from youngspec.errors import SolverFailureError
+
+    solve = spectra._replica_eigenvalues
+
+    def replica(args):
+        if args[-1] == 2:
+            raise SolverFailureError("LAPACKE dsyevd failed with info = 5")
+        return solve(args)
+
+    monkeypatch.setattr(spectra, "_replica_eigenvalues", replica)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["triangular", "--size", "200", "--replicas", "6", "--entries", "real-gaussian",
+            "--seed", "1", "--jobs", "2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: SolverFailureError: LAPACKE dsyevd failed with "
+                            "info = 5\n"), captured.err
+
+
 def test_law_large_order_is_finite(capsys):
     # the parametric law works in logs, so r = 120 neither overflows nor
     # loses its moments
@@ -568,11 +593,13 @@ def test_console_entry_point():
 
 def test_cli_import_leaves_out_scipy_and_process_pool():
     # scipy, mpmath and sympy are test dependencies only (the triangular
-    # law's series coefficients are literals), and worker processes load
-    # only for --jobs > 1
-    code = ("import sys, youngspec.cli; "
+    # law's series coefficients are literals), and replicas run side by side
+    # on bare threads, without concurrent.futures, even after a run that does
+    code = ("import sys, contextlib, io, youngspec.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    youngspec.cli.main(['triangular', '--size', '64', '--replicas', '3', '--seed', '1'])\n"
             "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath', 'sympy') "
-            "or m == 'concurrent.futures.process'])")
+            "or m.startswith('concurrent.futures')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -630,14 +657,14 @@ def test_matrix_memory_budget_refuses_before_sampling(argv, handler, capsys, mon
 
 def test_matrix_memory_budget_admits_its_largest_replica():
     # complex dim s needs 16 * 2 * s^2 bytes of X and W and 16 * 64 * s of the product's
-    # conjugate rows, beside its s pooled eigenvalues, one replica, two moment rows and 4 bins:
-    # 11568 is the largest dim whose sum fits 4 GiB
+    # conjugate rows, beside its s pooled eigenvalues, one replica, their knot block, two moment
+    # rows and 4 bins: 11567 is the largest dim whose sum fits 4 GiB
     def need(s):
-        return (16 * (2 * s**2 + 64 * s) + cli.EIG_BYTES * s + cli.REPLICA_BYTES + 2 * cli.ORDER_BYTES
-                + 4 * cli.BIN_BYTES)
+        return (16 * (2 * s**2 + 64 * s) + cli.EIG_BYTES * s + cli.REPLICA_BYTES
+                + min(s, cli.KNOT_BLOCK) * cli.KNOT_BYTES + 2 * cli.ORDER_BYTES + 4 * cli.BIN_BYTES)
 
-    assert need(11568) <= cli.MEMORY_BUDGET < need(11569)
-    for size, ok in ((11568, True), (11569, False)):
+    assert need(11567) <= cli.MEMORY_BUDGET < need(11568)
+    for size, ok in ((11567, True), (11568, False)):
         cfg = RunConfig(subcommand="triangular", size=size, replicas=1, seed=1, kmax=1, bins=4)
         if ok:
             cli._validate(cfg)
@@ -763,7 +790,7 @@ PARSER_GOLDEN = {
     "simulate": [("--r", "int", None), ("--parts", "_ints", None), ("--dilation", "int", None),
                  ("--entries", _KINDS, "complex-gaussian"), ("--trunc", "float", None),
                  ("--replicas", "int", None), ("--seed", "int", None), ("--kmax", "int", 4),
-                 ("--bins", "int", 64), ("--range", "_floats", None), ("--jobs", "int", 1),
+                 ("--bins", "int", 64), ("--range", "_floats", None), ("--jobs", "int", None),
                  ("--out", None, None), ("--format", ("json", "csv"), "json")],
     "law": [("--r", "int", None), ("--grid", "int", 768), ("--tol", "float", 1e-5),
             ("--kmax", "int", 6), ("--out", None, None), ("--format", ("json", "csv"), "json")],
@@ -772,7 +799,7 @@ PARSER_GOLDEN = {
                    ("--format", ("json", "csv"), "json")],
     "triangular": [("--size", "int", None), ("--replicas", "int", None),
                    ("--entries", _KINDS, "complex-gaussian"), ("--seed", "int", None),
-                   ("--kmax", "int", 3), ("--bins", "int", 64), ("--jobs", "int", 1),
+                   ("--kmax", "int", 3), ("--bins", "int", 64), ("--jobs", "int", None),
                    ("--out", None, None), ("--format", ("json", "csv"), "json")],
 }
 
@@ -842,6 +869,16 @@ def test_triangular_sup_discrepancy_is_exact(pooled, monkeypatch):
         assert res["sup_discrepancy"] == max(dh_cdf(1.0), 1.0 - dh_cdf(1.0))
 
 
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_triangular_sup_discrepancy_keeps_its_bits_for_any_block(block, monkeypatch):
+    # dh_cdf takes the window's atoms a block at a time; its bisection is per atom, so every
+    # block size gives the sup of the whole window
+    cfg = RunConfig(subcommand="triangular", size=30, replicas=2, seed=5, kmax=1, bins=8)
+    whole = build_record(cfg)["results"]["sup_discrepancy"]
+    monkeypatch.setattr(cli, "KNOT_BLOCK", block)
+    assert build_record(cfg)["results"]["sup_discrepancy"] == whole
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--r", "1", "--dilation", "2", "--replicas", "1", "--seed", "1", "--bins", "9" * 400],
     ["sample-law", "--r", "2", "--samples", "10", "--seed", "1",
@@ -867,9 +904,9 @@ def test_bins_and_grid_memory_budget_refuses_before_work(argv, capsys, monkeypat
 
 def test_bins_and_grid_memory_budget_admits_its_largest_count():
     # the bins get what a complex size-3 replica (its Hermitian gate's W and three row
-    # blocks, 16 * (9 + 3 * 9) bytes), its 3 pooled eigenvalues and two moment rows leave
-    # of the budget; law's grid has the budget to itself
-    replica = 16 * 36 + 3 * cli.EIG_BYTES + cli.REPLICA_BYTES + 2 * cli.ORDER_BYTES
+    # blocks, 16 * (9 + 3 * 9) bytes), its 3 pooled eigenvalues and their knot block and two
+    # moment rows leave of the budget; law's grid has the budget to itself
+    replica = 16 * 36 + 3 * (cli.EIG_BYTES + cli.KNOT_BYTES) + cli.REPLICA_BYTES + 2 * cli.ORDER_BYTES
     for field, unit, rest, base in (
             ("bins", cli.BIN_BYTES, replica, dict(subcommand="triangular", size=3, replicas=1, seed=1, kmax=1)),
             ("grid", cli.GRID_BYTES, 0, dict(subcommand="law", r=2, tol=1e-5, kmax=1))):
@@ -908,7 +945,7 @@ def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
      ["one replica's matrices 2.42 GiB", "pooled eigenvalues", "histogram bins 1.9 GiB"]),
     # 2e9 pooled eigenvalues of 1e6 replicas at dim 2000
     (["simulate", "--r", "2", "--dilation", "1000", "--replicas", "1000000", "--seed", "1"],
-     ["one replica's matrices 0.121 GiB", "pooled eigenvalues 146 GiB"]),
+     ["one replica's matrices 0.121 GiB", "pooled eigenvalues 52.5 GiB"]),
     (["simulate", "--r", "1", "--dilation", "1", "--replicas", "9" * 400, "--seed", "1"],
      ["pooled eigenvalues inf GiB"]),
     # 1.4e11 glyphs of (5, 4, 4, 1) dilated 10^5 times
@@ -940,10 +977,10 @@ def test_summed_memory_budget_refuses_before_work(argv, parts, capsys, monkeypat
 
 def test_pooled_and_shape_memory_budget_admits_its_largest_count():
     # dim-2 replicas: 16 * (4 + 3 * 4) bytes of matrices (the Hermitian gate's W and three
-    # row blocks), five moment rows and 64 bins leave the rest to the spectra
+    # row blocks), a full knot block, five moment rows and 64 bins leave the rest to the spectra
     budget = cli.MEMORY_BUDGET
-    replicas = ((budget - 16 * 16 - 5 * cli.ORDER_BYTES - 64 * cli.BIN_BYTES)
-                // (2 * cli.EIG_BYTES + cli.REPLICA_BYTES))
+    replicas = ((budget - 16 * 16 - cli.KNOT_BLOCK * cli.KNOT_BYTES - 5 * cli.ORDER_BYTES
+                 - 64 * cli.BIN_BYTES) // (2 * cli.EIG_BYTES + cli.REPLICA_BYTES))
     base = dict(subcommand="simulate", r=1, dilation=2, seed=1, kmax=4, bins=64)
     cli._validate(RunConfig(**base, replicas=replicas))
     with pytest.raises(ConfigError, match="pooled eigenvalues"):

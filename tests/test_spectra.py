@@ -589,38 +589,173 @@ def test_histogram_rejects_nonfinite_ranges(bins, value_range):
         histogram([1.0], bins, value_range)
 
 
-def test_worker_pool_capped_by_replicas_and_cpus(monkeypatch):
-    # the fork start method starts every worker at the first submit, so
-    # max_workers must not follow a large jobs setting; nothing is forked here
-    import concurrent.futures
-    import os
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The threads shape_ensemble_spectra starts, beside the caller: one a further worker."""
+    import threading
 
     started = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+@pytest.mark.skipif(not _OPENBLAS, reason="numpy's OpenBLAS cannot be told its thread count")
+def test_worker_pool_capped_by_replicas_and_cpus(monkeypatch, started_threads):
+    # at most min(jobs, replicas, CPUs) replicas run at once; None stands for the CPUs
+    import os
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(spectra, "SIDE_BY_SIDE", (0, 1 << 40))  # staircase(3)'s replicas too
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     dist = EntryDistribution("real-gaussian")
-    serial = shape_ensemble_spectra(staircase(3), 3, dist, 3, seed=2)
-    for jobs, replicas, want in ((5000, 3, 3), (5000, 9, 4), (2, 9, 2)):
+    serial = shape_ensemble_spectra(staircase(3), 3, dist, 3, seed=2, jobs=1)
+    assert not started_threads
+    for jobs, replicas, want in ((5000, 3, 3), (5000, 9, 4), (2, 9, 2), (None, 9, 4), (None, 2, 2)):
+        started_threads.clear()
         got = shape_ensemble_spectra(staircase(3), 3, dist, replicas, seed=2, jobs=jobs)
-        assert started[-1] == want
+        assert len(started_threads) + 1 == want == spectra.replica_workers(1, replicas, jobs)
+        assert not any(t.is_alive() for t in started_threads)
         assert all(np.array_equal(a, b) for a, b in zip(got, serial))
     monkeypatch.setattr(os, "cpu_count", lambda: None)
+    started_threads.clear()
     shape_ensemble_spectra(staircase(3), 3, dist, 3, seed=2, jobs=8)
-    assert started[-1] == 1
+    assert not started_threads and spectra.replica_workers(1, 3, 8) == 1
+
+
+def test_replicas_side_by_side_only_between_the_bounds(monkeypatch):
+    # the GIL crossover and the memory cap, in one replica's bytes, by the budget's own formula
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    real, cplx = 8, 16
+    assert spectra.replica_bytes(1000, 1000, cplx) == 32_000_000 + 16 * 64 * 1000  # ensemble-r2
+    lo, hi = spectra.SIDE_BY_SIDE
+    for rows, cols, item, inside in ((20, 20, real, False), (32, 32, cplx, False), (200, 200, real, True),
+                                     (200, 200, cplx, True), (700, 700, real, True),
+                                     (1000, 1000, cplx, False), (1000, 1000, real, False)):
+        replica = spectra.replica_bytes(rows, cols, item)
+        assert (lo <= replica <= hi) == inside, (rows, item, replica)
+        assert spectra.replica_workers(replica, 80, 2) == (2 if inside and _OPENBLAS else 1)
+    with _fallback():  # no thread count to pin: one at a time
+        assert spectra.replica_workers(spectra.replica_bytes(200, 200, real), 80, 2) == 1
+
+
+def _blas_threads(count=None):
+    """numpy's OpenBLAS thread count, set first to ``count`` where given."""
+    lib = spectra._openblas()
+    if count is not None:
+        lib.scipy_openblas_set_num_threads64_(count)
+    return lib.scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def blas_threads():
+    """Restores the process's OpenBLAS thread count after a test that sets it."""
+    before = _blas_threads()
+    yield
+    _blas_threads(before)
+
+
+@pytest.mark.skipif(not _OPENBLAS, reason="numpy's OpenBLAS cannot be told its thread count")
+@pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
+def test_side_by_side_spectra_are_one_thread_bits_for_any_jobs(kind, blas_threads, monkeypatch):
+    # mid-sized replicas: the same bits for jobs 1, 2 and 3 whatever the process's count was,
+    # each row that of its replica solved on one BLAS thread, and the count restored
+    shape, dist = Partition((2, 1)).dilate(40), EntryDistribution(kind)
+    assert spectra.SIDE_BY_SIDE[0] <= spectra.replica_bytes(80, 80, dist.itemsize) <= spectra.SIDE_BY_SIDE[1]
+    _blas_threads(1)
+    want = [eigenvalues(covariance(sample_shaped(shape, dist, (19, i)), 40)).values for i in range(5)]
+    seen, solve = [], spectra._replica_eigenvalues
+
+    def replica(args):
+        seen.append(_blas_threads())
+        return solve(args)
+
+    monkeypatch.setattr(spectra, "_replica_eigenvalues", replica)
+    for before in (1, 2):
+        for jobs in (1, 2, 3):
+            _blas_threads(before)
+            got = shape_ensemble_spectra(shape, 40, dist, 5, 19, jobs=jobs)
+            assert _blas_threads() == before
+            assert all(row.tobytes() == w.tobytes() for row, w in zip(got, want)), (before, jobs)
+    assert seen == [1] * 30  # every replica solved on one thread
+
+
+@pytest.mark.skipif(not _OPENBLAS, reason="numpy's OpenBLAS cannot be told its thread count")
+def test_side_by_side_failure_stops_the_workers_and_restores_the_count(monkeypatch, blas_threads,
+                                                                        started_threads):
+    # replica 1 fails at once while the others take 20 ms: the caller gets its error once every
+    # worker has joined, no further replica starts, and the thread count is as before
+    import os
+    import time
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls = []
+
+    def replica(args):
+        calls.append(args[-1])
+        if args[-1] == 1:
+            raise SolverFailureError("replica 1")
+        time.sleep(0.02)
+        return np.zeros(80)
+
+    monkeypatch.setattr(spectra, "_replica_eigenvalues", replica)
+    _blas_threads(2)
+    with pytest.raises(SolverFailureError, match="replica 1"):
+        shape_ensemble_spectra(Partition((2, 1)).dilate(40), 40, EntryDistribution("real-gaussian"),
+                               40, 7, jobs=2)
+    assert _blas_threads() == 2
+    assert len(started_threads) == 1 and not started_threads[0].is_alive()
+    assert 1 in calls and len(calls) <= 4, calls
+
+
+@pytest.mark.skipif(not _OPENBLAS, reason="numpy's OpenBLAS cannot be told its thread count")
+def test_replica_over_the_cap_runs_alone_on_the_process_count(monkeypatch, blas_threads,
+                                                              started_threads):
+    # with the cap below a staircase(20) replica, it runs on the caller's thread at the count
+    # the process has, which nothing sets
+    lib, seen, sets = spectra._openblas(), [], []
+    solve = spectra._replica_eigenvalues
+
+    def replica(args):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        return solve(args)
+
+    _blas_threads(2)
+    monkeypatch.setattr(spectra, "SIDE_BY_SIDE", (0, 1000))
+    monkeypatch.setattr(spectra, "_replica_eigenvalues", replica)
+    monkeypatch.setattr(lib, "scipy_openblas_set_num_threads64_", sets.append)
+    dist = EntryDistribution("complex-gaussian")
+    assert spectra.replica_bytes(20, 20, 16) > 1000
+    got = shape_ensemble_spectra(staircase(20), 20, dist, 3, 5, jobs=3)
+    assert seen == [2, 2, 2] and not sets and not started_threads
+    for i, row in enumerate(got):
+        assert np.array_equal(row, eigenvalues(covariance(sample_shaped(staircase(20), dist, (5, i)), 20)).values)
+
+
+@pytest.mark.skipif(not _OPENBLAS, reason="numpy's OpenBLAS cannot be told its thread count")
+def test_side_by_side_stress_more_workers_than_cores(monkeypatch):
+    # eight workers on a shortened switch interval fill every row once, in its own place
+    import os
+    import sys
+
+    monkeypatch.setattr(spectra, "SIDE_BY_SIDE", (0, 1 << 40))
+    dist = EntryDistribution("real-gaussian")
+    serial = shape_ensemble_spectra(staircase(6), 6, dist, 48, 3, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = shape_ensemble_spectra(staircase(6), 6, dist, 48, 3, jobs=8)
+            assert np.array_equal(got, serial)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_spectrum_shape_for_dilated_staircase():
@@ -674,8 +809,8 @@ def test_ensemble_spectra_is_one_row_per_replica(kind):
 
 
 def test_ensemble_spectra_equal_across_jobs():
-    # a real two-worker pool fills the same array as the serial run
-    args = (staircase(3).dilate(5), 5, EntryDistribution("complex-gaussian"), 3, 13)
+    # two worker threads fill the same array as the serial run (mid-sized replicas: dim 60)
+    args = (staircase(3).dilate(20), 20, EntryDistribution("complex-gaussian"), 3, 13)
     serial = shape_ensemble_spectra(*args, jobs=1)
     pooled = shape_ensemble_spectra(*args, jobs=2)
     assert pooled.dtype == serial.dtype and pooled.flags.c_contiguous
