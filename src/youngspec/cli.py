@@ -4,21 +4,21 @@ Every stochastic subcommand requires an explicit seed; rerunning any
 command with the same configuration reproduces the numerical payload
 byte for byte (only the wall-clock provenance field differs), including
 under different --jobs settings (the most replicas solved at once; by
-default the CPUs). One row declares each setting (flag
-parsing and rule, _SETTINGS) and one each subcommand (handler, help,
-formats, flag defaults, _SUBCOMMANDS); a setting with a default is
-required, so a config file's null for one (--entries, --oracle-trees
-too) is refused. The rules are checked on the resolved RunConfig,
-whatever produced it. simulate, sample-law and triangular summarise a
-sample one way: a histogram over one window (_window) and, against a
-limit law, Levy and KS distances to its cdf_grid CDF (_distances).
+default the CPUs). One row declares each setting (flag parsing and rule,
+_SETTINGS) and one each subcommand (handler, help, formats, flag
+defaults, _SUBCOMMANDS); a setting with a default is required, so a
+config file's null for one (--entries, --oracle-trees too) is refused.
+The rules are checked on the resolved RunConfig, whatever produced it.
+simulate, sample-law and triangular summarise a sample one way: a
+histogram over one window (_window) and, against a limit law, Levy and
+KS distances to its cdf_grid CDF (_distances).
 
 Exit codes: 0 success; 2 validation error (a missing setting, a value of
 the wrong type or out of range, a --range its --bins cannot split, an
 unreadable config file, an unwritable --out, a bad shape or entry law, a
-run whose replica, pooled spectra, draws, bins, grid and diagram sum past
-the memory budget); 3 numerical failure from the library, a result
-beyond the float range too.
+run whose replicas solved at once, pooled spectra, draws, bins, grid and
+diagram sum past the memory budget); 3 numerical failure from the
+library, a result beyond the float range too.
 """
 
 from __future__ import annotations
