@@ -9,10 +9,10 @@ A run calls ``perfbench/run.py --workload W --seed S --seconds T`` once per
 workload and seed, each in a fresh process, and reads the JSON object on
 its last line. The summary file holds the checkout's git revision, the
 machine (platform, CPU model, CPUs this process may use), the Python,
-numpy, scipy and OpenBLAS versions, OpenBLAS's thread count (null where
-numpy is not built on scipy-openblas), and for each workload and end-to-end
-metric the median, first and third quartiles and count over the seeds,
-beside the raw values and how many runs passed their checks.
+numpy, scipy and OpenBLAS versions, OpenBLAS's thread count and core name
+(null where numpy is not built on scipy-openblas), and for each workload
+and end-to-end metric the median, first and third quartiles and count over
+the seeds, beside the raw values and how many runs passed their checks.
 
 With --baseline, another checkout's perfbench runs pair with this one's,
 seed by seed, and the side that runs first alternates from pair to pair,
@@ -42,14 +42,20 @@ WORKLOADS = ("ensemble-r2", "law-r4", "sample-law-r2", "triangular")
 
 
 def machine() -> dict:
-    """Platform, CPU model and usable CPUs, the interpreter's library versions and the number
-    of threads numpy's OpenBLAS runs, which the perfbench jobs inherit."""
+    """Platform, CPU model and usable CPUs, the interpreter's library versions, and the number
+    of threads numpy's OpenBLAS runs, which the perfbench jobs inherit, and the core whose
+    kernels it chose: a record's bits follow both."""
+    import ctypes
+
     import numpy as np
     import scipy
 
     from youngspec.spectra import _openblas
 
     lib = _openblas()
+    if lib is not None:
+        core = lib.scipy_openblas_get_corename64_
+        core.restype, core.argtypes = ctypes.c_char_p, []
     cpuinfo = Path("/proc/cpuinfo")
     lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
     model = next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")),
@@ -58,7 +64,8 @@ def machine() -> dict:
     return {"platform": platform.platform(), "cpu_model": model, "cpus": len(os.sched_getaffinity(0)),
             "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_threads": lib.scipy_openblas_get_num_threads64_() if lib is not None else None}
+            "blas_threads": lib.scipy_openblas_get_num_threads64_() if lib is not None else None,
+            "blas_core": core().decode() if lib is not None else None}
 
 
 def git_rev(checkout: Path) -> str | None:

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spectra
 from .combinatorics import count_r_plane_trees, dh_moment, gen_catalan, limit_moment
 from .errors import (ConfigError, InsufficientPointsError, InvalidRangeError, OutsideDomainError,
                      YoungSpecError)
@@ -86,8 +86,6 @@ _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 # histogram's or a density grid's arrays with their JSON text, and a shape's
 # rendered diagram
 MEMORY_BUDGET = 4 << 30
-# knots a block of the distances' walk or of triangular's window holds
-KNOT_BLOCK = 1 << 14
 # traced peak bytes a sample (28.2 at 2e5, r = 1 to 3: 24 of draws, sorted
 # atoms and counts, the rest one block of 2^14 knots of a distance; 25.0 at
 # 1e6), of the distances' walk beside them (WALK_BYTES: up to 1.01e6 above 29
@@ -97,12 +95,12 @@ KNOT_BLOCK = 1 << 14
 # pooled spectra's block (simulate --r and triangular at dim 2 to 200, 2e3 to
 # 1.28e5 eigenvalues: the three put every traced peak at 0.51 to 0.97 of the
 # run's summed need; an eigenvalue costs 24 to 27 above 4.8e4 eigenvalues, its
-# value, sorted atom and count; 456 a replica at dim 1), a moment order (row
+# value, sorted atom and count; 376 a replica at dim 1), a moment order (row
 # and JSON: 947 to 989 simulate, kmax 100 to 2e4; 1,112 to 1,335 triangular,
 # kmax 50 to 300) and a diagram box (shape, 1.4e5 to 1.3e6 boxes: 14.1 to
 # 14.5), by tracemalloc over build_record and render_output
 SAMPLE_BYTES, BIN_BYTES, GRID_BYTES, WALK_BYTES = 29, 680, 740, 1_100_000
-EIG_BYTES, REPLICA_BYTES, KNOT_BYTES, ORDER_BYTES, BOX_BYTES = 28, 390, 56, 1350, 15
+EIG_BYTES, REPLICA_BYTES, KNOT_BYTES, ORDER_BYTES, BOX_BYTES = 28, 310, 56, 1350, 15
 _UNIT_BYTES = {"samples": (SAMPLE_BYTES, "draws"), "bins": (BIN_BYTES, "histogram bins"),
                "grid": (GRID_BYTES, "grid points")}
 
@@ -224,7 +222,7 @@ def _memory_needs(cfg: RunConfig, lam: Partition | None) -> dict[str, int]:
         needs["one replica's matrices" if workers == 1 else f"{workers} replicas' matrices"] = \
             workers * replica
         needs["pooled eigenvalues"] = cfg.replicas * (EIG_BYTES * rows + REPLICA_BYTES)
-        needs["one knot block"] = min(cfg.replicas * rows, KNOT_BLOCK) * KNOT_BYTES
+        needs["one knot block"] = min(cfg.replicas * rows, spectra.KNOT_BLOCK) * KNOT_BYTES
         needs["moment rows"] = (cfg.kmax + 1) * ORDER_BYTES
     if cfg.subcommand == "sample-law":
         needs["distances' block"] = WALK_BYTES
@@ -252,9 +250,9 @@ def _ensemble(cfg: RunConfig, shape: Partition, scale: int, edge: float | None,
               mean: Fraction | None = None) -> tuple:
     """--replicas spectra of W = X X*/scale on ``shape``: pooled, their moments, their window."""
     dist = EntryDistribution(cfg.entries, cfg.trunc)
-    spectra = shape_ensemble_spectra(shape, scale, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs)
-    pooled = spectra.ravel()
-    return pooled, spectra_moments(spectra, cfg.kmax), *_window(pooled, cfg, edge, mean)
+    rows = shape_ensemble_spectra(shape, scale, dist, cfg.replicas, cfg.seed, jobs=cfg.jobs)
+    pooled = rows.ravel()
+    return pooled, spectra_moments(rows, cfg.kmax), *_window(pooled, cfg, edge, mean)
 
 
 def _distances(values: np.ndarray, limit) -> dict:
@@ -366,8 +364,8 @@ def _run_law(cfg: RunConfig) -> dict:
             "exact": _frac(exact),
             "beta_product": _frac(bp),
             "beta_product_matches": bp == exact,
-            "contour": cm.value,
-            "contour_rel_err": abs(cm.value - fex) / fex,
+            "contour": cm,
+            "contour_rel_err": abs(cm - fex) / fex,
             "grid": gm,
             "grid_rel_err": abs(gm - fex) / fex,
         })
@@ -425,8 +423,8 @@ def _run_triangular(cfg: RunConfig) -> dict:
     ecdf = StepCDF(pooled)
     sup = float(np.max(np.abs(ecdf.eval([lo, hi]) - dh_cdf([lo, hi]))))
     first, stop = np.searchsorted(ecdf.atoms, (lo, hi), side="right")
-    for start in range(first, stop, KNOT_BLOCK):
-        atoms, at, below = ecdf.knots(start, min(start + KNOT_BLOCK, stop))
+    for start in range(first, stop, spectra.KNOT_BLOCK):
+        atoms, at, below = ecdf.knots(start, min(start + spectra.KNOT_BLOCK, stop))
         fs = dh_cdf(atoms)
         sup = max(sup, float(np.max(np.abs(at - fs))), float(np.max(np.abs(below - fs))))
     return {

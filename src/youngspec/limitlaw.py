@@ -67,7 +67,6 @@ __all__ = [
     "density_r2",
     "beta_product_moment",
     "beta_product_samples",
-    "ContourMoment",
     "contour_moment",
     "dh_density",
     "dh_cdf",
@@ -409,13 +408,7 @@ def beta_product_samples(r: int, n: int, rng: np.random.Generator) -> np.ndarray
 # -- contour (projection) moments -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContourMoment:
-    value: float
-    imag_residual: float
-
-
-def contour_moment(r: int, k: int) -> ContourMoment:
+def contour_moment(r: int, k: int) -> float:
     """m_k as the coefficient of z^k in (1+z)^((r+1)k) / (k+1).
 
     The coefficient integral is taken by the periodic trapezoid rule on the
@@ -434,7 +427,7 @@ def contour_moment(r: int, k: int) -> ContourMoment:
         val = complex(np.mean(g) / (k + 1))
     if not np.isfinite(val):
         raise OutsideDomainError(f"contour moment k = {k} of the r = {r} law exceeds the float range")
-    return ContourMoment(value=val.real, imag_residual=abs(val.imag))
+    return val.real
 
 
 # -- triangular-limit (staircase) law ----------------------------------------

@@ -8,8 +8,8 @@ second moment. Real entry kinds stay float64 throughout, so W and its
 spectrum are computed in real arithmetic; only complex-gaussian is
 complex128. Entries are drawn, truncated and masked in place, 2^16 at a
 time where a draw or a truncation needs scratch, and a complex W is built
-BLOCK columns at a time. So one replica holds X, W and scratch of BLOCK
-rows, and spectra.eigenvalues then solves W in its own buffer.
+a column block at a time, bit for bit x @ x.conj().T. So one replica holds
+X, W and one block's rows of scratch; spectra.eigenvalues solves W in place.
 """
 
 from __future__ import annotations
@@ -128,7 +128,6 @@ class EntryDistribution:
 class ShapedMatrix:
     """Dense matrix whose support is exactly a Young diagram (real or complex entries)."""
 
-    shape: Partition
     entries: np.ndarray
 
 
@@ -136,8 +135,6 @@ class ShapedMatrix:
 class CovarianceMatrix:
     """Hermitian PSD matrix W = X X* / N built from a shaped sample (real for real entries)."""
 
-    dim: int
-    scale: int
     entries: np.ndarray
 
 
@@ -153,23 +150,30 @@ def sample_shaped(lam: Partition, dist: EntryDistribution,
     x = dist.sample(substream(*stream), (lam.length(), lam.parts[0]))
     for row, part in enumerate(lam.parts):
         x[row, part:] = 0.0  # the boxes right of the diagram
-    return ShapedMatrix(shape=lam, entries=x)
+    return ShapedMatrix(entries=x)
+
+
+def column_starts(dim: int) -> range:
+    """Where a complex W's column blocks start: every BLOCK columns, but a tail narrower than 4
+    columns joins the last block, as a product that narrow would take other kernels."""
+    return range(0, max(dim - 3, 1), BLOCK)
 
 
 def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
     """W = X X* / n as the products return it; spectra.eigenvalues checks it is Hermitian.
 
-    Real X takes one x @ x.T (numpy's syrk); a complex W is filled BLOCK
-    columns at a time by X @ X[j:j+BLOCK]*, the same dot products as x @ x.conj().T.
+    Real X takes one x @ x.T (numpy's syrk); a complex W is filled a column
+    block at a time (column_starts) by X @ X[j:k]*, bit for bit x @ x.conj().T.
     """
     if n < 1:
         raise ValueError(f"scale {n} < 1")
     x = x.entries
     if np.iscomplexobj(x):
         m = np.empty((x.shape[0], x.shape[0]), dtype=x.dtype)
-        for j in range(0, x.shape[0], BLOCK):
-            np.matmul(x, x[j:j + BLOCK].conj().T, out=m[:, j:j + BLOCK])
+        starts = column_starts(len(x))
+        for j, k in zip(starts, [*starts[1:], len(x)]):
+            np.matmul(x, x[j:k].conj().T, out=m[:, j:k])
     else:
         m = x @ x.T
     m /= n
-    return CovarianceMatrix(dim=m.shape[0], scale=n, entries=m)
+    return CovarianceMatrix(entries=m)

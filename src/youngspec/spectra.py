@@ -2,10 +2,10 @@
 
 A spectrum is solved in W's own buffer by LAPACK in numpy's OpenBLAS, bit
 for bit np.linalg.eigvalsh's values (which solves a copy where numpy has
-another library), so a replica holds no matrix beside X and W. An
-ensemble's mid-sized replicas run side by side on threads, each on one
-BLAS thread (the library releases the interpreter lock), so their bits do
-not depend on the number of workers or on the process's thread count.
+another library), so a replica holds no matrix beside X and W. Replica i
+is a function of i alone, so mid-sized replicas run side by side on
+threads, each on one BLAS thread (the library releases the interpreter
+lock), and their bits depend on neither the workers nor the thread count.
 
 Distance computations work on a small CDF protocol: objects exposing
 ``eval`` / ``eval_left`` (vectorized, right-continuous values and left
@@ -36,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidRangeError, NotHermitianError, OutsideDomainError, SolverFailureError
-from .matrices import BLOCK, CHUNK, CovarianceMatrix, EntryDistribution, covariance, sample_shaped
+from .matrices import (BLOCK, CHUNK, CovarianceMatrix, EntryDistribution, column_starts, covariance,
+                       sample_shaped)
 from .partitions import Partition
 
 __all__ = [
@@ -236,8 +237,9 @@ class GridCDF:
 
 # knots of the larger CDF that a distance walks at a time: beside the CDFs' own
 # arrays and the smaller CDF's graph, it builds arrays of one block's vertices
-# (two a knot) at most; smaller blocks cost more numpy calls, larger more memory
-_BLOCK = 1 << 14
+# (two a knot) at most; smaller blocks cost more numpy calls, larger more memory.
+# The CLI's triangular window and memory budget read it at call time too.
+KNOT_BLOCK = 1 << 14
 
 
 def _max_gap(own: np.ndarray, other: np.ndarray) -> float:
@@ -264,9 +266,9 @@ def _heights(u, y, count):
 def _levy_block(big, start: int, us, ys, small_own) -> float:
     """The largest gap at the larger graph's vertices of the knots from ``start`` a block on
     and at the smaller graph's (``us``, ``ys``) vertices that fall in that block."""
-    last = start + _BLOCK >= len(big)
+    last = start + KNOT_BLOCK >= len(big)
     # the block's knots and the next block's first: every bracket np.interp reads is here
-    ub, yb = _rotated_graph(*big.knots(start, start + _BLOCK + 1))
+    ub, yb = _rotated_graph(*big.knots(start, start + KNOT_BLOCK + 1))
     owned = len(ub) if last else len(ub) - 2
     # own vertices on the next block's first u share its gap; that block reads their height
     cut = owned if last else np.searchsorted(ub[:owned], ub[owned])
@@ -302,7 +304,7 @@ def levy_distance(f, g) -> float:
     us, ys = _rotated_graph(*small.knots())
     small_own = _heights(us, ys, len(us))
     gap = 0.0
-    for start in range(0, len(big), _BLOCK):  # one block's arrays at a time
+    for start in range(0, len(big), KNOT_BLOCK):  # one block's arrays at a time
         gap = max(gap, _levy_block(big, start, us, ys, small_own))
     return float(gap)
 
@@ -324,8 +326,8 @@ def ks_distance(f, g) -> float:
     """
     big, small = (f, g) if len(f) >= len(g) else (g, f)
     gap = _ks_gap(small, big)
-    for start in range(0, len(big), _BLOCK):
-        gap = max(gap, _ks_gap(big, small, start, start + _BLOCK))
+    for start in range(0, len(big), KNOT_BLOCK):
+        gap = max(gap, _ks_gap(big, small, start, start + KNOT_BLOCK))
     return float(gap)
 
 
@@ -393,12 +395,13 @@ def replica_bytes(rows: int, cols: int, itemsize: int) -> int:
     """Peak bytes of one replica with a rows x cols X of ``itemsize``-byte entries.
 
     It peaks drawing X (a chunk's |X| and mask), in the product (X, W and the
-    conjugate of BLOCK rows of X) or in the Hermitian gate (W and three
-    BLOCK-row blocks).
+    conjugate of the widest column block's rows of X) or in the Hermitian gate
+    (W and three BLOCK-row blocks).
     """
     block = min(BLOCK, rows)
+    widest = max(block, rows - column_starts(rows)[-1])
     x, w = itemsize * rows * cols, itemsize * rows * rows
-    return max(x + 9 * min(rows * cols, CHUNK), x + w + itemsize * block * cols,
+    return max(x + 9 * min(rows * cols, CHUNK), x + w + itemsize * widest * cols,
                w + 3 * itemsize * block * rows)
 
 
@@ -417,15 +420,15 @@ def replica_workers(replica: int, replicas: int, jobs: int | None = None) -> int
     return min(jobs or cpus, replicas, cpus)
 
 
-def _replica_eigenvalues(args) -> np.ndarray:
-    lam_parts, scale, dist, seed, index = args
+def _replica_eigenvalues(shape: Partition, scale: int, dist: EntryDistribution, seed: int,
+                         index: int) -> np.ndarray:
     # X is gone once W is built: the gate and the solve run in W's buffer, beside one row block
-    w = covariance(sample_shaped(Partition(lam_parts), dist, (seed, index)), scale)
+    w = covariance(sample_shaped(shape, dist, (seed, index)), scale)
     return eigenvalues(w).values
 
 
-def _fill_rows(spectra: np.ndarray, tasks: list[tuple], workers: int) -> None:
-    """Row i of ``spectra`` from task i, on ``workers`` threads, the caller's among them.
+def _fill_rows(spectra: np.ndarray, solve, workers: int) -> None:
+    """Row i of ``spectra`` as ``solve(i)``, on ``workers`` threads, the caller's among them.
 
     Each worker takes the next index from one counter. The first failure
     stops every worker from starting another replica and is raised here
@@ -436,9 +439,9 @@ def _fill_rows(spectra: np.ndarray, tasks: list[tuple], workers: int) -> None:
     def work():
         try:
             for i in indices:  # next() on a count is one step under the interpreter lock
-                if i >= len(tasks) or failures:
+                if i >= len(spectra) or failures:
                     return
-                spectra[i] = _replica_eigenvalues(tasks[i])
+                spectra[i] = solve(i)
         except BaseException as exc:  # re-raised below, in the caller
             failures.append(exc)
 
@@ -469,16 +472,16 @@ def shape_ensemble_spectra(shape: Partition, scale: int, dist: EntryDistribution
     if replicas < 1:
         raise ValueError(f"replicas {replicas} < 1")
     spectra = np.empty((replicas, shape.length()))
-    tasks = [(shape.parts, scale, dist, seed, i) for i in range(replicas)]
+    solve = functools.partial(_replica_eigenvalues, shape, scale, dist, seed)
     replica = replica_bytes(shape.length(), shape.parts[0] if shape else 0, dist.itemsize)
     if not _side_by_side(replica):
-        _fill_rows(spectra, tasks, 1)
+        _fill_rows(spectra, solve, 1)
         return spectra
     lib = _openblas()
     threads = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(1)
     try:
-        _fill_rows(spectra, tasks, replica_workers(replica, replicas, jobs))
+        _fill_rows(spectra, solve, replica_workers(replica, replicas, jobs))
     finally:
         lib.scipy_openblas_set_num_threads64_(threads)
     return spectra

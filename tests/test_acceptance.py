@@ -93,7 +93,7 @@ def test_criterion_03_moment_cross_validation():
                 exact = limit_moment(r, k)
                 beta_exact &= beta_product_moment(r, k) == exact
                 fex = float(exact)
-                worst_contour = max(worst_contour, abs(contour_moment(r, k).value - fex) / fex)
+                worst_contour = max(worst_contour, abs(contour_moment(r, k) - fex) / fex)
                 worst_grid = max(worst_grid, abs(grid.moment(k) - fex) / fex)
     ok = beta_exact and worst_contour < 1e-8 and worst_grid < 1e-4 and t.elapsed < 300.0
     report(3, "moments: beta-product exact, contour <1e-8, density grid <1e-4 (r<=4, k<=6)",

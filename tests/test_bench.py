@@ -55,9 +55,10 @@ def test_bench_script_smoke_run_on_law_r4(tmp_path):
     assert law["metrics"]["ok_ratio"]["median"] == 1.0
     assert bench["seeds"] == [1] and bench["machine"]["cpus"] >= 1
     assert set(bench["machine"]) == {"platform", "cpu_model", "cpus", "python", "numpy", "scipy", "blas",
-                                     "blas_threads"}
+                                     "blas_threads", "blas_core"}
     threads = bench["machine"]["blas_threads"]
     assert threads is None or threads >= 1
+    assert (bench["machine"]["blas_core"] is None) == (threads is None)
     proc = subprocess.run([sys.executable, str(SCRIPT), "--compare", str(out), str(out)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

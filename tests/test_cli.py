@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from youngspec import cli
+from youngspec import cli, spectra
 from youngspec.cli import RunConfig, build_record, main, render_output
 from youngspec.errors import ConfigError, InvalidRangeError
 from youngspec.limitlaw import density_with_error, dh_cdf, support_edge
@@ -494,15 +494,14 @@ def test_numerical_failure_exit_code(capsys):
 
 def test_replica_failure_in_a_worker_exits_3(capsys, monkeypatch):
     # a replica that fails on a worker thread fails the run in the caller: one stderr line
-    from youngspec import spectra
     from youngspec.errors import SolverFailureError
 
     solve = spectra._replica_eigenvalues
 
-    def replica(args):
+    def replica(*args):
         if args[-1] == 2:
             raise SolverFailureError("LAPACKE dsyevd failed with info = 5")
-        return solve(args)
+        return solve(*args)
 
     monkeypatch.setattr(spectra, "_replica_eigenvalues", replica)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -661,7 +660,7 @@ def test_matrix_memory_budget_admits_its_largest_replica():
     # rows and 4 bins: 11567 is the largest dim whose sum fits 4 GiB
     def need(s):
         return (16 * (2 * s**2 + 64 * s) + cli.EIG_BYTES * s + cli.REPLICA_BYTES
-                + min(s, cli.KNOT_BLOCK) * cli.KNOT_BYTES + 2 * cli.ORDER_BYTES + 4 * cli.BIN_BYTES)
+                + min(s, spectra.KNOT_BLOCK) * cli.KNOT_BYTES + 2 * cli.ORDER_BYTES + 4 * cli.BIN_BYTES)
 
     assert need(11567) <= cli.MEMORY_BUDGET < need(11568)
     for size, ok in ((11567, True), (11568, False)):
@@ -875,7 +874,7 @@ def test_triangular_sup_discrepancy_keeps_its_bits_for_any_block(block, monkeypa
     # block size gives the sup of the whole window
     cfg = RunConfig(subcommand="triangular", size=30, replicas=2, seed=5, kmax=1, bins=8)
     whole = build_record(cfg)["results"]["sup_discrepancy"]
-    monkeypatch.setattr(cli, "KNOT_BLOCK", block)
+    monkeypatch.setattr(spectra, "KNOT_BLOCK", block)
     assert build_record(cfg)["results"]["sup_discrepancy"] == whole
 
 
@@ -945,7 +944,7 @@ def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
      ["one replica's matrices 2.42 GiB", "pooled eigenvalues", "histogram bins 1.9 GiB"]),
     # 2e9 pooled eigenvalues of 1e6 replicas at dim 2000
     (["simulate", "--r", "2", "--dilation", "1000", "--replicas", "1000000", "--seed", "1"],
-     ["one replica's matrices 0.121 GiB", "pooled eigenvalues 52.5 GiB"]),
+     ["one replica's matrices 0.121 GiB", "pooled eigenvalues 52.4 GiB"]),
     (["simulate", "--r", "1", "--dilation", "1", "--replicas", "9" * 400, "--seed", "1"],
      ["pooled eigenvalues inf GiB"]),
     # 1.4e11 glyphs of (5, 4, 4, 1) dilated 10^5 times
@@ -979,7 +978,7 @@ def test_pooled_and_shape_memory_budget_admits_its_largest_count():
     # dim-2 replicas: 16 * (4 + 3 * 4) bytes of matrices (the Hermitian gate's W and three
     # row blocks), a full knot block, five moment rows and 64 bins leave the rest to the spectra
     budget = cli.MEMORY_BUDGET
-    replicas = ((budget - 16 * 16 - cli.KNOT_BLOCK * cli.KNOT_BYTES - 5 * cli.ORDER_BYTES
+    replicas = ((budget - 16 * 16 - spectra.KNOT_BLOCK * cli.KNOT_BYTES - 5 * cli.ORDER_BYTES
                  - 64 * cli.BIN_BYTES) // (2 * cli.EIG_BYTES + cli.REPLICA_BYTES))
     base = dict(subcommand="simulate", r=1, dilation=2, seed=1, kmax=4, bins=64)
     cli._validate(RunConfig(**base, replicas=replicas))

@@ -48,13 +48,13 @@ def grid_cdfs(draw):
 
 
 def test_eigenvalues_diagonal():
-    w = CovarianceMatrix(dim=2, scale=1, entries=np.diag([2.0, 3.0]).astype(complex))
+    w = CovarianceMatrix(entries=np.diag([2.0, 3.0]).astype(complex))
     s = eigenvalues(w)
     assert np.allclose(s.values, [2.0, 3.0])
 
 
 def test_eigenvalues_scalar_case():
-    x = ShapedMatrix(shape=Partition((1,)), entries=np.array([[2.0 + 0j]]))
+    x = ShapedMatrix(entries=np.array([[2.0 + 0j]]))
     s = eigenvalues(covariance(x, 1))
     assert np.allclose(s.values, [4.0])
 
@@ -82,8 +82,7 @@ def test_eigenpair_residuals():
 
 
 def test_eigenvalues_rejects_non_hermitian():
-    w = CovarianceMatrix(dim=2, scale=1,
-                         entries=np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
+    w = CovarianceMatrix(entries=np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
     with pytest.raises(NotHermitianError):
         eigenvalues(w)
 
@@ -115,12 +114,12 @@ def test_replica_peak_memory_is_bounded(kind, bound):
     import tracemalloc
 
     lam = Partition((2, 1)).dilate(300)
-    task = (lam.parts, 300, EntryDistribution(kind), 14, 0)
+    task = (lam, 300, EntryDistribution(kind), 14, 0)
     x_bytes = lam.length() * lam.parts[0] * (16 if kind == "complex-gaussian" else 8)
-    _replica_eigenvalues(task)  # first-call allocations of numpy and LAPACK are not the replica's
+    _replica_eigenvalues(*task)  # first-call allocations of numpy and LAPACK are not the replica's
     tracemalloc.start()
     try:
-        _replica_eigenvalues(task)
+        _replica_eigenvalues(*task)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -181,7 +180,7 @@ def test_lapack_path_solves_w_in_its_own_buffer(kind):
 @pytest.mark.parametrize("dtype", [complex, float])
 def test_all_nan_matrix_is_a_solver_failure(dtype, fallback):
     # NaN passes the Hermitian gate; the solver refuses it
-    w = CovarianceMatrix(dim=3, scale=1, entries=np.full((3, 3), np.nan, dtype=dtype))
+    w = CovarianceMatrix(entries=np.full((3, 3), np.nan, dtype=dtype))
     with _fallback() if fallback else contextlib.nullcontext(), pytest.raises(SolverFailureError):
         eigenvalues(w)
 
@@ -196,7 +195,7 @@ def test_other_layouts_and_dtypes_are_converted_first(entries):
     frozen = np.array(entries, dtype=complex)
     frozen.flags.writeable = False
     for m in (entries, frozen):
-        got = eigenvalues(CovarianceMatrix(dim=3, scale=1, entries=m)).values
+        got = eigenvalues(CovarianceMatrix(entries=m)).values
         assert got.dtype == np.float64 and np.allclose(got, want, rtol=1e-6)
     assert not frozen.flags.writeable  # a read-only W is solved in a copy
 
@@ -236,7 +235,7 @@ def test_empirical_moment_matrix_power_oracle():
     w = covariance(x, 2)
     m = w.entries
     w3 = m @ m @ m  # before eigenvalues, which consumes W
-    oracle = np.trace(w3).real / w.dim
+    oracle = np.trace(w3).real / len(m)
     s = eigenvalues(w)
     assert abs(_moments(s.values, 3)[3] - oracle) <= 1e-8 * abs(oracle)
 
@@ -414,7 +413,7 @@ def test_ks_evaluates_each_cdf_only_at_the_other_knots(monkeypatch):
 
 
 # knots of the larger CDF that the distances walk at a time
-B = spectra._BLOCK
+B = spectra.KNOT_BLOCK
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,7 +421,7 @@ B = spectra._BLOCK
        st.one_of(small_steps, tied_steps, grid_cdfs()))
 def test_distances_equal_union_references_with_small_blocks(block, f, g):
     # blocks of a few knots put a boundary between almost every pair of knots
-    with mock.patch.object(spectra, "_BLOCK", block):
+    with mock.patch.object(spectra, "KNOT_BLOCK", block):
         _assert_union_distances(f, g)
 
 
@@ -434,7 +433,7 @@ def test_merged_vertices_equal_union_references_with_small_blocks(block, exp10, 
     base = 10.0 ** exp10
     f = StepCDF(base * (1.0 + 1e-15 * np.array(ticks, dtype=float)))
     g = StepCDF(base * (1.0 + 1e-15 * np.array(ticks2, dtype=float)))
-    with mock.patch.object(spectra, "_BLOCK", block):
+    with mock.patch.object(spectra, "KNOT_BLOCK", block):
         _assert_union_distances(f, g)
 
 
@@ -662,6 +661,31 @@ def blas_threads():
 
 
 @pytest.mark.skipif(not _OPENBLAS, reason="numpy's OpenBLAS cannot be told its thread count")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_complex_covariance_is_the_one_shot_product_bit_for_bit(threads, blas_threads):
+    # the last column block takes a tail narrower than 4 columns: a product that narrow took
+    # other kernels, and W differed from x @ x.conj().T at dims 65, 129, 130, 131, 193, ...
+    dist = EntryDistribution("complex-gaussian")
+    _blas_threads(threads)
+    squares = [((1,), dim) for dim in (1, 2, 3, 4, 63, 64, 65, 66, 67, 68, 127, 128, 129, 130, 131,
+                                       132, 160, 193, 257, 321, 385)]
+    for parts, n in squares + [((2, 1), 65), ((1, 1, 1), 43), ((6, 2), 33), ((5, 4, 4, 1), 16)]:
+        x = sample_shaped(Partition(parts).dilate(n), dist, (11, n)).entries
+        want = x @ x.conj().T
+        want /= n
+        assert covariance(ShapedMatrix(entries=x), n).entries.tobytes() == want.tobytes(), (parts, n)
+
+
+def test_replica_bytes_counts_the_widest_column_block():
+    # the product's conjugate rows are the widest block's: 64 columns, or 64 and a tail under 4
+    for rows, widest in ((3, 3), (64, 64), (65, 65), (67, 67), (68, 64), (131, 67), (132, 64),
+                         (1000, 64)):
+        x, w = 16 * rows * 10, 16 * rows * rows
+        assert spectra.replica_bytes(rows, 10, 16) == max(x + 9 * rows * 10, x + w + 16 * widest * 10,
+                                                          w + 3 * 16 * min(rows, 64) * rows), rows
+
+
+@pytest.mark.skipif(not _OPENBLAS, reason="numpy's OpenBLAS cannot be told its thread count")
 @pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
 def test_side_by_side_spectra_are_one_thread_bits_for_any_jobs(kind, blas_threads, monkeypatch):
     # mid-sized replicas: the same bits for jobs 1, 2 and 3 whatever the process's count was,
@@ -672,9 +696,9 @@ def test_side_by_side_spectra_are_one_thread_bits_for_any_jobs(kind, blas_thread
     want = [eigenvalues(covariance(sample_shaped(shape, dist, (19, i)), 40)).values for i in range(5)]
     seen, solve = [], spectra._replica_eigenvalues
 
-    def replica(args):
+    def replica(*args):
         seen.append(_blas_threads())
-        return solve(args)
+        return solve(*args)
 
     monkeypatch.setattr(spectra, "_replica_eigenvalues", replica)
     for before in (1, 2):
@@ -697,7 +721,7 @@ def test_side_by_side_failure_stops_the_workers_and_restores_the_count(monkeypat
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     calls = []
 
-    def replica(args):
+    def replica(*args):
         calls.append(args[-1])
         if args[-1] == 1:
             raise SolverFailureError("replica 1")
@@ -722,9 +746,9 @@ def test_replica_over_the_cap_runs_alone_on_the_process_count(monkeypatch, blas_
     lib, seen, sets = spectra._openblas(), [], []
     solve = spectra._replica_eigenvalues
 
-    def replica(args):
+    def replica(*args):
         seen.append(lib.scipy_openblas_get_num_threads64_())
-        return solve(args)
+        return solve(*args)
 
     _blas_threads(2)
     monkeypatch.setattr(spectra, "SIDE_BY_SIDE", (0, 1000))
