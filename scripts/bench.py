@@ -50,7 +50,7 @@ def machine() -> dict:
     import numpy as np
     import scipy
 
-    from youngspec.spectra import _openblas
+    from youngspec.matrices import _openblas
 
     lib = _openblas()
     if lib is not None:

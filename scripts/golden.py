@@ -26,8 +26,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 FILE = ROOT / "tests" / "golden_records.json"
 
 # the four benchmark workloads at small sizes (ensemble-r2's dim-1000 replica whole), every
-# other subcommand, the shapes, entry laws and sizes whose records earlier changes tracked by
-# hand, and complex dims 65 and 129, which end in a narrow last column block
+# other subcommand, and the shapes, entry laws and sizes whose records earlier changes tracked by
+# hand: among them a tall diagram, whose W has exact zeros, and complex dims 65 and 129, where a
+# product taken in column blocks once ended in a block too narrow for its kernels
 ARGVS = (
     "simulate --r 2 --dilation 500 --replicas 1 --kmax 4 --bins 96 --seed 11",
     "simulate --r 2 --dilation 50 --replicas 4 --kmax 4 --bins 96 --seed 11",

@@ -78,8 +78,8 @@ class RunConfig:
 
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
-# bytes a run may hold in its largest arrays, summed over its parts: the X, W
-# and row-block or draw scratch of each replica solved at once, the pooled
+# bytes a run may hold in its largest arrays, summed over its parts: the X and
+# factoring or draw scratch of each replica solved at once, the pooled
 # spectra with their step CDF and one block of their distances' walk or of
 # triangular's window, the moment rows (no table of replica moments is held),
 # sample-law's draws likewise and one block of their distances' walk, a

@@ -7,19 +7,23 @@ matrix is W = X X* / N for a dilation/scale parameter N. One table
 second moment. Real entry kinds stay float64 throughout, so W and its
 spectrum are computed in real arithmetic; only complex-gaussian is
 complex128. Entries are drawn, truncated and masked in place, 2^16 at a
-time where a draw or a truncation needs scratch, and a complex W is built
-a column block at a time, bit for bit x @ x.conj().T. So one replica holds
-X, W and one block's rows of scratch; spectra.eigenvalues solves W in place.
+time where a draw or a truncation needs scratch. W is formed in X's own
+buffer, on the diagram's smaller side, by LAPACK in numpy's OpenBLAS: a QR
+a row group at a time over only that group's rows inside the diagram, then
+?lauum, the in-place triangular Gram. So a replica holds X and one block of
+BLOCK rows of scratch; spectra.eigenvalues solves the triangle in place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateTruncationError, EmptyPartitionError
+from .errors import DegenerateTruncationError, EmptyPartitionError, SolverFailureError
 from .partitions import Partition
 from .streams import substream
 
@@ -34,7 +38,7 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 
-BLOCK = 64  # columns per complex block product; rows per block of the Hermitian gate
+BLOCK = 64  # rows a reversal or a flip of W's factor moves at a time; rows of the Hermitian gate
 CHUNK = 1 << 16  # entries a draw, a truncation or a complex part handles at a time
 
 
@@ -124,18 +128,84 @@ class EntryDistribution:
         return x
 
 
+# each dtype's LAPACKE routines by step, and the transpose that applies a QR's or an LQ's Q*
+_LAPACK = {np.dtype(float): ({"qr": "dgeqrf", "qr_apply": "dormqr", "lq": "dgelqf", "lq_apply": "dormlq",
+                              "gram": "dlauum", "solve": "dsyevd"}, b"T"),
+           np.dtype(complex): ({"qr": "zgeqrf", "qr_apply": "zunmqr", "lq": "zgelqf", "lq_apply": "zunmlq",
+                                "gram": "zlauum", "solve": "zheevd"}, b"C")}
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (scipy-openblas64: 64-bit ints) through ctypes, loaded once,
+    with the routines of _LAPACK and the thread-count getter and setter typed; None where
+    numpy is built against another library or it lacks one of them."""
+    import ctypes
+
+    i64, ptr, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+    factor = (ctypes.c_int, i64, i64, ptr, i64, ptr)
+    apply = (ctypes.c_int, char, char, i64, i64, i64, ptr, i64, ptr, ptr, i64)
+    args = {"qr": factor, "qr_apply": apply, "lq": factor, "lq_apply": apply,
+            "gram": (ctypes.c_int, char, i64, ptr, i64),
+            "solve": (ctypes.c_int, char, char, i64, ptr, i64, ptr)}
+    signatures = {f"scipy_LAPACKE_{name}64_": (i64, args[step])
+                  for names, _ in _LAPACK.values() for step, name in names.items()}
+    signatures.update({"scipy_openblas_get_num_threads64_": (ctypes.c_int, ()),
+                       "scipy_openblas_set_num_threads64_": (None, (ctypes.c_int,))})
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy has loaded: one library, one thread pool
+        for name, (restype, argtypes) in signatures.items():
+            fn = getattr(lib, name, None)
+            if fn is None:
+                return None
+            fn.restype, fn.argtypes = restype, argtypes
+        return lib
+    return None
+
+
+def _lapack(lib, dtype, step: str, *args) -> None:
+    """Call the LAPACKE routine of ``step`` for ``dtype`` in ``lib``; a nonzero info raises
+    SolverFailureError naming the routine and info."""
+    name = _LAPACK[dtype][0][step]
+    info = getattr(lib, f"scipy_LAPACKE_{name}64_")(*args)
+    if info:
+        raise SolverFailureError(f"LAPACKE {name} failed with info = {info}")
+
+
 @dataclass(frozen=True)
 class ShapedMatrix:
-    """Dense matrix whose support is exactly a Young diagram (real or complex entries)."""
+    """Dense matrix whose support lies in a Young diagram (real or complex entries).
+
+    ``shape`` is the diagram, whose rectangle must be the matrix's; entries
+    outside it count as zeros. A matrix built without one has its whole
+    rectangle as its shape.
+    """
 
     entries: np.ndarray
+    shape: Partition | None = None
+
+    def __post_init__(self):
+        rows, cols = self.entries.shape
+        if self.shape is None:
+            object.__setattr__(self, "shape", Partition([cols] * rows))
+        elif (self.shape.length(), self.shape.part(1)) != (rows, cols):
+            raise ValueError(f"diagram {self.shape.parts} does not span a {rows} x {cols} matrix")
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Hermitian PSD matrix W = X X* / N built from a shaped sample (real for real entries)."""
+    """Hermitian PSD matrix W = X X* / N built from a shaped sample (real for real entries).
+
+    With ``triangle`` None, ``entries`` is the whole matrix. Else only its
+    row-major ``"upper"`` or ``"lower"`` triangle holds the matrix, which is
+    W itself or, for a diagram with more rows than columns, X* X / N, whose
+    spectrum is W's but for ``zeros`` further eigenvalues that are exactly 0.
+    """
 
     entries: np.ndarray
+    triangle: str | None = None
+    zeros: int = 0
 
 
 def sample_shaped(lam: Partition, dist: EntryDistribution,
@@ -148,32 +218,91 @@ def sample_shaped(lam: Partition, dist: EntryDistribution,
     if not lam:
         raise EmptyPartitionError("cannot sample a matrix with empty shape")
     x = dist.sample(substream(*stream), (lam.length(), lam.parts[0]))
-    for row, part in enumerate(lam.parts):
-        x[row, part:] = 0.0  # the boxes right of the diagram
-    return ShapedMatrix(entries=x)
+    for first, rows, part in lam.row_groups():
+        x[first:first + rows, part:] = 0.0  # the boxes right of the diagram
+    return ShapedMatrix(entries=x, shape=lam)
 
 
-def column_starts(dim: int) -> range:
-    """Where a complex W's column blocks start: every BLOCK columns, but a tail narrower than 4
-    columns joins the last block, as a product that narrow would take other kernels."""
-    return range(0, max(dim - 3, 1), BLOCK)
+def _reverse(a: np.ndarray, scratch: np.ndarray, axes: tuple) -> None:
+    """Reverse ``a`` in place along ``axes`` of (0, 1), BLOCK rows at a time through ``scratch``;
+    where the rows reverse, each block swaps with its mirror block. Copies only: a ufunc on a
+    reversed or strided view would take buffers of its own."""
+    cols = slice(None, None, -1) if 1 in axes else slice(None)
+    flip = (slice(None, None, -1) if 0 in axes else slice(None), cols)
+    m = len(a)
+    half = m // 2 if 0 in axes else 0  # the rows that swap places
+    for i in range(0, half, BLOCK):
+        top = a[i:min(i + BLOCK, half)]
+        bottom, tmp = a[m - i - len(top):m - i], scratch[:len(top), :a.shape[1]]
+        np.copyto(tmp, top)
+        np.copyto(top, bottom[flip])
+        np.copyto(bottom, tmp[flip])
+    for i in range(half, m - half, BLOCK):  # the rows that keep their place: the middle one, or all
+        rows = a[i:min(i + BLOCK, m - half)]
+        tmp = scratch[:len(rows), :a.shape[1]]
+        np.copyto(tmp, rows[:, cols])
+        np.copyto(rows, tmp)
 
 
 def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
-    """W = X X* / n as the products return it; spectra.eigenvalues checks it is Hermitian.
+    """W = X X* / n in X's own buffer, which it consumes; spectra.eigenvalues solves it there.
 
-    Real X takes one x @ x.T (numpy's syrk); a complex W is filled a column
-    block at a time (column_starts) by X @ X[j:k]*, bit for bit x @ x.conj().T.
+    The buffer read as column-major is Y = X^T. On a diagram no taller
+    than wide, X's rows are reversed, so Y's columns have ascending supports,
+    and each row group's columns are QR-factored (?geqrf) over only their
+    rows inside the diagram, their reflectors applied to the later columns
+    on those rows (?ormqr, ?unmqr): fill-in stays inside the diagram. The
+    triangle R then holds Y* Y = R* R up to that reversal, so R is flipped
+    end for end, scaled by 1/sqrt(n), and ?lauum forms R* R over it: the
+    row-major upper triangle of the leading rows x rows block holds W. A
+    taller diagram takes the same steps on X's reversed columns with an LQ
+    (?gelqf, ?ormlq, ?unmlq) over the conjugate diagram's groups, and its
+    row-major lower triangle holds X* X / n, whose spectrum is W's less
+    rows - cols zeros. A real group with one row inside the diagram is left
+    as it is; a complex one is factored, since ?lauum reads only the real
+    part of the diagonal. X that is not C-contiguous, writeable float64 or
+    complex128 is converted first. Where numpy's library has no such
+    routines, W is the whole product x @ x.conj().T / n.
     """
     if n < 1:
         raise ValueError(f"scale {n} < 1")
-    x = x.entries
-    if np.iscomplexobj(x):
-        m = np.empty((x.shape[0], x.shape[0]), dtype=x.dtype)
-        starts = column_starts(len(x))
-        for j, k in zip(starts, [*starts[1:], len(x)]):
-            np.matmul(x, x[j:k].conj().T, out=m[:, j:k])
-    else:
-        m = x @ x.T
-    m /= n
-    return CovarianceMatrix(entries=m)
+    lib = _openblas()
+    a = x.entries
+    if lib is None:
+        w = a @ a.conj().T
+        w /= n
+        return CovarianceMatrix(entries=w)
+    a = np.require(a, complex if np.iscomplexobj(a) else float, ["C", "A", "W"])
+    rows, cols = a.shape
+    wide = rows <= cols
+    groups = (x.shape if wide else x.shape.conjugate()).row_groups()
+    m, item, dtype = min(rows, cols), a.itemsize, a.dtype
+    scratch = np.empty((min(BLOCK, rows), cols), dtype)
+    _reverse(a, scratch, (0,) if wide else (1,))
+    trans = _LAPACK[dtype][1]
+    tau = np.empty(max((count for _, count, _ in groups), default=0), dtype)
+
+    def at(i, j):  # the address of Y's entry (i, j): Y is column-major with leading dimension cols
+        return a.ctypes.data + (i + j * cols) * item
+
+    for first, count, part in reversed(groups):
+        k = m - first - count  # the group's first column of Y (its first row, taller)
+        free = part - k  # its rows (columns) inside the diagram, from k on
+        if free < 1 or free == 1 and dtype.kind == "f":
+            continue
+        later = m - k - count  # the columns (rows) of the groups still to come
+        if wide:
+            _lapack(lib, dtype, "qr", 102, free, count, at(k, k), cols, tau.ctypes.data)
+            if later:
+                _lapack(lib, dtype, "qr_apply", 102, b"L", trans, free, later, min(free, count),
+                        at(k, k), cols, tau.ctypes.data, at(k, k + count), cols)
+        else:
+            _lapack(lib, dtype, "lq", 102, count, free, at(k, k), cols, tau.ctypes.data)
+            if later:
+                _lapack(lib, dtype, "lq_apply", 102, b"R", trans, later, free, min(free, count),
+                        at(k, k), cols, tau.ctypes.data, at(k + count, k), cols)
+    block = a[:m, :m]
+    _reverse(block, scratch, (0, 1))
+    a[:m] *= 1.0 / math.sqrt(n)  # the factor's rows, contiguous: W is (F / sqrt(n))* (F / sqrt(n))
+    _lapack(lib, dtype, "gram", 102, b"L" if wide else b"U", m, block.ctypes.data, max(cols, 1))
+    return CovarianceMatrix(entries=block, triangle="upper" if wide else "lower", zeros=rows - m)

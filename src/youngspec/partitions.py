@@ -8,6 +8,7 @@ English convention (row 1 on top, rows never longer than the row above).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -66,9 +67,23 @@ class Partition:
             raise IndexOutOfRangeError(f"row index {i} < 1")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
+    def row_groups(self) -> list[tuple[int, int, int]]:
+        """The runs of equal parts, top to bottom, as (first row, rows, part) with 0-based rows."""
+        groups, first = [], 0
+        for part, run in itertools.groupby(self.parts):
+            rows = len(list(run))
+            groups.append((first, rows, part))
+            first += rows
+        return groups
+
     def conjugate(self) -> "Partition":
-        """Reflect the diagram in the main diagonal."""
-        return Partition([sum(p >= j for p in self.parts) for j in range(1, self.part(1) + 1)])
+        """Reflect the diagram in the main diagonal: the columns left of each row group's part and
+        right of the next one's are as long as the rows down to that group's last."""
+        parts, right = [], 0
+        for first, rows, part in reversed(self.row_groups()):
+            parts += [first + rows] * (part - right)
+            right = part
+        return Partition(parts)
 
     def contains(self, other: "Partition") -> bool:
         """True iff the diagram of ``other`` fits inside this diagram."""

@@ -1,9 +1,12 @@
 """Hermitian spectra, empirical distributions, moments and CDF metrics.
 
-A spectrum is solved in W's own buffer by LAPACK in numpy's OpenBLAS, bit
-for bit np.linalg.eigvalsh's values (which solves a copy where numpy has
-another library), so a replica holds no matrix beside X and W. Replica i
-is a function of i alone, so mid-sized replicas run side by side on
+A replica's spectrum is solved by LAPACK in numpy's OpenBLAS in the
+triangle of X's own buffer where matrices.covariance formed W (or, for a
+diagram taller than wide, X* X, beside W's exact zeros), so a replica holds
+no matrix beside X. A whole matrix built elsewhere is gated as Hermitian
+and solved in its own buffer, bit for bit np.linalg.eigvalsh's values
+(which solves a copy where numpy has another library). Replica i is a
+function of i alone, so mid-sized replicas run side by side on
 threads, each on one BLAS thread (the library releases the interpreter
 lock), and their bits depend on neither the workers nor the thread count.
 
@@ -31,12 +34,11 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidRangeError, NotHermitianError, OutsideDomainError, SolverFailureError
-from .matrices import (BLOCK, CHUNK, CovarianceMatrix, EntryDistribution, column_starts, covariance,
+from .matrices import (BLOCK, CHUNK, CovarianceMatrix, EntryDistribution, _lapack, _openblas, covariance,
                        sample_shaped)
 from .partitions import Partition
 
@@ -69,53 +71,14 @@ class Spectrum:
     dim: int
 
 
-# the LAPACKE driver (jobz N) that solves a W of each dtype
-_DRIVERS = {np.dtype(float): "dsyevd", np.dtype(complex): "zheevd"}
-
-
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS (scipy-openblas64: 64-bit ints) through ctypes, loaded once,
-    with the drivers of _DRIVERS and the thread-count getter and setter typed; None where
-    numpy is built against another library or it lacks one of them."""
-    import ctypes
-
-    solve = (ctypes.c_int64, (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                              ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p))
-    signatures = {**{f"scipy_LAPACKE_{driver}64_": solve for driver in _DRIVERS.values()},
-                  "scipy_openblas_get_num_threads64_": (ctypes.c_int, ()),
-                  "scipy_openblas_set_num_threads64_": (None, (ctypes.c_int,))}
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*")):
-        lib = ctypes.CDLL(str(path))  # the copy numpy has loaded: one library, one thread pool
-        for name, (restype, argtypes) in signatures.items():
-            fn = getattr(lib, name, None)
-            if fn is None:
-                return None
-            fn.restype, fn.argtypes = restype, argtypes
-        return lib
-    return None
-
-
-def eigenvalues(w: CovarianceMatrix) -> Spectrum:
-    """Full real spectrum of a Hermitian (or real symmetric) matrix, ascending, bit for bit
-    np.linalg.eigvalsh's of ``w.entries``, whose buffer it consumes.
-
-    Entries further than 1e-10 of the largest from Hermitian, checked BLOCK
-    rows at a time, raise NotHermitianError. Like eigvalsh, the solve reads
-    only the lower triangle: each row block overwrites its part of the upper
-    one with the lower one's conjugate. Then ?syevd or ?heevd (jobz N) of
-    numpy's OpenBLAS solves W in its own buffer, read as column-major. That
-    is W's transpose, whose lower triangle is the conjugate of W's: the same
-    driver on conjugated data gives the same bits. Entries that are not
-    C-contiguous, writeable float64 or complex128 are converted first. Where
-    numpy's library has no such driver, eigvalsh solves a copy. A failed
-    solve raises SolverFailureError, as on LAPACK's path a NaN in the lower
-    triangle does.
-    """
-    if w.entries.ndim != 2 or w.entries.shape[0] != w.entries.shape[1]:
-        raise NotHermitianError(f"matrix shape {w.entries.shape} is not square")
-    m = np.require(w.entries, complex if np.iscomplexobj(w.entries) else float, ["C", "A", "W"])
+def _hermitian(entries) -> np.ndarray:
+    """A whole matrix's entries as a C-contiguous, writeable float64 or complex128 array (a copy
+    where they are not), gated and mirrored: entries further than 1e-10 of the largest from
+    Hermitian, checked BLOCK rows at a time, raise NotHermitianError, and each row block then
+    overwrites its part of the upper triangle with the lower one's conjugate."""
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise NotHermitianError(f"matrix shape {entries.shape} is not square")
+    m = np.require(entries, complex if np.iscomplexobj(entries) else float, ["C", "A", "W"])
     n = len(m)
     scale = asym = 0.0
     for i in range(0, n, BLOCK):
@@ -129,19 +92,40 @@ def eigenvalues(w: CovarianceMatrix) -> Spectrum:
     scale, asym = float(scale), float(asym)
     if scale > 0 and asym > _HERM_TOL * scale:
         raise NotHermitianError(f"asymmetry {asym:.3e} exceeds {_HERM_TOL:.1e} * {scale:.3e}")
+    return m
+
+
+def eigenvalues(w: CovarianceMatrix) -> Spectrum:
+    """Full real spectrum of a Hermitian (or real symmetric) matrix, ascending, solved in the
+    buffer of ``w.entries``, which it consumes.
+
+    A triangle that matrices.covariance named is solved as it is, and its
+    ``zeros`` exact zeros join the values in order. A whole matrix built
+    elsewhere is first gated and mirrored (_hermitian), and its values are
+    then np.linalg.eigvalsh's bit for bit: like eigvalsh, the solve reads
+    only the lower triangle. ?syevd or ?heevd (jobz N) of numpy's OpenBLAS
+    solves the buffer read as column-major, W's transpose, whose lower
+    triangle is the conjugate of W's upper one: the same driver on
+    conjugated data gives the same bits. Where numpy's library has no such
+    driver, eigvalsh solves a copy. A failed solve raises
+    SolverFailureError, as on LAPACK's path a NaN in the triangle read does.
+    """
+    m = w.entries if w.triangle else _hermitian(w.entries)
+    n = len(m)
+    values = np.zeros(n + w.zeros)
     lib = _openblas()
     if lib is None:
         try:
-            return Spectrum(values=np.linalg.eigvalsh(m), dim=n)
+            values[w.zeros:] = np.linalg.eigvalsh(m, UPLO="U" if w.triangle == "upper" else "L")
         except np.linalg.LinAlgError as exc:
             raise SolverFailureError(str(exc)) from exc
-    vals, driver = np.empty(n), _DRIVERS[m.dtype]
-    # column-major layout (102), lower triangle, leading dimension at least 1
-    info = getattr(lib, f"scipy_LAPACKE_{driver}64_")(102, b"N", b"L", n, m.ctypes.data, max(n, 1),
-                                                       vals.ctypes.data)
-    if info:
-        raise SolverFailureError(f"LAPACKE {driver} failed with info = {info}")
-    return Spectrum(values=vals, dim=n)
+    else:
+        # column-major layout (102): the row-major upper triangle is the lower one read
+        _lapack(lib, m.dtype, "solve", 102, b"N", b"U" if w.triangle == "lower" else b"L", n,
+                m.ctypes.data, max(m.strides[0] // m.itemsize, n, 1), values[w.zeros:].ctypes.data)
+    if w.zeros:
+        values.sort()  # a rounded value below 0 goes before the exact zeros
+    return Spectrum(values=values, dim=n + w.zeros)
 
 
 class StepCDF:
@@ -383,26 +367,27 @@ class EnsembleMoments:
     variances: np.ndarray
 
 
-# bytes of one replica's matrices (replica_bytes) between which replicas run side by
-# side: below, a replica's BLAS calls are too short to outweigh the interpreter lock the
-# workers share (on 2 vCPUs two workers ran staircases of dim 8 to 40 at 0.5 to 1.2 times
-# the speed of one, and of dim 48 to 200 at 1.2 to 1.9); above, two at once would hold
-# twice the memory of one (ensemble-r2's 33 MB replica) for little gain
-SIDE_BY_SIDE = (128 << 10, 8 << 20)
+# bytes of one replica (replica_bytes) between which replicas run side by side: below, a
+# replica's BLAS calls are too short to outweigh the interpreter lock the workers share (on
+# 2 vCPUs two workers ran staircases of dim 8 to 40 at 0.5 to 1.2 times the speed of one, and
+# of dim 48 to 200 at 1.2 to 1.9); above, two at once would hold twice the memory of one for
+# little gain. The bounds keep the squares that earlier bounds on the bytes of X and a separate
+# W put side by side, real dims 64 to 708 and complex dims 46 to 496 (now to 505)
+SIDE_BY_SIDE = (66 << 10, 4500 << 10)
 
 
 def replica_bytes(rows: int, cols: int, itemsize: int) -> int:
     """Peak bytes of one replica with a rows x cols X of ``itemsize``-byte entries.
 
-    It peaks drawing X (a chunk's |X| and mask), in the product (X, W and the
-    conjugate of the widest column block's rows of X) or in the Hermitian gate
-    (W and three BLOCK-row blocks).
+    Every phase runs in X's buffer, beside: in the draw, a chunk's |X| and
+    mask, or a chunk's integers and the 8192 entries of numpy's buffer that
+    casts them; in the factoring (matrices.covariance), BLOCK rows of
+    scratch and a row group's reflector scalars; in the solve, the
+    eigenvalues.
     """
-    block = min(BLOCK, rows)
-    widest = max(block, rows - column_starts(rows)[-1])
-    x, w = itemsize * rows * cols, itemsize * rows * rows
-    return max(x + 9 * min(rows * cols, CHUNK), x + w + itemsize * widest * cols,
-               w + 3 * itemsize * block * rows)
+    entries = rows * cols
+    return itemsize * entries + max(9 * min(entries, CHUNK) + 8 * min(entries, 8192),
+                                    itemsize * (min(BLOCK, rows) * cols + min(rows, cols)), 8 * rows)
 
 
 def _side_by_side(replica: int) -> bool:
@@ -422,7 +407,7 @@ def replica_workers(replica: int, replicas: int, jobs: int | None = None) -> int
 
 def _replica_eigenvalues(shape: Partition, scale: int, dist: EntryDistribution, seed: int,
                          index: int) -> np.ndarray:
-    # X is gone once W is built: the gate and the solve run in W's buffer, beside one row block
+    # W is formed and solved in X's buffer
     w = covariance(sample_shaped(shape, dist, (seed, index)), scale)
     return eigenvalues(w).values
 

@@ -352,7 +352,21 @@ def test_default_histogram_window(argv, lo, hi, capsys):
     assert edges.tobytes() == np.linspace(lo, hi, rec["config"]["bins"] + 1).tobytes()
 
 
-_SIMULATE = {"subcommand": "simulate", "r": 1, "dilation": 2, "replicas": 2, "seed": 1}
+def test_structural_zeros_are_exact_and_fall_in_the_first_bin(capsys):
+    # (1, 1, 1) dilated 200 times is 600 x 200, so each replica's W has 400 zero eigenvalues:
+    # exact zeros, where rounding noise of +-6e-15 once put 402 of the 1,200 values below 0
+    code, out = run_cli(["simulate", "--parts", "1,1,1", "--dilation", "200", "--replicas", "2",
+                         "--seed", "3"], capsys)
+    assert code == 0
+    hist = json.loads(out)["results"]["histogram"]
+    assert hist["below"] == 0 and hist["counts"][0] == 800 and hist["total"] == 1200
+    rows = shape_ensemble_spectra(Partition((1, 1, 1)).dilate(200), 200,
+                                  EntryDistribution("complex-gaussian"), 2, 3)
+    assert np.count_nonzero(rows == 0.0) == 800 and np.all(rows[:, :400] == 0.0)
+    assert np.all(rows[:, 400:] > hist["edges"][1])
+
+
+_SIMULATE ={"subcommand": "simulate", "r": 1, "dilation": 2, "replicas": 2, "seed": 1}
 _LAW = {"subcommand": "law", "r": 2, "grid": 16, "kmax": 1}
 
 
@@ -635,14 +649,14 @@ def test_subcommands_leave_out_numpy_ma():
      "shape_ensemble_spectra"),
     (["simulate", "--parts", "5,4,4,1", "--dilation", "7000", "--entries", "rademacher",
       "--replicas", "1", "--seed", "1"], "shape_ensemble_spectra"),
-    (["triangular", "--size", "12000", "--replicas", "1", "--seed", "1"], "shape_ensemble_spectra"),
+    (["triangular", "--size", "17000", "--replicas", "1", "--seed", "1"], "shape_ensemble_spectra"),
     # a byte count past the float range is reported as inf GiB, not an OverflowError
     (["simulate", "--r", "2", "--dilation", "9" * 400, "--replicas", "1", "--seed", "1"],
      "shape_ensemble_spectra"),
 ])
 def test_matrix_memory_budget_refuses_before_sampling(argv, handler, capsys, monkeypatch):
-    # X and W of one replica: 8 or 16 bytes * (rows * cols + rows^2) and a row block's scratch,
-    # here 116 TiB, 13 GiB, 4.3 GiB and about 1e802 bytes, over the 4 GiB budget; nothing is
+    # X of one replica, 8 or 16 bytes * rows * cols, and BLOCK rows of the factoring's scratch,
+    # here 58 TiB, 7.3 GiB, 4.3 GiB and about 1e802 bytes, over the 4 GiB budget; nothing is
     # dilated or sampled
     def forbidden(*args, **kwargs):
         raise AssertionError("work before the budget check")
@@ -655,15 +669,15 @@ def test_matrix_memory_budget_refuses_before_sampling(argv, handler, capsys, mon
 
 
 def test_matrix_memory_budget_admits_its_largest_replica():
-    # complex dim s needs 16 * 2 * s^2 bytes of X and W and 16 * 64 * s of the product's
-    # conjugate rows, beside its s pooled eigenvalues, one replica, their knot block, two moment
-    # rows and 4 bins: 11567 is the largest dim whose sum fits 4 GiB
+    # complex dim s needs 16 * s^2 bytes of X, 16 * 64 * s of the factoring's scratch rows and
+    # 16 * s of its reflector scalars, beside its s pooled eigenvalues, one replica, their knot
+    # block, two moment rows and 4 bins: 16348 is the largest dim whose sum fits 4 GiB
     def need(s):
-        return (16 * (2 * s**2 + 64 * s) + cli.EIG_BYTES * s + cli.REPLICA_BYTES
+        return (16 * (s**2 + 65 * s) + cli.EIG_BYTES * s + cli.REPLICA_BYTES
                 + min(s, spectra.KNOT_BLOCK) * cli.KNOT_BYTES + 2 * cli.ORDER_BYTES + 4 * cli.BIN_BYTES)
 
-    assert need(11567) <= cli.MEMORY_BUDGET < need(11568)
-    for size, ok in ((11567, True), (11568, False)):
+    assert need(16348) <= cli.MEMORY_BUDGET < need(16349)
+    for size, ok in ((16348, True), (16349, False)):
         cfg = RunConfig(subcommand="triangular", size=size, replicas=1, seed=1, kmax=1, bins=4)
         if ok:
             cli._validate(cfg)
@@ -902,15 +916,15 @@ def test_bins_and_grid_memory_budget_refuses_before_work(argv, capsys, monkeypat
 
 
 def test_bins_and_grid_memory_budget_admits_its_largest_count():
-    # the bins get what a complex size-3 replica (its Hermitian gate's W and three row
-    # blocks, 16 * (9 + 3 * 9) bytes), its 3 pooled eigenvalues and their knot block and two
-    # moment rows leave of the budget; law's grid has the budget to itself
-    replica = 16 * 36 + 3 * (cli.EIG_BYTES + cli.KNOT_BYTES) + cli.REPLICA_BYTES + 2 * cli.ORDER_BYTES
+    # the bins get what a complex size-3 replica (X, three rows of the factoring's scratch and
+    # three reflector scalars, 16 * (9 + 9 + 3) bytes), its 3 pooled eigenvalues and their knot
+    # block and two moment rows leave of the budget; law's grid has the budget to itself
+    replica = 16 * 21 + 3 * (cli.EIG_BYTES + cli.KNOT_BYTES) + cli.REPLICA_BYTES + 2 * cli.ORDER_BYTES
     for field, unit, rest, base in (
             ("bins", cli.BIN_BYTES, replica, dict(subcommand="triangular", size=3, replicas=1, seed=1, kmax=1)),
             ("grid", cli.GRID_BYTES, 0, dict(subcommand="law", r=2, tol=1e-5, kmax=1))):
         largest = (cli.MEMORY_BUDGET - rest) // unit
-        assert largest == {"bins": 6_316_122, "grid": 5_804_009}[field]
+        assert largest == {"bins": 6_316_123, "grid": 5_804_009}[field]
         cli._validate(RunConfig(**base, **{field: largest}))
         with pytest.raises(ConfigError, match="budget"):
             cli._validate(RunConfig(**base, **{field: largest + 1}))
@@ -940,11 +954,11 @@ def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
     # each part alone fits the 4 GiB budget; their sum does not
     (["sample-law", "--r", "2", "--samples", "148102320", "--bins", "6316128", "--seed", "1"],
      ["draws 4 GiB", "histogram bins 4 GiB"]),
-    (["triangular", "--size", "9000", "--replicas", "1", "--seed", "1", "--bins", "3000000"],
-     ["one replica's matrices 2.42 GiB", "pooled eigenvalues", "histogram bins 1.9 GiB"]),
+    (["triangular", "--size", "12000", "--replicas", "1", "--seed", "1", "--bins", "3000000"],
+     ["one replica's matrices 2.16 GiB", "pooled eigenvalues", "histogram bins 1.9 GiB"]),
     # 2e9 pooled eigenvalues of 1e6 replicas at dim 2000
     (["simulate", "--r", "2", "--dilation", "1000", "--replicas", "1000000", "--seed", "1"],
-     ["one replica's matrices 0.121 GiB", "pooled eigenvalues 52.4 GiB"]),
+     ["one replica's matrices 0.0615 GiB", "pooled eigenvalues 52.4 GiB"]),
     (["simulate", "--r", "1", "--dilation", "1", "--replicas", "9" * 400, "--seed", "1"],
      ["pooled eigenvalues inf GiB"]),
     # 1.4e11 glyphs of (5, 4, 4, 1) dilated 10^5 times
@@ -975,10 +989,11 @@ def test_summed_memory_budget_refuses_before_work(argv, parts, capsys, monkeypat
 
 
 def test_pooled_and_shape_memory_budget_admits_its_largest_count():
-    # dim-2 replicas: 16 * (4 + 3 * 4) bytes of matrices (the Hermitian gate's W and three
-    # row blocks), a full knot block, five moment rows and 64 bins leave the rest to the spectra
+    # dim-2 replicas: 16 * (4 + 4 + 2) bytes of matrices (X, two rows of the factoring's
+    # scratch and two reflector scalars), a full knot block, five moment rows and 64 bins leave
+    # the rest to the spectra
     budget = cli.MEMORY_BUDGET
-    replicas = ((budget - 16 * 16 - spectra.KNOT_BLOCK * cli.KNOT_BYTES - 5 * cli.ORDER_BYTES
+    replicas = ((budget - 16 * 10 - spectra.KNOT_BLOCK * cli.KNOT_BYTES - 5 * cli.ORDER_BYTES
                  - 64 * cli.BIN_BYTES) // (2 * cli.EIG_BYTES + cli.REPLICA_BYTES))
     base = dict(subcommand="simulate", r=1, dilation=2, seed=1, kmax=4, bins=64)
     cli._validate(RunConfig(**base, replicas=replicas))

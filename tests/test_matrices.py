@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from youngspec import matrices
 from youngspec.errors import DegenerateTruncationError, EmptyPartitionError
 from youngspec.matrices import (
-    BLOCK,
     ENTRY_KINDS,
     EntryDistribution,
     ShapedMatrix,
@@ -20,6 +19,8 @@ from youngspec.matrices import (
 from youngspec.partitions import Partition, square, staircase
 from youngspec.spectra import eigenvalues
 from youngspec.streams import substream
+
+from _gram import whole
 
 
 def test_staircase_zero_pattern():
@@ -186,19 +187,18 @@ def test_covariance_scalar():
 def test_covariance_trace_identity():
     lam = staircase(3).dilate(2)
     x = sample_shaped(lam, EntryDistribution("complex-gaussian"), (17, 0))
-    w = covariance(x, 2)
-    lhs = np.trace(w.entries).real
-    rhs = np.sum(np.abs(x.entries) ** 2) / 2
+    rhs = np.sum(np.abs(x.entries) ** 2) / 2  # before covariance, which consumes X
+    lhs = np.trace(whole(covariance(x, 2))).real
     assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
 def test_covariance_zero_row():
-    lam = Partition((2, 2, 2))
+    lam = Partition((3, 3, 3))
     x = sample_shaped(lam, EntryDistribution("real-gaussian"), (2, 0))
     ent = x.entries.copy()
     ent[1, :] = 0.0
-    w = covariance(ShapedMatrix(entries=ent), 1)
-    assert np.all(w.entries[1, :] == 0) and np.all(w.entries[:, 1] == 0)
+    w = whole(covariance(ShapedMatrix(entries=ent), 1))
+    assert np.all(w[1, :] == 0) and np.all(w[:, 1] == 0)
 
 
 def test_covariance_hermitian_psd_all_kinds():
@@ -208,19 +208,25 @@ def test_covariance_hermitian_psd_all_kinds():
             rng_idx += 1
             lam = staircase(2).dilate(3)
             x = sample_shaped(lam, EntryDistribution(kind), (99, rng_idx))
-            w = covariance(x, 3)
-            asym = np.abs(w.entries - w.entries.conj().T).max()
-            assert asym <= 1e-12 * max(1.0, np.abs(w.entries).max())
-            eigs = np.linalg.eigvalsh(w.entries)
-            assert eigs.min() >= -1e-10 * max(1.0, np.abs(w.entries).max())
+            w = whole(covariance(x, 3))
+            asym = np.abs(w - w.conj().T).max()
+            assert asym <= 1e-12 * max(1.0, np.abs(w).max())
+            eigs = np.linalg.eigvalsh(w)
+            assert eigs.min() >= -1e-10 * max(1.0, np.abs(w).max())
 
 
 def test_covariance_is_hermitian_unsymmetrized():
-    # W is the plain product, Hermitian only up to rounding at some sizes, this one among them
+    # W is one named triangle of X's buffer, Hermitian by construction: nothing mirrors it, so
+    # the other triangle holds what the factoring left there, not W's conjugate
     lam = staircase(3).dilate(70)
     for kind in ("complex-gaussian", "real-gaussian"):
-        w = covariance(sample_shaped(lam, EntryDistribution(kind), (71, 0)), 70).entries
-        assert np.abs(w - w.conj().T).max() <= 1e-13 * np.abs(w).max(), kind
+        x = sample_shaped(lam, EntryDistribution(kind), (71, 0))
+        want = x.entries @ x.entries.conj().T / 70
+        w = covariance(x, 70)
+        assert w.triangle == "upper" and w.zeros == 0 and np.shares_memory(w.entries, x.entries)
+        m = w.entries
+        assert np.abs(np.triu(m) - np.triu(want)).max() <= 1e-13 * np.abs(want).max(), kind
+        assert np.abs(np.tril(m, -1) - np.tril(want, -1)).max() > 1e-3 * np.abs(want).max(), kind
 
 
 def test_first_moment_identity_finite_size():
@@ -254,8 +260,8 @@ def test_real_spectrum_matches_complex_arithmetic():
     lam = staircase(4).dilate(10)
     for kind in ("real-gaussian", "rademacher", "centered-uniform"):
         x = sample_shaped(lam, EntryDistribution(kind), (62, 3))
+        cast = ShapedMatrix(entries=x.entries.astype(complex), shape=lam)  # before X is consumed
         real = eigenvalues(covariance(x, 10)).values
-        cast = ShapedMatrix(entries=x.entries.astype(complex))
         ref = eigenvalues(covariance(cast, 10)).values
         assert real.dtype == np.float64
         assert np.all(np.diff(real) >= 0)
@@ -301,15 +307,42 @@ def test_chunked_draw_is_bit_identical_to_one_shot_formula(kind, trunc):
     assert got.tobytes() == _one_shot_draw(kind, trunc, substream(8, 2), lam).tobytes()
 
 
-def test_block_covariance_matches_one_shot_product():
-    # dim 160 spans three column blocks, the last one partial
-    lam = Partition((2, 1)).dilate(80)
-    assert 2 * BLOCK < lam.length() < 3 * BLOCK
-    x = sample_shaped(lam, EntryDistribution("complex-gaussian"), (12, 0)).entries
-    got = covariance(ShapedMatrix(entries=x), 80).entries
-    want = x @ x.conj().T / 80
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    # real entries keep the single product
-    x = sample_shaped(lam, EntryDistribution("real-gaussian"), (12, 0)).entries
-    got = covariance(ShapedMatrix(entries=x), 80).entries
-    assert np.array_equal(got, x @ x.T / 80)
+@st.composite
+def _diagrams(draw):
+    return Partition(sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=6)), reverse=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lam=_diagrams(), n=st.integers(1, 4), kind=st.sampled_from(ENTRY_KINDS), index=st.integers(0, 2**16))
+# each row group of an undilated staircase has one row inside the diagram: ?lauum reads only
+# the real part of the diagonal, so complex ones must be factored all the same
+@example(lam=staircase(6), n=1, kind="complex-gaussian", index=0)
+@example(lam=Partition((3, 1, 1, 1)), n=2, kind="real-gaussian", index=0)  # tall, of rook rank 2
+@example(lam=square(3), n=2, kind="centered-uniform", index=0)
+def test_covariance_triangle_is_the_gram_on_the_smaller_side(lam, n, kind, index):
+    x = sample_shaped(lam.dilate(n), EntryDistribution(kind), (5, index))
+    a = x.entries.copy()
+    rows, cols = a.shape
+    gram = (a @ a.conj().T if rows <= cols else a.conj().T @ a) / n
+    w = covariance(x, n)
+    assert w.triangle == ("upper" if rows <= cols else "lower") and w.zeros == max(rows - cols, 0)
+    assert np.abs(whole(w) - gram).max() <= 1e-14 * np.abs(gram).max()
+    ref = np.linalg.eigvalsh(a @ a.conj().T / n)
+    values = eigenvalues(w).values
+    assert len(values) == rows and np.all(np.diff(values) >= 0)
+    assert np.abs(values - ref).max() <= 1e-13 * ref.max()
+    zeros = np.count_nonzero(values == 0.0)
+    # a tall diagram's W has rows - cols exact zeros; rademacher rows can also be equal or
+    # opposite, which makes further true zeros
+    assert zeros == max(rows - cols, 0) if kind != "rademacher" else zeros >= max(rows - cols, 0)
+
+
+def test_shaped_matrix_diagram_spans_its_entries():
+    # covariance factors the diagram's groups in place: a diagram wider or taller than the
+    # entries would send LAPACK past the buffer, so it is refused; none given is the rectangle
+    entries = np.ones((3, 2))
+    assert ShapedMatrix(entries=entries).shape == Partition((2, 2, 2))
+    assert ShapedMatrix(entries=entries, shape=Partition((2, 1, 1))).shape == Partition((2, 1, 1))
+    for parts in ((3, 3, 3), (2, 2), (2, 2, 2, 2)):
+        with pytest.raises(ValueError, match="does not span a 3 x 2 matrix"):
+            ShapedMatrix(entries=entries, shape=Partition(parts))

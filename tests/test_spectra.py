@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from youngspec.errors import InvalidRangeError, NotHermitianError, OutsideDomainError, SolverFailureError
+from youngspec import matrices
 from youngspec.matrices import (
     BLOCK,
     CovarianceMatrix,
@@ -32,6 +33,7 @@ from youngspec.spectra import (
 from youngspec.streams import substream
 
 from _distances import ks_union, levy_union, levy_union_gaps
+from _gram import whole
 
 step_cdfs = st.lists(st.floats(-5, 5), min_size=1, max_size=12).map(StepCDF)
 small_steps = st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=40).map(StepCDF)
@@ -63,8 +65,8 @@ def test_eigenvalue_trace_identity():
     x = sample_shaped(staircase(2).dilate(3), EntryDistribution("complex-gaussian"), (8, 1))
     w = covariance(x, 3)
     # eigenvalues consumes W: the references come first
-    tr = np.trace(w.entries).real
-    frob = np.sum(np.abs(w.entries) ** 2)
+    tr = np.trace(whole(w)).real
+    frob = np.sum(np.abs(whole(w)) ** 2)
     s = eigenvalues(w)
     assert abs(s.values.sum() - tr) <= 1e-10 * abs(tr)
     assert abs(np.sum(s.values**2) - frob) <= 1e-9 * frob
@@ -73,7 +75,7 @@ def test_eigenvalue_trace_identity():
 def test_eigenpair_residuals():
     # residual contract of the delegated solver on a sampled covariance
     x = sample_shaped(staircase(3).dilate(4), EntryDistribution("complex-gaussian"), (12, 0))
-    w = covariance(x, 4).entries
+    w = whole(covariance(x, 4))
     vals, vecs = np.linalg.eigh(w)
     norm = np.linalg.norm(w, 2)
     for i in range(len(vals)):
@@ -89,12 +91,13 @@ def test_eigenvalues_rejects_non_hermitian():
 
 @pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
 def test_hermitian_gate_reads_the_last_partial_block(kind):
-    # dim 160 has row blocks [0, 64), [64, 128) and the partial [128, 160);
-    # the one asymmetric pair (158, 159) lies inside the last
+    # a whole matrix built outside covariance: dim 160 has row blocks [0, 64), [64, 128) and the
+    # partial [128, 160); the one asymmetric pair (158, 159) lies inside the last
     lam = Partition((2, 1)).dilate(80)
     assert 2 * BLOCK < lam.length() < 3 * BLOCK
-    w = covariance(sample_shaped(lam, EntryDistribution(kind), (13, 0)), 80)
-    m = w.entries
+    x = sample_shaped(lam, EntryDistribution(kind), (13, 0)).entries
+    m = x @ x.conj().T / 80
+    w = CovarianceMatrix(entries=m)
     m[158, 159] += 1e-6 * np.abs(m).max()
     asym, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
     assert np.count_nonzero(np.abs(m - m.conj().T) > 1e-10 * scale) == 2
@@ -105,12 +108,12 @@ def test_hermitian_gate_reads_the_last_partial_block(kind):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("kind, bound", [("complex-gaussian", 2.25), ("real-gaussian", 2.1),
-                                         ("rademacher", 2.1)])
+@pytest.mark.parametrize("kind, bound", [("complex-gaussian", 1.15), ("real-gaussian", 1.15),
+                                         ("rademacher", 1.25)])
 def test_replica_peak_memory_is_bounded(kind, bound):
-    # one replica holds X, W and scratch of BLOCK rows or a draw's chunk: 2.11, 2.0 and 2.0
-    # times the bytes of X; the one-shot pipeline peaked at 4.0 on both dtypes, and a 256-row
-    # block with a whole-array complex draw at 2.43
+    # one replica holds X and BLOCK rows of the factoring's scratch or a draw's chunk: 1.11,
+    # 1.11 and 1.21 times the bytes of X (a chunk's integers and mask set rademacher's); beside
+    # a separate W it was 2.11, 2.0 and 2.0, and the one-shot pipeline peaked at 4.0
     import tracemalloc
 
     lam = Partition((2, 1)).dilate(300)
@@ -129,9 +132,13 @@ def test_replica_peak_memory_is_bounded(kind, bound):
 _OPENBLAS = spectra._openblas() is not None
 
 
+@contextlib.contextmanager
 def _fallback():
-    """The solve without numpy's OpenBLAS drivers: np.linalg.eigvalsh."""
-    return mock.patch.object(spectra, "_openblas", return_value=None)
+    """The product and the solve without numpy's OpenBLAS routines: the whole x @ x.conj().T / n
+    and np.linalg.eigvalsh."""
+    with mock.patch.object(spectra, "_openblas", return_value=None), \
+            mock.patch.object(matrices, "_openblas", return_value=None):
+        yield
 
 
 def test_numpy_openblas_drivers_are_found():
@@ -145,9 +152,10 @@ def test_numpy_openblas_drivers_are_found():
 @pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
 @pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 200, 600])
 def test_spectrum_is_eigvalsh_bit_for_bit(dim, kind, fallback):
-    # odd dims give a complex W that is Hermitian only up to rounding: the lower triangle counts
-    lam = Partition((1,)).dilate(dim)
-    w = covariance(sample_shaped(lam, EntryDistribution(kind), (21, dim)), dim)
+    # a whole matrix built outside covariance; odd dims give a complex W that is Hermitian only
+    # up to rounding: the lower triangle counts
+    x = sample_shaped(Partition((1,)).dilate(dim), EntryDistribution(kind), (21, dim)).entries
+    w = CovarianceMatrix(entries=x @ x.conj().T / dim)
     want = np.linalg.eigvalsh(w.entries)
     with _fallback() if fallback else contextlib.nullcontext():
         got = eigenvalues(w).values
@@ -168,11 +176,13 @@ def test_tied_rademacher_spectra_are_eigvalsh_bit_for_bit(fallback):
 @pytest.mark.skipif(not _OPENBLAS, reason="numpy's library has no LAPACKE drivers")
 @pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
 def test_lapack_path_solves_w_in_its_own_buffer(kind):
-    w = covariance(sample_shaped(staircase(2).dilate(40), EntryDistribution(kind), (22, 0)), 40)
+    x = sample_shaped(staircase(2).dilate(40), EntryDistribution(kind), (22, 0))
+    w = covariance(x, 40)
+    assert np.shares_memory(w.entries, x.entries)  # W was formed in X's buffer
     diagonal = np.diag(w.entries).copy()
     eigenvalues(w)
-    # the gate's triangle copy leaves the diagonal alone; the driver writes its tridiagonal
-    # reduction's diagonal there, so it solved W's buffer and no copy
+    # the driver writes its tridiagonal reduction's diagonal there, so it solved X's buffer
+    # and no copy
     assert not np.array_equal(np.diag(w.entries), diagonal)
 
 
@@ -233,7 +243,7 @@ def test_empirical_moment_examples():
 def test_empirical_moment_matrix_power_oracle():
     x = sample_shaped(staircase(3).dilate(2), EntryDistribution("real-gaussian"), (55, 0))
     w = covariance(x, 2)
-    m = w.entries
+    m = whole(w)
     w3 = m @ m @ m  # before eigenvalues, which consumes W
     oracle = np.trace(w3).real / len(m)
     s = eigenvalues(w)
@@ -632,7 +642,7 @@ def test_replicas_side_by_side_only_between_the_bounds(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     real, cplx = 8, 16
-    assert spectra.replica_bytes(1000, 1000, cplx) == 32_000_000 + 16 * 64 * 1000  # ensemble-r2
+    assert spectra.replica_bytes(1000, 1000, cplx) == 16_000_000 + 16 * 65 * 1000  # ensemble-r2
     lo, hi = spectra.SIDE_BY_SIDE
     for rows, cols, item, inside in ((20, 20, real, False), (32, 32, cplx, False), (200, 200, real, True),
                                      (200, 200, cplx, True), (700, 700, real, True),
@@ -660,29 +670,29 @@ def blas_threads():
     _blas_threads(before)
 
 
-@pytest.mark.skipif(not _OPENBLAS, reason="numpy's OpenBLAS cannot be told its thread count")
-@pytest.mark.parametrize("threads", [1, 2])
-def test_complex_covariance_is_the_one_shot_product_bit_for_bit(threads, blas_threads):
-    # the last column block takes a tail narrower than 4 columns: a product that narrow took
-    # other kernels, and W differed from x @ x.conj().T at dims 65, 129, 130, 131, 193, ...
-    dist = EntryDistribution("complex-gaussian")
-    _blas_threads(threads)
-    squares = [((1,), dim) for dim in (1, 2, 3, 4, 63, 64, 65, 66, 67, 68, 127, 128, 129, 130, 131,
-                                       132, 160, 193, 257, 321, 385)]
-    for parts, n in squares + [((2, 1), 65), ((1, 1, 1), 43), ((6, 2), 33), ((5, 4, 4, 1), 16)]:
-        x = sample_shaped(Partition(parts).dilate(n), dist, (11, n)).entries
-        want = x @ x.conj().T
-        want /= n
-        assert covariance(ShapedMatrix(entries=x), n).entries.tobytes() == want.tobytes(), (parts, n)
+@pytest.mark.parametrize("parts, n", [((2, 1), 150), ((3, 1), 100), ((1, 1, 1), 100), ((5, 4, 4, 1), 40)],
+                         ids=["square", "wide", "tall", "four-groups"])
+@pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian", "rademacher"])
+def test_replica_bytes_bounds_the_traced_replica(parts, n, kind):
+    # the draw's chunk, the factoring's scratch rows and reflector scalars, or the eigenvalues
+    # beside X: the largest of the three bounds the replica's traced peak, a few kB of Python
+    # objects aside; it is within 0.88 to 0.96 of the peak where the draw takes a chunk (at
+    # these sizes complex draws take 8 bytes an entry of the 17 it counts), and real-gaussian
+    # draws take none
+    import tracemalloc
 
-
-def test_replica_bytes_counts_the_widest_column_block():
-    # the product's conjugate rows are the widest block's: 64 columns, or 64 and a tail under 4
-    for rows, widest in ((3, 3), (64, 64), (65, 65), (67, 67), (68, 64), (131, 67), (132, 64),
-                         (1000, 64)):
-        x, w = 16 * rows * 10, 16 * rows * rows
-        assert spectra.replica_bytes(rows, 10, 16) == max(x + 9 * rows * 10, x + w + 16 * widest * 10,
-                                                          w + 3 * 16 * min(rows, 64) * rows), rows
+    lam, dist = Partition(parts).dilate(n), EntryDistribution(kind)
+    need = spectra.replica_bytes(lam.length(), lam.parts[0], dist.itemsize)
+    _replica_eigenvalues(lam, n, dist, 3, 0)
+    tracemalloc.start()
+    try:
+        _replica_eigenvalues(lam, n, dist, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need + 4096, (peak, need)
+    if kind != "real-gaussian":
+        assert peak >= 0.85 * need, (peak, need)
 
 
 @pytest.mark.skipif(not _OPENBLAS, reason="numpy's OpenBLAS cannot be told its thread count")
