@@ -258,9 +258,10 @@ def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
     taller diagram takes the same steps on X's reversed columns with an LQ
     (?gelqf, ?ormlq, ?unmlq) over the conjugate diagram's groups, and its
     row-major lower triangle holds X* X / n, whose spectrum is W's less
-    rows - cols zeros. A real group with one row inside the diagram is left
-    as it is; a complex one is factored, since ?lauum reads only the real
-    part of the diagonal. X that is not C-contiguous, writeable float64 or
+    rows - cols zeros. A group with one row inside the diagram needs no
+    QR: a real one is left as it is, and a complex one's row is turned by
+    a phase, since ?lauum reads only the real part of the diagonal. X that
+    is not C-contiguous, writeable float64 or
     complex128 is converted first. Where numpy's library has no such
     routines, W is the whole product x @ x.conj().T / n.
     """
@@ -282,27 +283,39 @@ def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
     trans = _LAPACK[dtype][1]
     tau = np.empty(max((count for _, count, _ in groups), default=0), dtype)
 
-    def at(i, j):  # the address of Y's entry (i, j): Y is column-major with leading dimension cols
-        return a.ctypes.data + (i + j * cols) * item
+    base, taus = a.ctypes.data, tau.ctypes.data  # each .ctypes.data takes microseconds
 
+    def at(i, j):  # the address of Y's entry (i, j): Y is column-major with leading dimension cols
+        return base + (i + j * cols) * item
+
+    turned = []  # the complex groups with one row inside the diagram
     for first, count, part in reversed(groups):
         k = m - first - count  # the group's first column of Y (its first row, taller)
         free = part - k  # its rows (columns) inside the diagram, from k on
         if free < 1 or free == 1 and dtype.kind == "f":
             continue
+        if free == 1:
+            turned.append(k)
+            continue
         later = m - k - count  # the columns (rows) of the groups still to come
         if wide:
-            _lapack(lib, dtype, "qr", 102, free, count, at(k, k), cols, tau.ctypes.data)
+            _lapack(lib, dtype, "qr", 102, free, count, at(k, k), cols, taus)
             if later:
                 _lapack(lib, dtype, "qr_apply", 102, b"L", trans, free, later, min(free, count),
-                        at(k, k), cols, tau.ctypes.data, at(k, k + count), cols)
+                        at(k, k), cols, taus, at(k, k + count), cols)
         else:
-            _lapack(lib, dtype, "lq", 102, count, free, at(k, k), cols, tau.ctypes.data)
+            _lapack(lib, dtype, "lq", 102, count, free, at(k, k), cols, taus)
             if later:
                 _lapack(lib, dtype, "lq_apply", 102, b"R", trans, later, free, min(free, count),
-                        at(k, k), cols, tau.ctypes.data, at(k + count, k), cols)
+                        at(k, k), cols, taus, at(k + count, k), cols)
+    # a one-row group's QR would only turn its row of Y (its column, taller) by the phase that
+    # makes its diagonal entry real, which ?lauum needs; that turn and the scale 1/sqrt(n), so
+    # that W is (R / sqrt(n))* (R / sqrt(n)), take one pass over the factor's contiguous rows
+    scale = np.full(cols, 1.0 / math.sqrt(n), dtype)
+    if turned:
+        scale[turned] *= np.exp(-1j * np.angle(a[turned, turned]))  # 1 where the entry is 0
+    a[:m] *= scale if wide else scale[:, None]
     block = a[:m, :m]
     _reverse(block, scratch, (0, 1))
-    a[:m] *= 1.0 / math.sqrt(n)  # the factor's rows, contiguous: W is (F / sqrt(n))* (F / sqrt(n))
-    _lapack(lib, dtype, "gram", 102, b"L" if wide else b"U", m, block.ctypes.data, max(cols, 1))
+    _lapack(lib, dtype, "gram", 102, b"L" if wide else b"U", m, base, max(cols, 1))
     return CovarianceMatrix(entries=block, triangle="upper" if wide else "lower", zeros=rows - m)

@@ -71,14 +71,12 @@ class Spectrum:
     dim: int
 
 
-def _hermitian(entries) -> np.ndarray:
-    """A whole matrix's entries as a C-contiguous, writeable float64 or complex128 array (a copy
-    where they are not), gated and mirrored: entries further than 1e-10 of the largest from
-    Hermitian, checked BLOCK rows at a time, raise NotHermitianError, and each row block then
-    overwrites its part of the upper triangle with the lower one's conjugate."""
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise NotHermitianError(f"matrix shape {entries.shape} is not square")
-    m = np.require(entries, complex if np.iscomplexobj(entries) else float, ["C", "A", "W"])
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """A whole matrix, C-contiguous (a copy where it is not), gated and mirrored: entries
+    further than 1e-10 of the largest from Hermitian, checked BLOCK rows at a time, raise
+    NotHermitianError, and each row block then overwrites its part of the upper triangle with
+    the lower one's conjugate."""
+    m = np.require(m, None, ["C"])
     n = len(m)
     scale = asym = 0.0
     for i in range(0, n, BLOCK):
@@ -108,10 +106,19 @@ def eigenvalues(w: CovarianceMatrix) -> Spectrum:
     triangle is the conjugate of W's upper one: the same driver on
     conjugated data gives the same bits. Where numpy's library has no such
     driver, eigvalsh solves a copy. A failed solve raises
-    SolverFailureError, as on LAPACK's path a NaN in the triangle read does.
+    SolverFailureError, as on LAPACK's path a NaN in the triangle read
+    does. Entries that are not writeable float64 or complex128, or whose
+    rows LAPACK cannot read in place (unit stride within a row, rows at
+    least a row apart), are converted first.
     """
-    m = w.entries if w.triangle else _hermitian(w.entries)
+    if w.entries.ndim != 2 or w.entries.shape[0] != w.entries.shape[1]:
+        raise NotHermitianError(f"matrix shape {w.entries.shape} is not square")
+    m = np.require(w.entries, complex if np.iscomplexobj(w.entries) else float, ["A", "W"])
     n = len(m)
+    if w.triangle is None:
+        m = _hermitian(m)
+    elif m.strides[1] != m.itemsize or m.strides[0] < m.itemsize * n:
+        m = np.ascontiguousarray(m)
     values = np.zeros(n + w.zeros)
     lib = _openblas()
     if lib is None:
@@ -122,7 +129,7 @@ def eigenvalues(w: CovarianceMatrix) -> Spectrum:
     else:
         # column-major layout (102): the row-major upper triangle is the lower one read
         _lapack(lib, m.dtype, "solve", 102, b"N", b"U" if w.triangle == "lower" else b"L", n,
-                m.ctypes.data, max(m.strides[0] // m.itemsize, n, 1), values[w.zeros:].ctypes.data)
+                m.ctypes.data, max(m.strides[0] // m.itemsize, 1), values[w.zeros:].ctypes.data)
     if w.zeros:
         values.sort()  # a rounded value below 0 goes before the exact zeros
     return Spectrum(values=values, dim=n + w.zeros)
@@ -371,8 +378,7 @@ class EnsembleMoments:
 # replica's BLAS calls are too short to outweigh the interpreter lock the workers share (on
 # 2 vCPUs two workers ran staircases of dim 8 to 40 at 0.5 to 1.2 times the speed of one, and
 # of dim 48 to 200 at 1.2 to 1.9); above, two at once would hold twice the memory of one for
-# little gain. The bounds keep the squares that earlier bounds on the bytes of X and a separate
-# W put side by side, real dims 64 to 708 and complex dims 46 to 496 (now to 505)
+# little gain. Squares of real dims 64 to 708 and complex dims 46 to 505 run side by side
 SIDE_BY_SIDE = (66 << 10, 4500 << 10)
 
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from youngspec import matrices
@@ -313,14 +313,17 @@ def _diagrams(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(lam=_diagrams(), n=st.integers(1, 4), kind=st.sampled_from(ENTRY_KINDS), index=st.integers(0, 2**16))
+@given(lam=_diagrams(), n=st.integers(1, 4), kind=st.sampled_from(ENTRY_KINDS),
+       trunc=st.sampled_from([None, None, 0.5, 2.0]), index=st.integers(0, 2**16))
 # each row group of an undilated staircase has one row inside the diagram: ?lauum reads only
-# the real part of the diagonal, so complex ones must be factored all the same
-@example(lam=staircase(6), n=1, kind="complex-gaussian", index=0)
-@example(lam=Partition((3, 1, 1, 1)), n=2, kind="real-gaussian", index=0)  # tall, of rook rank 2
-@example(lam=square(3), n=2, kind="centered-uniform", index=0)
-def test_covariance_triangle_is_the_gram_on_the_smaller_side(lam, n, kind, index):
-    x = sample_shaped(lam.dilate(n), EntryDistribution(kind), (5, index))
+# the real part of the diagonal, so a complex one's row must be turned all the same
+@example(lam=staircase(6), n=1, kind="complex-gaussian", trunc=None, index=0)
+@example(lam=staircase(6), n=1, kind="complex-gaussian", trunc=0.5, index=3)  # zeros on the diagonal
+@example(lam=Partition((3, 1, 1, 1)), n=2, kind="real-gaussian", trunc=None, index=0)  # tall, rook rank 2
+@example(lam=square(3), n=2, kind="centered-uniform", trunc=None, index=0)
+def test_covariance_triangle_is_the_gram_on_the_smaller_side(lam, n, kind, trunc, index):
+    assume(kind != "rademacher" or trunc is None or trunc > 1.0)  # else no variance is left
+    x = sample_shaped(lam.dilate(n), EntryDistribution(kind, trunc), (5, index))
     a = x.entries.copy()
     rows, cols = a.shape
     gram = (a @ a.conj().T if rows <= cols else a.conj().T @ a) / n
@@ -333,8 +336,11 @@ def test_covariance_triangle_is_the_gram_on_the_smaller_side(lam, n, kind, index
     assert np.abs(values - ref).max() <= 1e-13 * ref.max()
     zeros = np.count_nonzero(values == 0.0)
     # a tall diagram's W has rows - cols exact zeros; rademacher rows can also be equal or
-    # opposite, which makes further true zeros
-    assert zeros == max(rows - cols, 0) if kind != "rademacher" else zeros >= max(rows - cols, 0)
+    # opposite, and truncated entries 0, which makes further true zeros
+    if kind == "rademacher" or trunc is not None:
+        assert zeros >= max(rows - cols, 0)
+    else:
+        assert zeros == max(rows - cols, 0)
 
 
 def test_shaped_matrix_diagram_spans_its_entries():

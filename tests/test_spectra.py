@@ -210,6 +210,24 @@ def test_other_layouts_and_dtypes_are_converted_first(entries):
     assert not frozen.flags.writeable  # a read-only W is solved in a copy
 
 
+@pytest.mark.parametrize("layout", [
+    lambda a: a,
+    np.asfortranarray,  # entries a column apart within a row
+    lambda a: np.ascontiguousarray(a[::-1])[::-1],  # rows a negative stride apart
+    lambda a: a.astype(np.float32),
+], ids=["c-order", "fortran", "reversed-rows", "float32"])
+def test_named_triangle_is_read_in_any_layout(layout):
+    # rows LAPACK cannot read in place are copied first; the other triangle is never read, and
+    # the exact zeros join the values in order
+    full = np.array([[3.0, 0.5, 0.25], [0.5, 1.0, 0.125], [0.25, 0.125, 2.0]])
+    want = np.concatenate([[0.0], np.linalg.eigvalsh(full)])
+    junk = np.full((3, 3), 7.0)
+    for triangle, m in (("upper", np.triu(full) + np.tril(junk, -1)),
+                        ("lower", np.tril(full) + np.triu(junk, 1))):
+        got = eigenvalues(CovarianceMatrix(entries=layout(m), triangle=triangle, zeros=1)).values
+        assert got.dtype == np.float64 and np.allclose(got, want, rtol=1e-6), triangle
+
+
 def test_empirical_cdf_examples():
     f = StepCDF([3, 1, 2])
     assert f.eval(2.0) == pytest.approx(2 / 3)
