@@ -43,10 +43,10 @@ from .errors import (ConfigError, InsufficientPointsError, InvalidRangeError, Ou
 from .limitlaw import (beta_product_moment, beta_product_samples, cdf_grid, contour_moment,
                        density_grid, density_with_error, dh_cdf, dh_density, edge_exponent_fit,
                        support_edge)
-from .matrices import ENTRY_KINDS, EntryDistribution
+from .matrices import ENTRY_KINDS, EntryDistribution, replica_bytes, replica_workers
 from .partitions import Partition, balance_ratio, render, staircase
-from .spectra import (StepCDF, histogram, histogram_edges, ks_distance, levy_distance, replica_bytes,
-                      replica_workers, shape_ensemble_spectra, spectra_moments)
+from .spectra import (StepCDF, histogram, histogram_edges, ks_distance, levy_distance, shape_ensemble_spectra,
+                      spectra_moments)
 from .streams import substream
 
 

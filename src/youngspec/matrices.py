@@ -1,29 +1,32 @@
-"""Sampling of diagram-shaped random matrices and their covariance form.
+"""Diagram-shaped random matrices: the draw, W = X X* / N and its spectrum, and a replica's
+bytes and BLAS threads.
 
 Entries are i.i.d. with mean zero and unit second absolute moment; the
-diagram acts as a hard mask (exact structural zeros). The covariance
-matrix is W = X X* / N for a dilation/scale parameter N. One table
-(_LAWS) states each entry kind once: its dtype, its draw and its truncated
-second moment. Real entry kinds stay float64 throughout, so W and its
-spectrum are computed in real arithmetic; only complex-gaussian is
-complex128. Entries are drawn, truncated and masked in place, 2^16 at a
-time where a draw or a truncation needs scratch. W is formed in X's own
-buffer, on the diagram's smaller side, by LAPACK in numpy's OpenBLAS: a QR
-a row group at a time over only that group's rows inside the diagram, then
-?lauum, the in-place triangular Gram. So a replica holds X and one block of
-BLOCK rows of scratch; spectra.eigenvalues solves the triangle in place.
+diagram acts as a hard mask (exact structural zeros). One table (_LAWS)
+states each entry kind once: its dtype, its draw and its truncated second
+moment. Real kinds stay float64 throughout, so W and its spectrum are real;
+only complex-gaussian is complex128. Entries are drawn, truncated and masked
+in place, 2^16 at a time where a draw or a truncation needs scratch. W is
+formed in X's own buffer, on the diagram's smaller side, by LAPACK in numpy's
+OpenBLAS: a QR a row group at a time over only that group's rows inside the
+diagram, then ?lauum, the in-place triangular Gram; its spectrum is solved
+there, with as many exact zeros as the diagram's rank leaves. So a replica
+holds X and BLOCK rows of scratch (replica_bytes), and mid-sized replicas run
+side by side, each on one BLAS thread (replica_threads).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateTruncationError, EmptyPartitionError, SolverFailureError
+from .errors import DegenerateTruncationError, EmptyPartitionError, NotHermitianError, SolverFailureError
 from .partitions import Partition
 from .streams import substream
 
@@ -32,13 +35,19 @@ __all__ = [
     "EntryDistribution",
     "ShapedMatrix",
     "CovarianceMatrix",
+    "Spectrum",
+    "SIDE_BY_SIDE",
     "sample_shaped",
     "covariance",
+    "eigenvalues",
+    "replica_bytes",
+    "replica_workers",
+    "replica_threads",
 ]
 
 _SQRT3 = math.sqrt(3.0)
 
-BLOCK = 64  # rows a reversal or a flip of W's factor moves at a time; rows of the Hermitian gate
+BLOCK = 64  # rows a reversal or a flip of W's factor moves at a time
 CHUNK = 1 << 16  # entries a draw, a truncation or a complex part handles at a time
 
 
@@ -201,11 +210,14 @@ class CovarianceMatrix:
     row-major ``"upper"`` or ``"lower"`` triangle holds the matrix, which is
     W itself or, for a diagram with more rows than columns, X* X / N, whose
     spectrum is W's but for ``zeros`` further eigenvalues that are exactly 0.
+    The matrix's own ``deficit`` smallest eigenvalues are exactly 0 too:
+    those that its diagram's rank leaves.
     """
 
     entries: np.ndarray
     triangle: str | None = None
     zeros: int = 0
+    deficit: int = 0
 
 
 def sample_shaped(lam: Partition, dist: EntryDistribution,
@@ -261,23 +273,29 @@ def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
     rows - cols zeros. A group with one row inside the diagram needs no
     QR: a real one is left as it is, and a complex one's row is turned by
     a phase, since ?lauum reads only the real part of the diagonal. X that
-    is not C-contiguous, writeable float64 or
-    complex128 is converted first. Where numpy's library has no such
-    routines, W is the whole product x @ x.conj().T / n.
+    is not C-contiguous, writeable float64 or complex128 is converted
+    first. Where numpy's library has no such routines, W is the whole
+    product x @ x.conj().T / n, named by its lower triangle. Either way the
+    matrix's ``deficit`` is its dimension less the diagram's rank.
     """
     if n < 1:
         raise ValueError(f"scale {n} < 1")
+    rows, cols = x.entries.shape
+    wide = rows <= cols
+    groups = (x.shape if wide else x.shape.conjugate()).row_groups()
+    m = min(rows, cols)
+    # any matrix on the diagram has at most, and a generic draw exactly, its term rank: by
+    # Konig's theorem the fewest rows and columns covering it, the first k rows and first
+    # lam_(k+1) columns for some k (of the conjugate, on a tall diagram: the same count)
+    rank = min([first + part for first, _, part in groups] + [m])
     lib = _openblas()
     a = x.entries
     if lib is None:
         w = a @ a.conj().T
         w /= n
-        return CovarianceMatrix(entries=w)
+        return CovarianceMatrix(entries=w, triangle="lower", deficit=rows - rank)
     a = np.require(a, complex if np.iscomplexobj(a) else float, ["C", "A", "W"])
-    rows, cols = a.shape
-    wide = rows <= cols
-    groups = (x.shape if wide else x.shape.conjugate()).row_groups()
-    m, item, dtype = min(rows, cols), a.itemsize, a.dtype
+    item, dtype = a.itemsize, a.dtype
     scratch = np.empty((min(BLOCK, rows), cols), dtype)
     _reverse(a, scratch, (0,) if wide else (1,))
     trans = _LAPACK[dtype][1]
@@ -318,4 +336,120 @@ def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
     block = a[:m, :m]
     _reverse(block, scratch, (0, 1))
     _lapack(lib, dtype, "gram", 102, b"L" if wide else b"U", m, base, max(cols, 1))
-    return CovarianceMatrix(entries=block, triangle="upper" if wide else "lower", zeros=rows - m)
+    return CovarianceMatrix(entries=block, triangle="upper" if wide else "lower", zeros=rows - m,
+                            deficit=m - rank)
+
+
+_HERM_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Ascending real eigenvalues of a Hermitian matrix."""
+
+    values: np.ndarray
+    dim: int
+
+
+def eigenvalues(w: CovarianceMatrix) -> Spectrum:
+    """Full real spectrum of a Hermitian (or real symmetric) matrix, ascending.
+
+    A named triangle is solved in its own buffer, which it consumes, by
+    ?syevd or ?heevd (jobz N) of numpy's OpenBLAS, else by
+    np.linalg.eigvalsh; its ``deficit`` smallest values are set to 0, and
+    its ``zeros`` exact zeros join them in order. A whole matrix built
+    elsewhere is gated (entries further than 1e-10 of the largest from
+    Hermitian raise NotHermitianError; a NaN gets through), then solved by
+    np.linalg.eigvalsh. A failed solve raises SolverFailureError. Entries
+    that are not writeable float64 or complex128, or whose rows LAPACK cannot
+    read in place (unit stride in a row, rows a row apart), are converted first.
+    """
+    if w.entries.ndim != 2 or w.entries.shape[0] != w.entries.shape[1]:
+        raise NotHermitianError(f"matrix shape {w.entries.shape} is not square")
+    m = np.require(w.entries, complex if np.iscomplexobj(w.entries) else float, ["A", "W"])
+    n = len(m)
+    lib = None if w.triangle is None else _openblas()
+    if w.triangle is None:
+        scale = float(np.abs(m).max(initial=0.0))  # NaN if one entry is
+        asym = float(np.abs(m - m.conj().T).max(initial=0.0))
+        if scale > 0 and asym > _HERM_TOL * scale:
+            raise NotHermitianError(f"asymmetry {asym:.3e} exceeds {_HERM_TOL:.1e} * {scale:.3e}")
+    elif lib is not None and (m.strides[1] != m.itemsize or m.strides[0] < m.itemsize * n):
+        m = np.ascontiguousarray(m)
+    values = np.zeros(n + w.zeros)
+    solved = values[w.zeros:]
+    if lib is None:
+        try:
+            solved[:] = np.linalg.eigvalsh(m, UPLO="U" if w.triangle == "upper" else "L")
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(str(exc)) from exc
+    else:
+        # column-major layout (102): the row-major upper triangle is the lower one read
+        _lapack(lib, m.dtype, "solve", 102, b"N", b"U" if w.triangle == "lower" else b"L", n,
+                m.ctypes.data, max(m.strides[0] // m.itemsize, 1), solved.ctypes.data)
+    solved[:w.deficit] = 0.0
+    if w.zeros or w.deficit:
+        values.sort()  # a rounded value below 0 goes before the exact zeros
+    return Spectrum(values=values, dim=n + w.zeros)
+
+
+# bytes of one replica (replica_bytes) between which replicas run side by side: below, a
+# replica's BLAS calls are too short to outweigh the interpreter lock the workers share; above,
+# two at once would hold twice the memory of one for little gain. On 2 vCPUs (in-process, best
+# of 5, one BLAS thread a replica) two workers ran real and complex staircases of 6 to 56 KiB
+# at 0.35 to 0.72 times the speed of one, of 74 to 101 KiB at 0.71 to 0.98, and of 132 to
+# 1041 KiB at 1.03 to 1.74. Squares of real dims 52 to 702 and complex dims 46 to 497 run
+# side by side
+SIDE_BY_SIDE = (66 << 10, 4500 << 10)
+
+
+def replica_bytes(rows: int, cols: int, itemsize: int) -> int:
+    """Peak bytes of one replica with a rows x cols X of ``itemsize``-byte entries.
+
+    The draw holds X and a chunk's |X| and mask, or a chunk's integers and
+    the 8192 entries of numpy's buffer that casts them. With numpy's
+    OpenBLAS routines the rest runs in X's buffer, beside BLOCK rows of
+    scratch and a row group's reflector scalars, then the eigenvalues.
+    Without, the product holds X, its conjugate (a real X is its own) and
+    the whole rows x rows W, and the solve W, eigvalsh's copy of it and two
+    arrays of eigenvalues.
+    """
+    entries = rows * cols
+    draw = 9 * min(entries, CHUNK) + 8 * min(entries, 8192)
+    if _openblas() is None:
+        conjugate = entries if itemsize == 16 else 0
+        return max(itemsize * entries + draw, itemsize * (entries + conjugate + rows * rows),
+                   2 * itemsize * rows * rows + 16 * rows)
+    return itemsize * entries + max(draw, itemsize * (min(BLOCK, rows) * cols + min(rows, cols)), 8 * rows)
+
+
+def _side_by_side(replica: int):
+    """numpy's OpenBLAS where replicas of ``replica`` bytes run side by side, one BLAS thread
+    each (mid-sized ones, where it can be told its count); else None."""
+    return _openblas() if SIDE_BY_SIDE[0] <= replica <= SIDE_BY_SIDE[1] else None
+
+
+def replica_workers(replica: int, replicas: int, jobs: int | None = None) -> int:
+    """How many of ``replicas`` replicas of ``replica`` bytes run at once: up to ``jobs`` (None:
+    the CPUs), the replicas and the CPUs where they run side by side, else one."""
+    if _side_by_side(replica) is None:
+        return 1
+    cpus = os.cpu_count() or 1
+    return min(jobs or cpus, replicas, cpus)
+
+
+@contextlib.contextmanager
+def replica_threads(replica: int, replicas: int, jobs: int | None):
+    """Yields replica_workers(replica, replicas, jobs). Where those run side by side, numpy's
+    OpenBLAS runs one thread inside for any worker count, so a replica's bits follow from its
+    size alone, and the process's count is restored on leaving; elsewhere nothing is set."""
+    lib = _side_by_side(replica)
+    if lib is None:
+        yield 1
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield replica_workers(replica, replicas, jobs)
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)

@@ -1,14 +1,9 @@
-"""Hermitian spectra, empirical distributions, moments and CDF metrics.
+"""An ensemble's spectra, empirical distributions, moments and CDF metrics.
 
-A replica's spectrum is solved by LAPACK in numpy's OpenBLAS in the
-triangle of X's own buffer where matrices.covariance formed W (or, for a
-diagram taller than wide, X* X, beside W's exact zeros), so a replica holds
-no matrix beside X. A whole matrix built elsewhere is gated as Hermitian
-and solved in its own buffer, bit for bit np.linalg.eigvalsh's values
-(which solves a copy where numpy has another library). Replica i is a
-function of i alone, so mid-sized replicas run side by side on
-threads, each on one BLAS thread (the library releases the interpreter
-lock), and their bits depend on neither the workers nor the thread count.
+Replica i's spectrum (matrices: X drawn, W formed and solved in X's
+buffer) is a function of i alone, so mid-sized replicas run side by side
+on threads, whose BLAS calls release the interpreter lock, with the same
+bits for any worker count.
 
 Distance computations work on a small CDF protocol: objects exposing
 ``eval`` / ``eval_left`` (vectorized, right-continuous values and left
@@ -31,108 +26,27 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRangeError, NotHermitianError, OutsideDomainError, SolverFailureError
-from .matrices import (BLOCK, CHUNK, CovarianceMatrix, EntryDistribution, _lapack, _openblas, covariance,
-                       sample_shaped)
+from .errors import InvalidRangeError, OutsideDomainError
+from .matrices import EntryDistribution, covariance, eigenvalues, replica_bytes, replica_threads, sample_shaped
 from .partitions import Partition
 
 __all__ = [
-    "Spectrum",
     "StepCDF",
     "GridCDF",
     "Histogram",
     "EnsembleMoments",
-    "eigenvalues",
     "levy_distance",
     "ks_distance",
     "histogram",
     "histogram_edges",
-    "replica_bytes",
-    "replica_workers",
     "shape_ensemble_spectra",
     "spectra_moments",
 ]
-
-
-_HERM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending real eigenvalues of a Hermitian matrix."""
-
-    values: np.ndarray
-    dim: int
-
-
-def _hermitian(m: np.ndarray) -> np.ndarray:
-    """A whole matrix, C-contiguous (a copy where it is not), gated and mirrored: entries
-    further than 1e-10 of the largest from Hermitian, checked BLOCK rows at a time, raise
-    NotHermitianError, and each row block then overwrites its part of the upper triangle with
-    the lower one's conjugate."""
-    m = np.require(m, None, ["C"])
-    n = len(m)
-    scale = asym = 0.0
-    for i in range(0, n, BLOCK):
-        rows, mirror = m[i:i + BLOCK], m[:, i:i + BLOCK].conj().T
-        scale = np.maximum(scale, np.abs(rows).max())  # not max(): a NaN must get through
-        asym = np.maximum(asym, np.abs(rows - mirror).max())
-        # every pair these rows hold is checked: a later block reads the mirrored entries
-        # only as pairs with its own rows, which stay as they are
-        upper = np.arange(i, n) > np.arange(i, i + len(rows))[:, None]
-        np.copyto(rows[:, i:], mirror[:, i:], where=upper)
-    scale, asym = float(scale), float(asym)
-    if scale > 0 and asym > _HERM_TOL * scale:
-        raise NotHermitianError(f"asymmetry {asym:.3e} exceeds {_HERM_TOL:.1e} * {scale:.3e}")
-    return m
-
-
-def eigenvalues(w: CovarianceMatrix) -> Spectrum:
-    """Full real spectrum of a Hermitian (or real symmetric) matrix, ascending, solved in the
-    buffer of ``w.entries``, which it consumes.
-
-    A triangle that matrices.covariance named is solved as it is, and its
-    ``zeros`` exact zeros join the values in order. A whole matrix built
-    elsewhere is first gated and mirrored (_hermitian), and its values are
-    then np.linalg.eigvalsh's bit for bit: like eigvalsh, the solve reads
-    only the lower triangle. ?syevd or ?heevd (jobz N) of numpy's OpenBLAS
-    solves the buffer read as column-major, W's transpose, whose lower
-    triangle is the conjugate of W's upper one: the same driver on
-    conjugated data gives the same bits. Where numpy's library has no such
-    driver, eigvalsh solves a copy. A failed solve raises
-    SolverFailureError, as on LAPACK's path a NaN in the triangle read
-    does. Entries that are not writeable float64 or complex128, or whose
-    rows LAPACK cannot read in place (unit stride within a row, rows at
-    least a row apart), are converted first.
-    """
-    if w.entries.ndim != 2 or w.entries.shape[0] != w.entries.shape[1]:
-        raise NotHermitianError(f"matrix shape {w.entries.shape} is not square")
-    m = np.require(w.entries, complex if np.iscomplexobj(w.entries) else float, ["A", "W"])
-    n = len(m)
-    if w.triangle is None:
-        m = _hermitian(m)
-    elif m.strides[1] != m.itemsize or m.strides[0] < m.itemsize * n:
-        m = np.ascontiguousarray(m)
-    values = np.zeros(n + w.zeros)
-    lib = _openblas()
-    if lib is None:
-        try:
-            values[w.zeros:] = np.linalg.eigvalsh(m, UPLO="U" if w.triangle == "upper" else "L")
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailureError(str(exc)) from exc
-    else:
-        # column-major layout (102): the row-major upper triangle is the lower one read
-        _lapack(lib, m.dtype, "solve", 102, b"N", b"U" if w.triangle == "lower" else b"L", n,
-                m.ctypes.data, max(m.strides[0] // m.itemsize, 1), values[w.zeros:].ctypes.data)
-    if w.zeros:
-        values.sort()  # a rounded value below 0 goes before the exact zeros
-    return Spectrum(values=values, dim=n + w.zeros)
 
 
 class StepCDF:
@@ -374,46 +288,10 @@ class EnsembleMoments:
     variances: np.ndarray
 
 
-# bytes of one replica (replica_bytes) between which replicas run side by side: below, a
-# replica's BLAS calls are too short to outweigh the interpreter lock the workers share (on
-# 2 vCPUs two workers ran staircases of dim 8 to 40 at 0.5 to 1.2 times the speed of one, and
-# of dim 48 to 200 at 1.2 to 1.9); above, two at once would hold twice the memory of one for
-# little gain. Squares of real dims 64 to 708 and complex dims 46 to 505 run side by side
-SIDE_BY_SIDE = (66 << 10, 4500 << 10)
-
-
-def replica_bytes(rows: int, cols: int, itemsize: int) -> int:
-    """Peak bytes of one replica with a rows x cols X of ``itemsize``-byte entries.
-
-    Every phase runs in X's buffer, beside: in the draw, a chunk's |X| and
-    mask, or a chunk's integers and the 8192 entries of numpy's buffer that
-    casts them; in the factoring (matrices.covariance), BLOCK rows of
-    scratch and a row group's reflector scalars; in the solve, the
-    eigenvalues.
-    """
-    entries = rows * cols
-    return itemsize * entries + max(9 * min(entries, CHUNK) + 8 * min(entries, 8192),
-                                    itemsize * (min(BLOCK, rows) * cols + min(rows, cols)), 8 * rows)
-
-
-def _side_by_side(replica: int) -> bool:
-    """Whether replicas of ``replica`` bytes run side by side, each on one BLAS thread: where
-    they are mid-sized and numpy's OpenBLAS can be told its thread count."""
-    return SIDE_BY_SIDE[0] <= replica <= SIDE_BY_SIDE[1] and _openblas() is not None
-
-
-def replica_workers(replica: int, replicas: int, jobs: int | None = None) -> int:
-    """How many of ``replicas`` replicas of ``replica`` bytes run at once: up to ``jobs`` (None:
-    the CPUs), the replicas and the CPUs where they run side by side, else one."""
-    if not _side_by_side(replica):
-        return 1
-    cpus = os.cpu_count() or 1
-    return min(jobs or cpus, replicas, cpus)
-
-
 def _replica_eigenvalues(shape: Partition, scale: int, dist: EntryDistribution, seed: int,
                          index: int) -> np.ndarray:
-    # W is formed and solved in X's buffer
+    # W is formed and solved in X's buffer; the three steps are looked up as this module's
+    # globals, where a caller may wrap them (perfbench times each one there)
     w = covariance(sample_shaped(shape, dist, (seed, index)), scale)
     return eigenvalues(w).values
 
@@ -452,31 +330,18 @@ def shape_ensemble_spectra(shape: Partition, scale: int, dist: EntryDistribution
 
     The result is one C-contiguous float64 array of shape (replicas,
     shape.length()), so ``ravel()`` pools it without a copy. Replica i
-    always uses substream (seed, i) and fills row i. Mid-sized replicas
-    (SIDE_BY_SIDE) run on one BLAS thread each, up to ``replica_workers``
-    of them at once, and the process's thread count is restored afterwards;
-    tiny and large ones run one at a time on that count, as where numpy's
-    OpenBLAS cannot be told its count. Either way a replica's BLAS thread
-    count follows from its size alone, so the array is identical for any
-    `jobs`.
+    always uses substream (seed, i) and fills row i, on the workers and BLAS
+    threads of matrices.replica_threads: a replica's BLAS thread count
+    follows from its size alone, so the array is identical for any `jobs`.
     """
     if replicas < 1:
         raise ValueError(f"replicas {replicas} < 1")
     spectra = np.empty((replicas, shape.length()))
     solve = functools.partial(_replica_eigenvalues, shape, scale, dist, seed)
     replica = replica_bytes(shape.length(), shape.parts[0] if shape else 0, dist.itemsize)
-    if not _side_by_side(replica):
-        _fill_rows(spectra, solve, 1)
-        return spectra
-    lib = _openblas()
-    threads = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        _fill_rows(spectra, solve, replica_workers(replica, replicas, jobs))
-    finally:
-        lib.scipy_openblas_set_num_threads64_(threads)
+    with replica_threads(replica, replicas, jobs) as workers:
+        _fill_rows(spectra, solve, workers)
     return spectra
-
 
 def spectra_moments(spectra, k_max: int) -> EnsembleMoments:
     """Mean and unbiased variance over replicas of m_k = mean(lambda^k), k = 0..k_max.

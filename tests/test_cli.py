@@ -366,6 +366,20 @@ def test_structural_zeros_are_exact_and_fall_in_the_first_bin(capsys):
     assert np.all(rows[:, 400:] > hist["edges"][1])
 
 
+@pytest.mark.parametrize("dilation", [1, 3])
+def test_rank_deficit_zeros_are_exact(dilation, capsys):
+    # (3, 1, 1, 1) has rank 2: each replica's W has 2n exact zeros, n of them beside the tall
+    # diagram's X* X and n from its rank, where rounding once put 1 of 8 values below 0 at n = 1
+    argv = ["simulate", "--parts", "3,1,1,1", "--dilation", str(dilation), "--replicas", "2", "--seed", "1"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    hist = json.loads(out)["results"]["histogram"]
+    assert hist["below"] == 0 and hist["total"] == 8 * dilation
+    rows = shape_ensemble_spectra(Partition((3, 1, 1, 1)).dilate(dilation), dilation,
+                                  EntryDistribution("complex-gaussian"), 2, 1)
+    assert np.all(rows[:, :2 * dilation] == 0.0) and np.all(rows[:, 2 * dilation:] > 0.0)
+
+
 _SIMULATE ={"subcommand": "simulate", "r": 1, "dilation": 2, "replicas": 2, "seed": 1}
 _LAW = {"subcommand": "law", "r": 2, "grid": 16, "kmax": 1}
 

@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import math
 from unittest import mock
 
@@ -14,13 +16,14 @@ from youngspec.matrices import (
     ShapedMatrix,
     _truncated_second_moment,
     covariance,
+    eigenvalues,
     sample_shaped,
 )
 from youngspec.partitions import Partition, square, staircase
-from youngspec.spectra import eigenvalues
 from youngspec.streams import substream
 
 from _gram import whole
+from _rank import matching_rank
 
 
 def test_staircase_zero_pattern():
@@ -320,6 +323,10 @@ def _diagrams(draw):
 @example(lam=staircase(6), n=1, kind="complex-gaussian", trunc=None, index=0)
 @example(lam=staircase(6), n=1, kind="complex-gaussian", trunc=0.5, index=3)  # zeros on the diagonal
 @example(lam=Partition((3, 1, 1, 1)), n=2, kind="real-gaussian", trunc=None, index=0)  # tall, rook rank 2
+# rank 3 undilated: a group with fewer rows inside the diagram than columns does not always
+# leave that many zeros on the factor's diagonal
+@example(lam=Partition((4, 2, 1, 1, 1, 1)), n=1, kind="complex-gaussian", trunc=None, index=0)
+@example(lam=Partition((6, 2, 2, 1, 1, 1, 1)), n=2, kind="real-gaussian", trunc=None, index=0)
 @example(lam=square(3), n=2, kind="centered-uniform", trunc=None, index=0)
 def test_covariance_triangle_is_the_gram_on_the_smaller_side(lam, n, kind, trunc, index):
     assume(kind != "rademacher" or trunc is None or trunc > 1.0)  # else no variance is left
@@ -335,12 +342,27 @@ def test_covariance_triangle_is_the_gram_on_the_smaller_side(lam, n, kind, trunc
     assert len(values) == rows and np.all(np.diff(values) >= 0)
     assert np.abs(values - ref).max() <= 1e-13 * ref.max()
     zeros = np.count_nonzero(values == 0.0)
-    # a tall diagram's W has rows - cols exact zeros; rademacher rows can also be equal or
-    # opposite, and truncated entries 0, which makes further true zeros
+    # W has rows - rank exact zeros, a tall diagram's rows - cols among them; rademacher rows can
+    # also be equal or opposite, and truncated entries 0, which makes further true zeros
+    want = rows - matching_rank(lam.dilate(n).parts)
+    assert want >= max(rows - cols, 0) and w.zeros + w.deficit == want
     if kind == "rademacher" or trunc is not None:
-        assert zeros >= max(rows - cols, 0)
+        assert zeros >= want
     else:
-        assert zeros == max(rows - cols, 0)
+        assert zeros == want
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "fallback"])
+def test_exact_zeros_are_each_small_diagrams_rank_deficit(fallback):
+    # every diagram in a 6 x 6 box: the zeros covariance states are its rows less the largest
+    # matching of its rows to its columns
+    boards = [b for k in range(1, 7) for b in itertools.combinations_with_replacement(range(6, 0, -1), k)]
+    assert len(boards) == 923  # binom(12, 6) - 1
+    with mock.patch.object(matrices, "_openblas", return_value=None) if fallback else contextlib.nullcontext():
+        for parts in boards:
+            x = ShapedMatrix(entries=np.zeros((len(parts), parts[0])), shape=Partition(parts))
+            w = covariance(x, 1)
+            assert w.zeros + w.deficit == len(parts) - matching_rank(parts), parts
 
 
 def test_shaped_matrix_diagram_spans_its_entries():

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from youngspec.errors import InvalidRangeError, NotHermitianError, OutsideDomainError, SolverFailureError
 from youngspec import matrices
 from youngspec.matrices import (
-    BLOCK,
     CovarianceMatrix,
     EntryDistribution,
     ShapedMatrix,
     covariance,
+    eigenvalues,
     sample_shaped,
 )
 from youngspec import spectra
@@ -23,7 +23,6 @@ from youngspec.spectra import (
     GridCDF,
     _replica_eigenvalues,
     StepCDF,
-    eigenvalues,
     histogram,
     ks_distance,
     levy_distance,
@@ -34,6 +33,7 @@ from youngspec.streams import substream
 
 from _distances import ks_union, levy_union, levy_union_gaps
 from _gram import whole
+from _rank import matching_rank
 
 step_cdfs = st.lists(st.floats(-5, 5), min_size=1, max_size=12).map(StepCDF)
 small_steps = st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=40).map(StepCDF)
@@ -90,11 +90,10 @@ def test_eigenvalues_rejects_non_hermitian():
 
 
 @pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian"])
-def test_hermitian_gate_reads_the_last_partial_block(kind):
-    # a whole matrix built outside covariance: dim 160 has row blocks [0, 64), [64, 128) and the
-    # partial [128, 160); the one asymmetric pair (158, 159) lies inside the last
+def test_hermitian_gate_finds_one_asymmetric_pair(kind):
+    # a whole matrix built outside covariance, dim 160, whose one asymmetric pair (158, 159)
+    # lies next to its last corner
     lam = Partition((2, 1)).dilate(80)
-    assert 2 * BLOCK < lam.length() < 3 * BLOCK
     x = sample_shaped(lam, EntryDistribution(kind), (13, 0)).entries
     m = x @ x.conj().T / 80
     w = CovarianceMatrix(entries=m)
@@ -129,15 +128,14 @@ def test_replica_peak_memory_is_bounded(kind, bound):
     assert peak <= bound * x_bytes, peak / x_bytes
 
 
-_OPENBLAS = spectra._openblas() is not None
+_OPENBLAS = matrices._openblas() is not None
 
 
 @contextlib.contextmanager
 def _fallback():
     """The product and the solve without numpy's OpenBLAS routines: the whole x @ x.conj().T / n
     and np.linalg.eigvalsh."""
-    with mock.patch.object(spectra, "_openblas", return_value=None), \
-            mock.patch.object(matrices, "_openblas", return_value=None):
+    with mock.patch.object(matrices, "_openblas", return_value=None):
         yield
 
 
@@ -193,6 +191,25 @@ def test_all_nan_matrix_is_a_solver_failure(dtype, fallback):
     w = CovarianceMatrix(entries=np.full((3, 3), np.nan, dtype=dtype))
     with _fallback() if fallback else contextlib.nullcontext(), pytest.raises(SolverFailureError):
         eigenvalues(w)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "fallback"])
+@pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian", "rademacher"])
+@pytest.mark.parametrize("parts", [(3, 1, 1, 1), (4, 4, 1, 1, 1, 1), (4, 2, 1, 1, 1, 1), (6, 2, 2, 1, 1, 1, 1),
+                                   (5, 4, 4, 1), (2, 2, 2, 1)])
+def test_each_replica_has_its_diagrams_rank_deficit_in_exact_zeros(parts, kind, fallback):
+    # rows - rank n exact zeros a replica at n = 1 and 3, as its first values, on either path;
+    # rademacher rows can be equal or opposite, which makes further true zeros, rounded either way
+    for n in (1, 3):
+        with _fallback() if fallback else contextlib.nullcontext():
+            rows = shape_ensemble_spectra(Partition(parts).dilate(n), n, EntryDistribution(kind), 3, 9)
+        want = n * (len(parts) - matching_rank(parts))
+        zeros = np.count_nonzero(rows == 0.0, axis=1)
+        assert np.all(np.diff(rows, axis=1) >= 0)
+        if kind == "rademacher":
+            assert np.all(zeros >= want), (n, zeros)
+        else:
+            assert np.all(zeros == want) and np.all(rows[:, :want] == 0.0), (n, zeros)
 
 
 @pytest.mark.parametrize("entries", [
@@ -637,7 +654,7 @@ def test_worker_pool_capped_by_replicas_and_cpus(monkeypatch, started_threads):
     # at most min(jobs, replicas, CPUs) replicas run at once; None stands for the CPUs
     import os
 
-    monkeypatch.setattr(spectra, "SIDE_BY_SIDE", (0, 1 << 40))  # staircase(3)'s replicas too
+    monkeypatch.setattr(matrices, "SIDE_BY_SIDE", (0, 1 << 40))  # staircase(3)'s replicas too
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     dist = EntryDistribution("real-gaussian")
     serial = shape_ensemble_spectra(staircase(3), 3, dist, 3, seed=2, jobs=1)
@@ -645,13 +662,13 @@ def test_worker_pool_capped_by_replicas_and_cpus(monkeypatch, started_threads):
     for jobs, replicas, want in ((5000, 3, 3), (5000, 9, 4), (2, 9, 2), (None, 9, 4), (None, 2, 2)):
         started_threads.clear()
         got = shape_ensemble_spectra(staircase(3), 3, dist, replicas, seed=2, jobs=jobs)
-        assert len(started_threads) + 1 == want == spectra.replica_workers(1, replicas, jobs)
+        assert len(started_threads) + 1 == want == matrices.replica_workers(1, replicas, jobs)
         assert not any(t.is_alive() for t in started_threads)
         assert all(np.array_equal(a, b) for a, b in zip(got, serial))
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     started_threads.clear()
     shape_ensemble_spectra(staircase(3), 3, dist, 3, seed=2, jobs=8)
-    assert not started_threads and spectra.replica_workers(1, 3, 8) == 1
+    assert not started_threads and matrices.replica_workers(1, 3, 8) == 1
 
 
 def test_replicas_side_by_side_only_between_the_bounds(monkeypatch):
@@ -660,21 +677,21 @@ def test_replicas_side_by_side_only_between_the_bounds(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     real, cplx = 8, 16
-    assert spectra.replica_bytes(1000, 1000, cplx) == 16_000_000 + 16 * 65 * 1000  # ensemble-r2
-    lo, hi = spectra.SIDE_BY_SIDE
+    assert matrices.replica_bytes(1000, 1000, cplx) == 16_000_000 + 16 * 65 * 1000  # ensemble-r2
+    lo, hi = matrices.SIDE_BY_SIDE
     for rows, cols, item, inside in ((20, 20, real, False), (32, 32, cplx, False), (200, 200, real, True),
                                      (200, 200, cplx, True), (700, 700, real, True),
                                      (1000, 1000, cplx, False), (1000, 1000, real, False)):
-        replica = spectra.replica_bytes(rows, cols, item)
+        replica = matrices.replica_bytes(rows, cols, item)
         assert (lo <= replica <= hi) == inside, (rows, item, replica)
-        assert spectra.replica_workers(replica, 80, 2) == (2 if inside and _OPENBLAS else 1)
+        assert matrices.replica_workers(replica, 80, 2) == (2 if inside and _OPENBLAS else 1)
     with _fallback():  # no thread count to pin: one at a time
-        assert spectra.replica_workers(spectra.replica_bytes(200, 200, real), 80, 2) == 1
+        assert matrices.replica_workers(matrices.replica_bytes(200, 200, real), 80, 2) == 1
 
 
 def _blas_threads(count=None):
     """numpy's OpenBLAS thread count, set first to ``count`` where given."""
-    lib = spectra._openblas()
+    lib = matrices._openblas()
     if count is not None:
         lib.scipy_openblas_set_num_threads64_(count)
     return lib.scipy_openblas_get_num_threads64_()
@@ -688,29 +705,56 @@ def blas_threads():
     _blas_threads(before)
 
 
-@pytest.mark.parametrize("parts, n", [((2, 1), 150), ((3, 1), 100), ((1, 1, 1), 100), ((5, 4, 4, 1), 40)],
-                         ids=["square", "wide", "tall", "four-groups"])
-@pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian", "rademacher"])
+def _traced_replica(lam, n, dist):
+    """The traced peak of one replica's spectrum, after a first run that makes numpy's and
+    LAPACK's first-call allocations."""
+    import tracemalloc
+
+    _replica_eigenvalues(lam, n, dist, 3, 0)
+    tracemalloc.start()
+    try:
+        _replica_eigenvalues(lam, n, dist, 3, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_REPLICAS = pytest.mark.parametrize("parts, n", [((2, 1), 150), ((3, 1), 100), ((1, 1, 1), 100),
+                                                  ((5, 4, 4, 1), 40)],
+                                    ids=["square", "wide", "tall", "four-groups"])
+_KINDS = pytest.mark.parametrize("kind", ["complex-gaussian", "real-gaussian", "rademacher"])
+
+
+@_REPLICAS
+@_KINDS
 def test_replica_bytes_bounds_the_traced_replica(parts, n, kind):
     # the draw's chunk, the factoring's scratch rows and reflector scalars, or the eigenvalues
     # beside X: the largest of the three bounds the replica's traced peak, a few kB of Python
     # objects aside; it is within 0.88 to 0.96 of the peak where the draw takes a chunk (at
     # these sizes complex draws take 8 bytes an entry of the 17 it counts), and real-gaussian
     # draws take none
-    import tracemalloc
-
     lam, dist = Partition(parts).dilate(n), EntryDistribution(kind)
-    need = spectra.replica_bytes(lam.length(), lam.parts[0], dist.itemsize)
-    _replica_eigenvalues(lam, n, dist, 3, 0)
-    tracemalloc.start()
-    try:
-        _replica_eigenvalues(lam, n, dist, 3, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    need = matrices.replica_bytes(lam.length(), lam.parts[0], dist.itemsize)
+    peak = _traced_replica(lam, n, dist)
     assert peak <= need + 4096, (peak, need)
     if kind != "real-gaussian":
         assert peak >= 0.85 * need, (peak, need)
+
+
+@_REPLICAS
+@_KINDS
+def test_replica_bytes_bounds_the_traced_fallback_replica(parts, n, kind):
+    # without numpy's OpenBLAS routines the product holds X, its conjugate (complex) and the
+    # whole W, and the solve W beside eigvalsh's copy, which numpy takes out of tracemalloc's
+    # sight: the traced peak is the product's phase, and the need holds two W besides
+    lam, dist = Partition(parts).dilate(n), EntryDistribution(kind)
+    rows, cols = lam.length(), lam.parts[0]
+    with _fallback():
+        need = matrices.replica_bytes(rows, cols, dist.itemsize)
+        peak = _traced_replica(lam, n, dist)
+    product = dist.itemsize * (rows * cols * (2 if kind == "complex-gaussian" else 1) + rows * rows)
+    assert peak <= need + 4096, (peak, need)
+    assert need >= 2 * dist.itemsize * rows * rows and peak >= 0.96 * product, (peak, need, product)
 
 
 @pytest.mark.skipif(not _OPENBLAS, reason="numpy's OpenBLAS cannot be told its thread count")
@@ -719,7 +763,7 @@ def test_side_by_side_spectra_are_one_thread_bits_for_any_jobs(kind, blas_thread
     # mid-sized replicas: the same bits for jobs 1, 2 and 3 whatever the process's count was,
     # each row that of its replica solved on one BLAS thread, and the count restored
     shape, dist = Partition((2, 1)).dilate(40), EntryDistribution(kind)
-    assert spectra.SIDE_BY_SIDE[0] <= spectra.replica_bytes(80, 80, dist.itemsize) <= spectra.SIDE_BY_SIDE[1]
+    assert matrices.SIDE_BY_SIDE[0] <= matrices.replica_bytes(80, 80, dist.itemsize) <= matrices.SIDE_BY_SIDE[1]
     _blas_threads(1)
     want = [eigenvalues(covariance(sample_shaped(shape, dist, (19, i)), 40)).values for i in range(5)]
     seen, solve = [], spectra._replica_eigenvalues
@@ -771,7 +815,7 @@ def test_replica_over_the_cap_runs_alone_on_the_process_count(monkeypatch, blas_
                                                               started_threads):
     # with the cap below a staircase(20) replica, it runs on the caller's thread at the count
     # the process has, which nothing sets
-    lib, seen, sets = spectra._openblas(), [], []
+    lib, seen, sets = matrices._openblas(), [], []
     solve = spectra._replica_eigenvalues
 
     def replica(*args):
@@ -779,11 +823,11 @@ def test_replica_over_the_cap_runs_alone_on_the_process_count(monkeypatch, blas_
         return solve(*args)
 
     _blas_threads(2)
-    monkeypatch.setattr(spectra, "SIDE_BY_SIDE", (0, 1000))
+    monkeypatch.setattr(matrices, "SIDE_BY_SIDE", (0, 1000))
     monkeypatch.setattr(spectra, "_replica_eigenvalues", replica)
     monkeypatch.setattr(lib, "scipy_openblas_set_num_threads64_", sets.append)
     dist = EntryDistribution("complex-gaussian")
-    assert spectra.replica_bytes(20, 20, 16) > 1000
+    assert matrices.replica_bytes(20, 20, 16) > 1000
     got = shape_ensemble_spectra(staircase(20), 20, dist, 3, 5, jobs=3)
     assert seen == [2, 2, 2] and not sets and not started_threads
     for i, row in enumerate(got):
@@ -796,7 +840,7 @@ def test_side_by_side_stress_more_workers_than_cores(monkeypatch):
     import os
     import sys
 
-    monkeypatch.setattr(spectra, "SIDE_BY_SIDE", (0, 1 << 40))
+    monkeypatch.setattr(matrices, "SIDE_BY_SIDE", (0, 1 << 40))
     dist = EntryDistribution("real-gaussian")
     serial = shape_ensemble_spectra(staircase(6), 6, dist, 48, 3, jobs=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
