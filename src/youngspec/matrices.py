@@ -9,10 +9,10 @@ only complex-gaussian is complex128. Entries are drawn, truncated and masked
 in place, 2^16 at a time where a draw or a truncation needs scratch. W is
 formed in X's own buffer, on the diagram's smaller side, by LAPACK in numpy's
 OpenBLAS: a QR a row group at a time over only that group's rows inside the
-diagram, then ?lauum, the in-place triangular Gram; its spectrum is solved
-there, with as many exact zeros as the diagram's rank leaves. So a replica
-holds X and BLOCK rows of scratch (replica_bytes), and mid-sized replicas run
-side by side, each on one BLAS thread (replica_threads).
+diagram, then ?lauum, the in-place triangular Gram, whose named triangle is
+solved there, with as many exact zeros as the diagram's term rank leaves. So
+a replica holds X and BLOCK rows of scratch (replica_bytes), and mid-sized
+replicas run side by side, each on one BLAS thread (replica_threads).
 """
 
 from __future__ import annotations
@@ -187,18 +187,15 @@ class ShapedMatrix:
     """Dense matrix whose support lies in a Young diagram (real or complex entries).
 
     ``shape`` is the diagram, whose rectangle must be the matrix's; entries
-    outside it count as zeros. A matrix built without one has its whole
-    rectangle as its shape.
+    outside it count as zeros.
     """
 
     entries: np.ndarray
-    shape: Partition | None = None
+    shape: Partition
 
     def __post_init__(self):
         rows, cols = self.entries.shape
-        if self.shape is None:
-            object.__setattr__(self, "shape", Partition([cols] * rows))
-        elif (self.shape.length(), self.shape.part(1)) != (rows, cols):
+        if (self.shape.length(), self.shape.part(1)) != (rows, cols):
             raise ValueError(f"diagram {self.shape.parts} does not span a {rows} x {cols} matrix")
 
 
@@ -206,18 +203,22 @@ class ShapedMatrix:
 class CovarianceMatrix:
     """Hermitian PSD matrix W = X X* / N built from a shaped sample (real for real entries).
 
-    With ``triangle`` None, ``entries`` is the whole matrix. Else only its
-    row-major ``"upper"`` or ``"lower"`` triangle holds the matrix, which is
-    W itself or, for a diagram with more rows than columns, X* X / N, whose
-    spectrum is W's but for ``zeros`` further eigenvalues that are exactly 0.
-    The matrix's own ``deficit`` smallest eigenvalues are exactly 0 too:
-    those that its diagram's rank leaves.
+    Only the row-major ``triangle`` of ``entries``, ``"upper"`` or
+    ``"lower"``, holds the matrix, which is W itself or, for a diagram with
+    more rows than columns, X* X / N, whose spectrum is W's but for
+    ``zeros`` further eigenvalues that are exactly 0. The matrix's own
+    ``deficit`` smallest eigenvalues are exactly 0 too: those that its
+    diagram's term rank leaves.
     """
 
     entries: np.ndarray
-    triangle: str | None = None
+    triangle: str
     zeros: int = 0
     deficit: int = 0
+
+    def __post_init__(self):
+        if self.triangle not in ("upper", "lower"):
+            raise ValueError(f"triangle {self.triangle!r} is neither 'upper' nor 'lower'")
 
 
 def sample_shaped(lam: Partition, dist: EntryDistribution,
@@ -230,7 +231,7 @@ def sample_shaped(lam: Partition, dist: EntryDistribution,
     if not lam:
         raise EmptyPartitionError("cannot sample a matrix with empty shape")
     x = dist.sample(substream(*stream), (lam.length(), lam.parts[0]))
-    for first, rows, part in lam.row_groups():
+    for first, rows, part in lam.row_groups:
         x[first:first + rows, part:] = 0.0  # the boxes right of the diagram
     return ShapedMatrix(entries=x, shape=lam)
 
@@ -276,18 +277,14 @@ def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
     is not C-contiguous, writeable float64 or complex128 is converted
     first. Where numpy's library has no such routines, W is the whole
     product x @ x.conj().T / n, named by its lower triangle. Either way the
-    matrix's ``deficit`` is its dimension less the diagram's rank.
+    matrix's ``deficit`` is its dimension less the diagram's term rank.
     """
     if n < 1:
         raise ValueError(f"scale {n} < 1")
     rows, cols = x.entries.shape
     wide = rows <= cols
-    groups = (x.shape if wide else x.shape.conjugate()).row_groups()
     m = min(rows, cols)
-    # any matrix on the diagram has at most, and a generic draw exactly, its term rank: by
-    # Konig's theorem the fewest rows and columns covering it, the first k rows and first
-    # lam_(k+1) columns for some k (of the conjugate, on a tall diagram: the same count)
-    rank = min([first + part for first, _, part in groups] + [m])
+    rank = x.shape.term_rank()
     lib = _openblas()
     a = x.entries
     if lib is None:
@@ -296,6 +293,7 @@ def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
         return CovarianceMatrix(entries=w, triangle="lower", deficit=rows - rank)
     a = np.require(a, complex if np.iscomplexobj(a) else float, ["C", "A", "W"])
     item, dtype = a.itemsize, a.dtype
+    groups = (x.shape if wide else x.shape.conjugate()).row_groups
     scratch = np.empty((min(BLOCK, rows), cols), dtype)
     _reverse(a, scratch, (0,) if wide else (1,))
     trans = _LAPACK[dtype][1]
@@ -340,9 +338,6 @@ def covariance(x: ShapedMatrix, n: int) -> CovarianceMatrix:
                             deficit=m - rank)
 
 
-_HERM_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending real eigenvalues of a Hermitian matrix."""
@@ -352,30 +347,22 @@ class Spectrum:
 
 
 def eigenvalues(w: CovarianceMatrix) -> Spectrum:
-    """Full real spectrum of a Hermitian (or real symmetric) matrix, ascending.
+    """Full real spectrum of the Hermitian matrix in W's named triangle, ascending.
 
-    A named triangle is solved in its own buffer, which it consumes, by
+    That triangle alone is solved, in its own buffer, which it consumes, by
     ?syevd or ?heevd (jobz N) of numpy's OpenBLAS, else by
     np.linalg.eigvalsh; its ``deficit`` smallest values are set to 0, and
-    its ``zeros`` exact zeros join them in order. A whole matrix built
-    elsewhere is gated (entries further than 1e-10 of the largest from
-    Hermitian raise NotHermitianError; a NaN gets through), then solved by
-    np.linalg.eigvalsh. A failed solve raises SolverFailureError. Entries
-    that are not writeable float64 or complex128, or whose rows LAPACK cannot
-    read in place (unit stride in a row, rows a row apart), are converted first.
+    its ``zeros`` exact zeros join them in order. A matrix that is not
+    square raises NotHermitianError, a failed solve SolverFailureError.
+    Entries that are not writeable float64 or complex128, or whose rows
+    LAPACK cannot read in place (unit stride in a row, rows a row apart),
+    are converted first.
     """
     if w.entries.ndim != 2 or w.entries.shape[0] != w.entries.shape[1]:
         raise NotHermitianError(f"matrix shape {w.entries.shape} is not square")
     m = np.require(w.entries, complex if np.iscomplexobj(w.entries) else float, ["A", "W"])
     n = len(m)
-    lib = None if w.triangle is None else _openblas()
-    if w.triangle is None:
-        scale = float(np.abs(m).max(initial=0.0))  # NaN if one entry is
-        asym = float(np.abs(m - m.conj().T).max(initial=0.0))
-        if scale > 0 and asym > _HERM_TOL * scale:
-            raise NotHermitianError(f"asymmetry {asym:.3e} exceeds {_HERM_TOL:.1e} * {scale:.3e}")
-    elif lib is not None and (m.strides[1] != m.itemsize or m.strides[0] < m.itemsize * n):
-        m = np.ascontiguousarray(m)
+    lib = _openblas()
     values = np.zeros(n + w.zeros)
     solved = values[w.zeros:]
     if lib is None:
@@ -384,6 +371,8 @@ def eigenvalues(w: CovarianceMatrix) -> Spectrum:
         except np.linalg.LinAlgError as exc:
             raise SolverFailureError(str(exc)) from exc
     else:
+        if m.strides[1] != m.itemsize or m.strides[0] < m.itemsize * n:
+            m = np.ascontiguousarray(m)
         # column-major layout (102): the row-major upper triangle is the lower one read
         _lapack(lib, m.dtype, "solve", 102, b"N", b"U" if w.triangle == "lower" else b"L", n,
                 m.ctypes.data, max(m.strides[0] // m.itemsize, 1), solved.ctypes.data)

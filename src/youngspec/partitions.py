@@ -4,10 +4,12 @@ Partitions are stored weakly decreasing with trailing zeros trimmed, so
 ``(5, 4, 4, 1)``, ``(5, 4, 4, 1, 0)`` and ``(5, 4, 4, 1, 0, 0)`` are the
 same value. Boxes are indexed ``(i, j)`` with 1-based row/column in the
 English convention (row 1 on top, rows never longer than the row above).
+A diagram walks its parts for its row groups once and reads its term rank off them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,20 +69,28 @@ class Partition:
             raise IndexOutOfRangeError(f"row index {i} < 1")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def row_groups(self) -> list[tuple[int, int, int]]:
+    @functools.cached_property
+    def row_groups(self) -> tuple[tuple[int, int, int], ...]:
         """The runs of equal parts, top to bottom, as (first row, rows, part) with 0-based rows."""
         groups, first = [], 0
         for part, run in itertools.groupby(self.parts):
             rows = len(list(run))
             groups.append((first, rows, part))
             first += rows
-        return groups
+        return tuple(groups)
+
+    def term_rank(self) -> int:
+        """The rank of a generic matrix on the diagram, which bounds any other's. By Konig's
+        theorem it is the fewest rows and columns covering the boxes: the first k rows and
+        part(k + 1) columns for some k, least at a row group's first row or at k = length().
+        The conjugate's is the same."""
+        return min([first + part for first, _, part in self.row_groups] + [self.length()])
 
     def conjugate(self) -> "Partition":
         """Reflect the diagram in the main diagonal: the columns left of each row group's part and
         right of the next one's are as long as the rows down to that group's last."""
         parts, right = [], 0
-        for first, rows, part in reversed(self.row_groups()):
+        for first, rows, part in reversed(self.row_groups):
             parts += [first + rows] * (part - right)
             right = part
         return Partition(parts)

@@ -2,7 +2,6 @@
 
 ``matrices.covariance`` fills one row-major triangle of X's buffer and
 names it; the tests that read W entry by entry mirror that triangle here.
-A whole matrix (``triangle`` None) is copied as it is.
 """
 
 import numpy as np
@@ -12,6 +11,4 @@ def whole(w) -> np.ndarray:
     m = w.entries
     if w.triangle == "upper":
         return np.triu(m) + np.triu(m, 1).conj().T
-    if w.triangle == "lower":
-        return np.tril(m) + np.tril(m, -1).conj().T
-    return m.copy()
+    return np.tril(m) + np.tril(m, -1).conj().T

@@ -246,10 +246,15 @@ def test_criterion_12_determinism(tmp_path, capsys):
         tri = ["triangular", "--size", "30", "--replicas", "4", "--seed", "17", "--bins", "8"]
         d = run(tri + ["--jobs", "1"])
         e = run(tri + ["--jobs", "2"])
+        # replicas of 132 KiB, above matrices.SIDE_BY_SIDE[0]: --jobs 2 runs two workers on a
+        # host of two CPUs or more, where the argvs above, of 19 and 29 KiB, take one at any --jobs
+        wide = ["triangular", "--size", "64", "--replicas", "4", "--seed", "17", "--bins", "8"]
+        h = run(wide + ["--jobs", "1"])
+        i = run(wide + ["--jobs", "2"])
         samp = ["sample-law", "--r", "1", "--samples", "2000", "--seed", "23", "--bins", "8"]
         f = run(samp)
         g = run(samp)
-    ok = a == b == c and d == e and f == g
+    ok = a == b == c and d == e and h == i and f == g
     report(12, "stochastic subcommands byte-identical across reruns and --jobs levels", ok,
            f"{t.elapsed:.1f}s")
     assert ok

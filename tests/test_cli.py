@@ -1050,15 +1050,13 @@ def test_summed_memory_budget_covers_the_traced_peak(cfg):
     assert 0.75 * need < peak <= need * 1.05, peak / need
 
 
-@pytest.mark.parametrize("script, runs", [
-    ("make_density_grids", 8), ("run_block_ensembles", 6), ("triangular_demo", 2)])
-def test_scripts_command_lines_parse_and_validate(script, runs, tmp_path, monkeypatch, capsys):
-    # each script's command lines go through the parser and the rules; no handler runs
-    # and nothing is written into the checkout
+def test_scripts_command_lines_parse_and_validate(tmp_path, monkeypatch, capsys):
+    # each experiment's command lines go through the parser and the rules; no handler runs,
+    # nothing is written into the checkout, and every --out is relative to its out/
     import importlib.util
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / f"{script}.py"
-    spec = importlib.util.spec_from_file_location(f"scripts_{script}", path)
+    path = Path(__file__).resolve().parents[1] / "scripts" / "experiments.py"
+    spec = importlib.util.spec_from_file_location("scripts_experiments", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     seen = []
@@ -1066,13 +1064,17 @@ def test_scripts_command_lines_parse_and_validate(script, runs, tmp_path, monkey
     def checked(argv):
         args = cli.build_parser().parse_args(argv)
         cli._validate(RunConfig(**{k: v for k, v in vars(args).items() if k in cli._FIELDS}))
-        seen.append(argv)
+        seen.append(argv[argv.index("--out") + 1])
         return 0
 
     monkeypatch.setattr(module, "main", checked)
-    monkeypatch.setattr(module, "OUT", tmp_path / "out")
-    if script == "make_density_grids":  # it changes into the checkout to write out/
-        monkeypatch.setattr(module.os, "chdir", lambda where: None)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(module.os, "chdir", lambda where: None)  # it changes into the checkout
     module.run()
-    assert len(seen) == runs and all("--out" in argv for argv in seen)
+    assert len(seen) == len(set(seen)) == 16
+    assert all(Path(out).parent == Path("out") for out in seen)
+    assert sorted(Path(out).name for out in seen) == sorted(
+        [f"law_r{r}.json" for r in range(1, 5)] + [f"density_r{r}.csv" for r in range(1, 5)]
+        + [f"block_r{r}{end}" for r in range(1, 4) for end in (".json", "_hist.csv")]
+        + ["triangular.json", "triangular_hist.csv"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

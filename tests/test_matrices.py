@@ -182,7 +182,7 @@ def test_all_kinds_unit_variance():
 
 
 def test_covariance_scalar():
-    w = covariance(ShapedMatrix(entries=np.array([[2.0 + 0j]])), 1)
+    w = covariance(ShapedMatrix(entries=np.array([[2.0 + 0j]]), shape=Partition((1,))), 1)
     assert w.entries.shape == (1, 1)
     assert w.entries[0, 0] == pytest.approx(4.0)
 
@@ -200,7 +200,7 @@ def test_covariance_zero_row():
     x = sample_shaped(lam, EntryDistribution("real-gaussian"), (2, 0))
     ent = x.entries.copy()
     ent[1, :] = 0.0
-    w = whole(covariance(ShapedMatrix(entries=ent), 1))
+    w = whole(covariance(ShapedMatrix(entries=ent, shape=lam), 1))
     assert np.all(w[1, :] == 0) and np.all(w[:, 1] == 0)
 
 
@@ -367,10 +367,10 @@ def test_exact_zeros_are_each_small_diagrams_rank_deficit(fallback):
 
 def test_shaped_matrix_diagram_spans_its_entries():
     # covariance factors the diagram's groups in place: a diagram wider or taller than the
-    # entries would send LAPACK past the buffer, so it is refused; none given is the rectangle
+    # entries would send LAPACK past the buffer, so it is refused
     entries = np.ones((3, 2))
-    assert ShapedMatrix(entries=entries).shape == Partition((2, 2, 2))
-    assert ShapedMatrix(entries=entries, shape=Partition((2, 1, 1))).shape == Partition((2, 1, 1))
+    for parts in ((2, 2, 2), (2, 1, 1)):
+        assert ShapedMatrix(entries=entries, shape=Partition(parts)).shape == Partition(parts)
     for parts in ((3, 3, 3), (2, 2), (2, 2, 2, 2)):
         with pytest.raises(ValueError, match="does not span a 3 x 2 matrix"):
             ShapedMatrix(entries=entries, shape=Partition(parts))

@@ -20,6 +20,8 @@ from youngspec.partitions import (
     staircase,
 )
 
+from _rank import matching_rank
+
 partitions = st.lists(st.integers(0, 12), max_size=12).map(
     lambda xs: Partition(sorted(xs, reverse=True))
 )
@@ -67,6 +69,31 @@ def test_conjugate_length_and_weight(lam):
     assert conj.weight() == lam.weight()
     if lam:
         assert conj.length() == lam.parts[0]
+
+
+def _partitions_of(weight, largest):
+    """Every partition of ``weight`` into parts at most ``largest``, as tuples."""
+    if weight == 0:
+        yield ()
+    for first in range(min(weight, largest), 0, -1):
+        for rest in _partitions_of(weight - first, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("weight", range(11))
+def test_term_rank_is_the_largest_matching_of_rows_to_columns(weight):
+    # every partition of weights 0 to 10: p(0) + ... + p(10) = 139 of them
+    diagrams = [Partition(p) for p in _partitions_of(weight, weight)]
+    assert len(diagrams) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42][weight]
+    for lam in diagrams:
+        assert lam.term_rank() == matching_rank(lam.parts) == lam.conjugate().term_rank(), lam
+
+
+def test_row_groups_are_the_runs_of_equal_parts():
+    lam = Partition((5, 4, 4, 1))
+    assert lam.row_groups == ((0, 1, 5), (1, 2, 4), (3, 1, 1))
+    assert lam.row_groups is lam.row_groups  # walked once and kept, as a tuple no caller alters
+    assert Partition(()).row_groups == ()
 
 
 def test_contains_examples():
