@@ -418,7 +418,7 @@ def _run_triangular(cfg: RunConfig) -> dict:
                for k, (mk, ref) in enumerate(zip(em.means.tolist(), limits))]
     # sup |S - F| over the window of acceptance criterion 9: F is continuous, so it
     # is reached at lo, at hi or on either side of the jump at an atom in (lo, hi];
-    # dh_cdf, whose bisection holds arrays an atom, takes a block of atoms at a time
+    # dh_cdf, whose angle solve holds arrays an atom, takes a block of atoms at a time
     lo, hi = 0.2, 2.5
     ecdf = StepCDF(pooled)
     sup = float(np.max(np.abs(ecdf.eval([lo, hi]) - dh_cdf([lo, hi]))))

@@ -22,17 +22,19 @@ phi = pi/(r+1) - theta in (0, pi/(r+1)), the angle from the hard edge,
     F      = (r+1)phi/pi + sin((r+1)phi) sin(r theta) / (r pi sin theta),
 and x sweeps (0, L) monotonically. Everything is evaluated in logs, so
 large r cannot overflow, and each sine argument is reduced by its nearer
-edge, so neither edge cancels. The angle of an abscissa is found by one
-vectorised bisection on log x(phi) and a Newton polish, for a whole grid
-at once (a single point is a batch of one, so both give the same bits);
-the error bar is the a-posteriori root residual plus rounding, carried
+edge, so neither edge cancels. The angle of an abscissa is bracketed in a
+table cached per order, started by interpolation and finished by a fixed
+number of Newton steps, on log x(phi) towards the hard edge and on the
+soft-edge gap log(L/x), which does not cancel, towards the soft one; every
+step is elementwise, so a single point and a grid point get the same bits.
+The error bar is the a-posteriori root residual plus rounding, carried
 into f. Moments are Gauss-Legendre sums in phi. The closed-form densities at
 r = 1, 2 and the Meijer G-function form of the law are the independent
 checks.
 
 The triangular-matrix (Dykema-Haagerup) law on (0, e) is the r -> infinity
 member of the family, the limit of x/r. dh_density and dh_cdf take a scalar
-or an array and invert its angle with the same vectorised bisection.
+or an array and find its angle with the same table-and-Newton solve.
 """
 
 from __future__ import annotations
@@ -103,15 +105,14 @@ def support_edge(r: int) -> Fraction:
 # and dF/dt = f x d log x/dt with f x = a c / (r pi b).
 
 _EPS = float(np.finfo(float).eps)
-_T_MAX = 1.0 - _EPS / 2.0  # largest float below 1, so s > 0
-_BISECTIONS = 60
+_S_MIN = _EPS / 2.0  # s at the largest float t below 1: the edge angle
+_TABLE_NODES = 4096  # the angle tables' spacing is 1/_TABLE_NODES of the angle's range
 _NEWTON_STEPS = 3
 _MOMENT_NODES = 64
 
 
-def _sines(r: int, t: np.ndarray) -> np.ndarray:
-    """Rows a, b, c = sin((r+1)phi), sin(theta), sin(r theta) at t."""
-    s = 1.0 - t
+def _sines(r: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows a, b, c = sin((r+1)phi), sin(theta), sin(r theta) at t, with s = 1 - t."""
     r_theta = np.where(r * s <= 0.5 * (r + 1), r * s, 1.0 + r * t)  # in units of pi/(r+1)
     return np.sin(np.pi * np.stack([np.minimum(t, s), s / (r + 1), r_theta / (r + 1)]))
 
@@ -121,38 +122,127 @@ def _log_x(r: int, sin: np.ndarray) -> np.ndarray:
     return (r + 1) * np.log(sin[0] / sin[2]) + np.log(sin[2] / sin[1])
 
 
-def _dlogx_dt(r: int, t: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def _dlogx_dt(r: int, s: np.ndarray, sin: np.ndarray) -> np.ndarray:
     a, b, c = sin
-    h = np.sin(0.5 * np.pi * (1.0 - t))
+    h = np.sin(0.5 * np.pi * s)
     return np.pi / (r + 1) * ((c - r * b) ** 2 + 4.0 * r * b * c * h * h) / (a * b * c)
 
 
-def _bisect(increasing_fn, target: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            steps: int = _BISECTIONS) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets [lo, hi] of the roots of increasing_fn = target, halved ``steps`` times.
-
-    A step that moves no bracket would repeat itself, so the loop stops there.
-    """
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = increasing_fn(mid) < target
-        new_lo, new_hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return lo, hi
+# -- the angle solve ---------------------------------------------------------
+#
+# Both laws find an abscissa's angle the same way. The angle range is split
+# at one node into two pieces, each reaching one edge of the law. On each, u
+# is the log of the angle's distance from that edge and y an increasing
+# function of u that is close to linear there: y ~ slope * u + intercept. A piece is
+# tabulated once at the angles k/_TABLE_NODES of the range; a target y is
+# bracketed by searchsorted, started by linear interpolation in its bracket
+# (by the edge asymptote before the first node) and moved by _NEWTON_STEPS
+# Newton steps, each clipped to the bracket. Every operation is elementwise,
+# so an array call equals scalar calls bit for bit.
 
 
-def _invert(r: int, log_x: np.ndarray) -> np.ndarray:
-    """t with log x(t) = log_x: bisection on the monotone log x, then Newton in log t."""
-    lo, hi = _bisect(lambda t: _log_x(r, _sines(r, t)), log_x,
-                     np.zeros_like(log_x), np.full_like(log_x, _T_MAX))
-    t = 0.5 * (lo + hi)
+@dataclass(frozen=True)
+class _Piece:
+    us: np.ndarray  # log distances of the table's angles from the edge, increasing
+    ys: np.ndarray  # y there
+    slope: float
+    intercept: float
+    floor: float  # the least u a root may take
+
+
+def _start(piece: _Piece, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first u of each target y and its bracket [lo, hi]."""
+    k = np.searchsorted(piece.ys, y)
+    past = k == 0
+    j = np.clip(k, 1, piece.ys.size - 1)
+    u0, y0 = piece.us[j - 1], piece.ys[j - 1]
+    u = np.where(past, (y - piece.intercept) / piece.slope,
+                 u0 + (piece.us[j] - u0) * (y - y0) / (piece.ys[j] - y0))
+    lo, hi = np.where(past, piece.floor, u0), np.where(past, u0, piece.us[j])
+    return np.clip(u, lo, hi), lo, hi
+
+
+def _solve(piece: _Piece, y: np.ndarray, value) -> np.ndarray:
+    """u with y(u) = y for each target; ``value(u)`` returns y(u) and dy/du."""
+    if not y.size:
+        return y
+    u, lo, hi = _start(piece, y)
     for _ in range(_NEWTON_STEPS):
-        sin = _sines(r, t)
-        step = (log_x - _log_x(r, sin)) / (t * _dlogx_dt(r, t, sin))
-        t = np.clip(t * np.exp(step), lo, hi)
-    return t
+        at, slope = value(u)
+        u = np.clip(u - (at - y) / slope, lo, hi)
+    return u
+
+
+def _table_angles(count: int) -> np.ndarray:
+    """The first ``count`` table angles from an edge, k/_TABLE_NODES for k = 1..count."""
+    return np.arange(1, count + 1) / _TABLE_NODES
+
+
+# -- the staircase law's two pieces ------------------------------------------
+#
+# The hard piece, t <= 3/4, solves log x(t) in u = log t, with the power rule
+# log x ~ (r+1) log t + (r+1) log(pi / sin(pi/(r+1))) at t -> 0. The soft
+# piece, s <= 1/4, solves the soft-edge gap without cancellation:
+#   G(s) = log(L/x) = sum_n (zeta(2n)/n) c_n s^(2n),
+#   c_n = (r+1) - (1 + r^(2n+1))/(r+1)^(2n) > 0, c_1 = 3r/(r+1),
+# as log G = 2 log s + log P(s^2) in u = log s, P's coefficients g_n being
+# the series'. It keeps s to full relative accuracy where t = 1 - s rounds.
+
+
+# (2n+1)/n zeta(2n) for n = 0..17; past n = 17 the tail is below 1e-17 of the sum at s <= 1/4
+_GAP_SERIES = (
+    0.0, 4.934802200544679, 2.7058080842778454, 2.3738004779637145, 2.259174051445375,
+    2.2021880652811996, 2.167199854198834, 2.14298838886084, 2.1250324748012432, 2.1111191698413374,
+    2.100002003320271, 2.090909589487415, 2.0833334575170603, 2.07692310787246, 2.071428579145335,
+    2.06666666859141, 2.0625000004802145, 2.058823529531604)
+
+
+@lru_cache(maxsize=None)
+def _staircase_pieces(r: int) -> tuple[_Piece, _Piece, np.ndarray, float, float]:
+    """The hard and soft pieces at order r, the columns g_n and n g_n (n = 1..17) of P and
+    its derivative, and L = L_hi + L_lo."""
+    # zeta(2n)/n = _GAP_SERIES[n]/(2n+1); c_n is exact as a Fraction and rounded once
+    gaps = np.array([_GAP_SERIES[n] / (2 * n + 1)
+                     * float(r + 1 - Fraction(1 + r ** (2 * n + 1), (r + 1) ** (2 * n)))
+                     for n in range(1, len(_GAP_SERIES))])
+    coefs = np.column_stack([gaps, np.arange(1, gaps.size + 1) * gaps])
+    t = _table_angles(3 * _TABLE_NODES // 4)
+    hard = _Piece(np.log(t), _log_x(r, _sines(r, t, 1.0 - t)), r + 1.0,
+                  (r + 1) * math.log(math.pi / math.sin(math.pi / (r + 1))), -math.inf)
+    s = _table_angles(_TABLE_NODES // 4)
+    soft = _Piece(np.log(s), _soft_gap(coefs, np.log(s))[0], 2.0, math.log(gaps[0]),
+                  math.log(_S_MIN))
+    edge = support_edge(r)
+    edge_hi = float(edge)
+    return hard, soft, coefs, edge_hi, float(edge - Fraction(edge_hi))
+
+
+def _soft_gap(coefs: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log G at s = e^u and its derivative in u."""
+    p, dp = np.polynomial.polynomial.polyval(np.exp(2.0 * u), coefs)
+    return 2.0 * u + np.log(p), 2.0 * dp / p
+
+
+def _angles(r: int, x: np.ndarray, log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t and s = 1 - t with x(t) = x, each exact on its side of t = 3/4."""
+    hard, soft, coefs, edge_hi, edge_lo = _staircase_pieces(r)
+    on_soft = log_x > hard.ys[-1]
+    t, s = np.empty_like(x), np.empty_like(x)
+
+    def hard_value(u):
+        t = np.exp(u)
+        s = 1.0 - t
+        sin = _sines(r, t, s)
+        return _log_x(r, sin), t * _dlogx_dt(r, s, sin)
+
+    t_hard = np.exp(_solve(hard, log_x[~on_soft], hard_value))
+    t[~on_soft], s[~on_soft] = t_hard, 1.0 - t_hard
+    # x - edge_hi is exact near the edge; an x in [L, float L) has gap <= 0 and takes the edge
+    gap = -np.log1p(((x[on_soft] - edge_hi) - edge_lo) / edge_hi)
+    s_soft = np.exp(_solve(soft, np.log(np.maximum(gap, np.finfo(float).tiny)),
+                           lambda u: _soft_gap(coefs, u)))
+    t[on_soft], s[on_soft] = 1.0 - s_soft, s_soft
+    return t, s
 
 
 def _law(r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,8 +255,8 @@ def _law(r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     |d log f/dt| times that; the rounding of log f itself is added.
     """
     log_x = np.log(x)
-    t = _invert(r, log_x)
-    sin = _sines(r, t)
+    t, s = _angles(r, x, log_x)
+    sin = _sines(r, t, s)
     a, b, c = sin
     log_ac = np.log(a / c)
     log_c = np.log(c)
@@ -176,7 +266,7 @@ def _law(r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     round_x = 4.0 * _EPS * ((r + 1) * (1.0 + np.abs(log_ac)) + 2.0 + np.abs(log_x))
     round_f = 4.0 * _EPS * (r * (1.0 + np.abs(log_ac)) + 1.0 + np.abs(log_c) + np.abs(log_f))
-    shift = 2.0 * (np.abs(_log_x(r, sin) - log_x) + round_x) / _dlogx_dt(r, t, sin)
+    shift = 2.0 * (np.abs(_log_x(r, sin) - log_x) + round_x) / _dlogx_dt(r, s, sin)
     err = f * (np.pi * r * b / (a * c) * shift + round_f)
     return f, err, cdf
 
@@ -189,9 +279,10 @@ def _mass_nodes(r: int) -> tuple[np.ndarray, np.ndarray]:
     """
     xi, w = leggauss(_MOMENT_NODES)
     t = 0.5 * (1.0 + xi)
-    sin = _sines(r, t)
+    s = 1.0 - t
+    sin = _sines(r, t, s)
     a, b, c = sin
-    mass = 0.5 * w * a * c / (r * math.pi * b) * _dlogx_dt(r, t, sin)
+    mass = 0.5 * w * a * c / (r * math.pi * b) * _dlogx_dt(r, s, sin)
     return _log_x(r, sin), mass
 
 
@@ -434,32 +525,59 @@ def contour_moment(r: int, k: int) -> float:
 #
 # The r -> infinity member of the family above: with t = 1 - v/pi, x/r, f and
 # F tend to (sin v / v) exp(v cot v), sin(v)^2 / (pi v x) and t + sin(v)^2 /
-# (pi v) for v in (0, pi). An abscissa's angle is bisected on the gap
-# g = 1 - log x, rising from 0 at v = 0, with full relative accuracy on both
-# sides: from x through log1p near e; from v as (1 - v cot v) - log(sin v / v)
-# above v = 1 and below as sum_{n>=1} (2n+1)/n zeta(2n) (v/pi)^(2n), all of
-# whose terms are positive (coefficients n = 1..17; the tail is < 1e-17 g).
-_GAP_SERIES = (
-    0.0, 4.934802200544679, 2.7058080842778454, 2.3738004779637145, 2.259174051445375,
-    2.2021880652811996, 2.167199854198834, 2.14298838886084, 2.1250324748012432, 2.1111191698413374,
-    2.100002003320271, 2.090909589487415, 2.0833334575170603, 2.07692310787246, 2.071428579145335,
-    2.06666666859141, 2.0625000004802145, 2.058823529531604)
+# (pi v) for v in (0, pi). An abscissa's angle solves the gap g = 1 - log x,
+# rising from 0 at v = 0, with full relative accuracy on both sides: from x
+# through log1p near e; from v as (1 - v cot v) - log(sin v / v) above v = 1
+# and below as sum_{n>=1} (2n+1)/n zeta(2n) (v/pi)^(2n) (_GAP_SERIES), all of
+# whose terms are positive. The soft piece, v <= pi/2, solves log g in log v;
+# the hard piece solves -log g in log w, w = pi - v, which keeps sin v = sin w
+# and t = w/pi exact as v -> pi; there g ~ pi/w.
 _E_LO = 1.4456468917292502e-16  # e - math.e
-# halvings of (0, pi) to below one ulp of v = 2e-8, the angle of the largest float below e
-_DH_BISECTIONS = 80
+# the columns of g and of (dg/dv)(pi^2/2v), both in powers of (v/pi)^2
+_GAP_COEFS = np.column_stack([_GAP_SERIES, np.arange(1, len(_GAP_SERIES) + 1)
+                              * np.append(_GAP_SERIES[1:], 0.0)])
 
 
-def _dh_gap(v: np.ndarray) -> np.ndarray:
-    """g(v) = 1 - log x(v) for v in (0, pi)."""
-    small, out = v < 1.0, np.empty_like(v)
-    out[small] = np.polynomial.polynomial.polyval((v[small] / math.pi) ** 2, _GAP_SERIES)
-    w = v[~small]
-    out[~small] = (1.0 - w / np.tan(w)) - np.log(np.sin(w) / w)
-    return out
+def _dh_gap(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(v) = 1 - log x(v) and dg/dv for v in (0, pi), with w = pi - v exact above pi/2."""
+    small, g, dg = v < 1.0, np.empty_like(v), np.empty_like(v)
+    vs = v[small]
+    q = (vs / math.pi) ** 2
+    g[small], dg[small] = np.polynomial.polynomial.polyval(q, _GAP_COEFS)
+    dg[small] *= 2.0 * vs / math.pi**2
+    vb = v[~small]
+    sin = np.sin(np.minimum(vb, w[~small]))
+    cos = np.cos(vb)
+    g[~small] = (1.0 - vb * cos / sin) - np.log(sin / vb)
+    dg[~small] = 1.0 / vb + vb / sin**2 - 2.0 * cos / sin
+    return g, dg
+
+
+def _dh_soft_value(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    v = np.exp(u)
+    g, dg = _dh_gap(v, math.pi - v)
+    return np.log(g), v * dg / g
+
+
+def _dh_hard_value(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w = np.exp(u)
+    g, dg = _dh_gap(math.pi - w, w)
+    return -np.log(g), w * dg / g
+
+
+@lru_cache(maxsize=None)
+def _dh_pieces() -> tuple[_Piece, _Piece]:
+    """The soft piece in v and the hard piece in w, each over (0, pi/2]."""
+    u = np.log(math.pi * _table_angles(_TABLE_NODES // 2))
+    # g ~ v^2/2 as v -> 0 and g ~ pi/w as w -> 0
+    soft = _Piece(u, _dh_soft_value(u)[0], 2.0, -math.log(2.0), -math.inf)
+    hard = _Piece(u, _dh_hard_value(u)[0], 1.0, -math.log(math.pi), -math.inf)
+    return soft, hard
 
 
 def _dh_law(x, law, above: float):
-    """law(v, x) at the angle v of every x in (0, e); 0 at x <= 0 and ``above`` at x >= e.
+    """law(v, w, x) at the angles v and w = pi - v of every x in (0, e); 0 at x <= 0 and
+    ``above`` at x >= e.
 
     A scalar x gives a float, an array an array of its shape.
     """
@@ -468,10 +586,16 @@ def _dh_law(x, law, above: float):
     out = np.where(x >= math.e, above, 0.0)
     xi = x[inside]
     # x - math.e is exact above 1
-    near_e = -np.log1p(((np.maximum(xi, 1.0) - math.e) - _E_LO) / math.e)
-    gap = np.where(xi > 1.0, near_e, 1.0 - np.log(xi))
-    lo, hi = _bisect(_dh_gap, gap, np.zeros_like(xi), np.full_like(xi, math.pi), _DH_BISECTIONS)
-    out[inside] = law(0.5 * (lo + hi), xi)
+    log_gap = np.log(np.where(xi > 1.0, -np.log1p(((np.maximum(xi, 1.0) - math.e) - _E_LO) / math.e),
+                              1.0 - np.log(xi)))
+    soft, hard = _dh_pieces()
+    on_hard = log_gap > soft.ys[-1]
+    v_soft = np.exp(_solve(soft, log_gap[~on_hard], _dh_soft_value))
+    w_hard = np.exp(_solve(hard, -log_gap[on_hard], _dh_hard_value))
+    v, w = np.empty_like(xi), np.empty_like(xi)
+    v[~on_hard], w[~on_hard] = v_soft, math.pi - v_soft
+    v[on_hard], w[on_hard] = math.pi - w_hard, w_hard
+    out[inside] = law(v, w, xi)
     return out if out.ndim else float(out)
 
 
@@ -481,7 +605,7 @@ def dh_density(x):
     Below x of about 1.08e-314 the density is past the float range and reads inf.
     """
     with np.errstate(over="ignore"):
-        return _dh_law(x, lambda v, x: np.sin(v) ** 2 / (math.pi * v * x), 0.0)
+        return _dh_law(x, lambda v, w, x: np.sin(np.minimum(v, w)) ** 2 / (math.pi * v * x), 0.0)
 
 
 def dh_cdf(x):
@@ -490,9 +614,10 @@ def dh_cdf(x):
     In the angle variable the mass element is
     (1 - sin(2v)/v + sin(v)^2/v^2) / pi = d(v - sin(v)^2/v) / pi, and
     x(v) falls as v rises, so F(x(v)) = integral over (v, pi) of it,
-    which is 1 - v/pi + sin(v)^2/(pi v).
+    which is w/pi + sin(v)^2/(pi v) with w = pi - v.
     """
-    return _dh_law(x, lambda v, x: 1.0 - v / math.pi + np.sin(v) ** 2 / (math.pi * v), 1.0)
+    return _dh_law(x, lambda v, w, x: w / math.pi + np.sin(np.minimum(v, w)) ** 2 / (math.pi * v),
+                   1.0)
 
 
 # -- edge exponents ----------------------------------------------------------

@@ -4,7 +4,8 @@ Partitions are stored weakly decreasing with trailing zeros trimmed, so
 ``(5, 4, 4, 1)``, ``(5, 4, 4, 1, 0)`` and ``(5, 4, 4, 1, 0, 0)`` are the
 same value. Boxes are indexed ``(i, j)`` with 1-based row/column in the
 English convention (row 1 on top, rows never longer than the row above).
-A diagram walks its parts for its row groups once and reads its term rank off them.
+A diagram walks its parts for its row groups once and reads its term rank off them;
+its conjugate is built once and kept.
 """
 
 from __future__ import annotations
@@ -88,7 +89,12 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Reflect the diagram in the main diagonal: the columns left of each row group's part and
-        right of the next one's are as long as the rows down to that group's last."""
+        right of the next one's are as long as the rows down to that group's last. Built once
+        and kept, with its own row groups."""
+        return self._conjugate
+
+    @functools.cached_property
+    def _conjugate(self) -> "Partition":
         parts, right = [], 0
         for first, rows, part in reversed(self.row_groups):
             parts += [first + rows] * (part - right)

@@ -75,6 +75,6 @@ def dh_density_param(v: float) -> tuple[float, float]:
     """
     if not 0.0 < v < math.pi:
         raise OutsideDomainError(f"parameter {v} outside (0, pi)")
-    x = math.exp(1.0 - float(_dh_gap(np.float64(v))))
+    x = math.exp(1.0 - float(_dh_gap(np.array([v]), np.array([math.pi - v]))[0][0]))
     f = math.sin(v) ** 2 / (math.pi * v * x) if x > 0.0 else math.inf
     return x, f

@@ -638,6 +638,23 @@ def test_cli_import_leaves_out_scipy_and_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["law", "--r", "4", "--grid", "768", "--tol", "1e-5", "--kmax", "6"],
+    ["sample-law", "--r", "2", "--samples", "2000", "--seed", "1"],
+    ["triangular", "--size", "40", "--replicas", "2", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_law_subcommands_import_no_test_tooling(argv):
+    # the soft-edge gap's coefficients are exact integer Fractions and the triangular
+    # law's series literals, so the law's runs load no mpmath, sympy or scipy
+    code = ("import contextlib, io, json, sys, youngspec.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(json.loads(sys.argv[1])) == 0\n"
+            "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath', 'sympy')])")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_subcommands_leave_out_numpy_ma():
     # np.unique without return flags imports numpy.ma, about 14 ms per job
     runs = [["shape", "--parts", "3,1"], ["moments", "--r", "2", "--kmax", "3"],
@@ -898,7 +915,7 @@ def test_triangular_sup_discrepancy_is_exact(pooled, monkeypatch):
 
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_triangular_sup_discrepancy_keeps_its_bits_for_any_block(block, monkeypatch):
-    # dh_cdf takes the window's atoms a block at a time; its bisection is per atom, so every
+    # dh_cdf takes the window's atoms a block at a time; its angle solve is per atom, so every
     # block size gives the sup of the whole window
     cfg = RunConfig(subcommand="triangular", size=30, replicas=2, seed=5, kmax=1, bins=8)
     whole = build_record(cfg)["results"]["sup_discrepancy"]

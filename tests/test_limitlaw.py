@@ -525,7 +525,13 @@ def test_dh_array_call_equals_scalar_calls_bit_for_bit():
     assert dh_cdf(outside).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
-def _bisect_all_steps(increasing_fn, target, lo, hi, steps=limitlaw._BISECTIONS):
+def test_dh_density_near_hard_edge_matches_oracle():
+    # the hard piece solves w = pi - v, so sin v = sin w keeps full relative
+    # accuracy as v -> pi; the spacing of v itself cost up to 8.4e-14 there
+    assert _dh_rel_err(10.0 ** -np.arange(1.0, 272.0, 30.0)) < 2e-15
+
+
+def _bisect_all_steps(increasing_fn, target, lo, hi, steps):
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         below = increasing_fn(mid) < target
@@ -533,47 +539,154 @@ def _bisect_all_steps(increasing_fn, target, lo, hi, steps=limitlaw._BISECTIONS)
     return lo, hi
 
 
-def _dh_gap_both_branches(v):
-    series = np.polynomial.polynomial.polyval((v / math.pi) ** 2, limitlaw._GAP_SERIES)
-    return np.where(v < 1.0, series, (1.0 - v / np.tan(v)) - np.log(np.sin(v) / v))
+def _dh_gap_both_branches(v, w):
+    poly = np.polynomial.polynomial.polyval
+    q = (v / math.pi) ** 2
+    sin, cos = np.sin(np.minimum(v, w)), np.cos(v)
+    small = v < 1.0
+    series, slope = poly(q, limitlaw._GAP_COEFS)
+    g = np.where(small, series, (1.0 - v * cos / sin) - np.log(sin / v))
+    dg = np.where(small, slope * (2.0 * v / math.pi**2), 1.0 / v + v / sin**2 - 2.0 * cos / sin)
+    return g, dg
 
 
-def test_bisection_exit_and_split_gap_are_bit_identical(monkeypatch):
-    # the loop stops at its fixed point and the gap evaluates each branch only
-    # where it is used; every step and both branches everywhere give the same bytes
+def test_split_gap_is_bit_identical_to_both_branches(monkeypatch):
+    # the gap evaluates each branch only where it is used; both branches
+    # everywhere, with the tables rebuilt from them, give the same bytes
     rng = substream(31, 0)
     e_ulp = np.nextafter(math.e, 0.0)
-    dh_xs = np.concatenate([np.geomspace(1e-300, 1e-3, 40), rng.uniform(0.0, math.e, 200),
-                            e_ulp - np.geomspace(4e-16, 1e-2, 40), [1.0, e_ulp]])
-    law_xs = {r: float(support_edge(r)) * np.concatenate(
-        [np.geomspace(1e-200, 1e-3, 30), rng.uniform(0.0, 1.0, 100), 1.0 - np.geomspace(1e-15, 1e-2, 30)])
-        for r in (1, 2, 5)}
+    xs = np.concatenate([np.geomspace(1e-300, 1e-3, 40), rng.uniform(0.0, math.e, 200),
+                         e_ulp - np.geomspace(4e-16, 1e-2, 40), [1.0, e_ulp]])
+    vs = np.linspace(1e-3, 3.14, 301)
 
     def run():
-        out = [dh_cdf(dh_xs), dh_density(dh_xs), dh_cdf(float(dh_xs[50])),
-               limitlaw._dh_gap(np.linspace(1e-3, 3.14, 301))]
-        return out + [a for r, xs in law_xs.items() for a in limitlaw._law(r, xs)]
+        limitlaw._dh_pieces.cache_clear()
+        return [dh_cdf(xs), dh_density(xs), dh_cdf(float(xs[50])), *limitlaw._dh_gap(vs, math.pi - vs)]
 
     got = run()
-    monkeypatch.setattr(limitlaw, "_bisect", _bisect_all_steps)
     monkeypatch.setattr(limitlaw, "_dh_gap", _dh_gap_both_branches)
     want = run()
+    limitlaw._dh_pieces.cache_clear()
     assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]
 
 
-def test_triangular_bisection_stops_early():
-    calls = []
+def _staircase_points(r):
+    """Every table node's abscissa and its two float neighbours, and the extreme points."""
+    hard, soft, _, edge, _ = limitlaw._staircase_pieces(r)
+    nodes = np.concatenate([np.exp(hard.ys), edge * np.exp(-np.exp(soft.ys))])
+    xs = np.concatenate([nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, math.inf),
+                         [1e-200 * edge, edge * (1.0 - 1e-15), np.nextafter(edge, 0.0)]])
+    return xs[(xs > 0.0) & (xs < edge)]  # at large r the first nodes' x underflow
 
-    def counted(v):
-        calls.append(v.size)
-        return limitlaw._dh_gap(v)
 
-    target = 1.0 - np.log(np.linspace(0.2, 2.5, 500))
-    lo, hi = limitlaw._bisect(counted, target, np.zeros(500), np.full(500, math.pi),
-                              limitlaw._DH_BISECTIONS)
-    assert len(calls) < limitlaw._DH_BISECTIONS
-    assert np.array_equal((lo, hi), _bisect_all_steps(limitlaw._dh_gap, target, np.zeros(500),
-                                                      np.full(500, math.pi), limitlaw._DH_BISECTIONS))
+def _root_shift(r, t, s, log_x):
+    """The bound of _law's error bar on the distance of t from the root of log x(t) = log_x."""
+    sin = limitlaw._sines(r, t, s)
+    a, b, c = sin
+    rounding = 4.0 * limitlaw._EPS * ((r + 1) * (1.0 + np.abs(np.log(a / c))) + 2.0 + np.abs(log_x))
+    shift = 2.0 * (np.abs(limitlaw._log_x(r, sin) - log_x) + rounding) / limitlaw._dlogx_dt(r, s, sin)
+    return shift, np.abs(limitlaw._log_x(r, sin) - log_x) <= rounding
+
+
+def _mp_soft_root(r, x):
+    """s with x(1 - s) = x, by bisection in log s at 40 digits, and the density there."""
+    with mpmath.workdps(40):
+        target = mpmath.log(mpmath.mpf(x))
+
+        def sines(s):
+            return (mpmath.sin(mpmath.pi * s), mpmath.sin(mpmath.pi * s / (r + 1)),
+                    mpmath.sin(mpmath.pi * r * s / (r + 1)))
+
+        lo, hi = mpmath.log(mpmath.mpf(10) ** -20), mpmath.log(mpmath.mpf(1) / 3)
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            a, b, c = sines(mpmath.exp(mid))
+            if (r + 1) * mpmath.log(a) - r * mpmath.log(c) - mpmath.log(b) > target:
+                lo = mid  # x falls as s rises
+            else:
+                hi = mid
+        s = mpmath.exp((lo + hi) / 2)
+        a, _, c = sines(s)
+        return float(s), float(c ** (r + 1) / (r * mpmath.pi * a**r))
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 10, 100, 1000])
+def test_angle_solve_converges_at_every_table_node(r):
+    # Newton from the table start converges at every node, its float
+    # neighbours and both extremes: the residual is at the rounding of log x,
+    # and t lies within the two roots' bars of a 70-step bisection in log t
+    # (a few ulp at small r; the rounding noise of log x grows with r)
+    xs = _staircase_points(r)
+    log_x = np.log(xs)
+    t, s = limitlaw._angles(r, xs, log_x)
+    with np.errstate(over="ignore"):  # at r = 1000 the density near 1e-306 is past the float range
+        f, err, cdf = limitlaw._law(r, xs)
+    assert np.all(np.isfinite(t) & np.isfinite(s) & np.isfinite(cdf) & ~np.isnan(f) & ~np.isnan(err))
+    assert np.all((f >= 0.0) & (cdf >= 0.0) & (cdf <= 1.0))
+    shift, at_rounding = _root_shift(r, t, s, log_x)
+    assert np.all(at_rounding), xs[~at_rounding]
+    lo, hi = _bisect_all_steps(lambda u: limitlaw._log_x(r, limitlaw._sines(r, np.exp(u), 1.0 - np.exp(u))),
+                               log_x, np.full_like(log_x, -800.0), np.zeros_like(log_x), 70)
+    t_bis = np.exp(0.5 * (lo + hi))
+    far = s > 0.01
+    shift_bis, _ = _root_shift(r, t_bis, 1.0 - t_bis, log_x)
+    assert np.all(np.abs(t - t_bis)[far] <= (shift + shift_bis + 2.0 * np.spacing(t))[far])
+    if r <= 10:  # over the hard piece's table
+        table = (t >= 1.0 / 4096.0) & (t <= 0.75)
+        assert np.max(np.abs(t - t_bis)[table] / np.spacing(t[table])) <= 16
+    # near the soft edge s is exact to 1e-12 relative, and the density's error within its bar
+    edge = float(support_edge(r))
+    near = np.concatenate([edge * (1.0 - (np.arange(1, 33, 4) / 4096.0) ** 2 * 3.0),
+                           [edge * (1.0 - 1e-15), np.nextafter(edge, 0.0)]])
+    t, s = limitlaw._angles(r, near, np.log(near))
+    f, err, _ = limitlaw._law(r, near)
+    for x, s_i, f_i, err_i in zip(near, s, f, err):
+        s_ref, f_ref = _mp_soft_root(r, float(x))
+        assert abs(s_i - s_ref) <= 1e-12 * s_ref, (r, x, s_i, s_ref)
+        assert abs(f_i - f_ref) <= err_i, (r, x, f_i, f_ref, err_i)
+
+
+def test_soft_gap_at_or_past_the_float_edge_takes_the_edge_angle():
+    # float L lies 1.03e-14 above L at r = 100, so x = float L has a gap <= 0
+    edge = float(support_edge(100))
+    assert Fraction(edge) > support_edge(100)
+    t, s = limitlaw._angles(100, np.array([edge]), np.log([edge]))
+    f, err, cdf = limitlaw._law(100, np.array([edge]))
+    assert s[0] <= 2.0 * limitlaw._S_MIN and t[0] == 1.0 - s[0]
+    assert np.isfinite(f[0]) and np.isfinite(err[0]) and 0.0 <= f[0] < 1e-14 and cdf[0] == 1.0
+
+
+def test_triangular_angle_solve_converges_at_every_table_node():
+    soft, hard = limitlaw._dh_pieces()
+    e_ulp = np.nextafter(math.e, 0.0)
+    with np.errstate(under="ignore"):
+        nodes = np.exp(1.0 - np.concatenate([np.exp(soft.ys), np.exp(-hard.ys)]))
+    nodes = nodes[nodes > 0.0]
+    xs = np.concatenate([nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, math.inf),
+                         [math.e * (1.0 - 1e-15), e_ulp, 1e-300, 5e-324]])
+    xs = xs[(xs > 0.0) & (xs < math.e)]
+    v = limitlaw._dh_law(xs, lambda v, w, x: v, 0.0)
+    w = limitlaw._dh_law(xs, lambda v, w, x: w, 0.0)
+    assert np.all(np.isfinite(v) & np.isfinite(w) & (v > 0.0) & (w > 0.0))
+    near_e = -np.log1p(((np.maximum(xs, 1.0) - math.e) - limitlaw._E_LO) / math.e)
+    gap = np.where(xs > 1.0, near_e, 1.0 - np.log(xs))
+    assert np.max(np.abs(limitlaw._dh_gap(v, w)[0] - gap) / gap) <= 16 * limitlaw._EPS
+    lo, hi = _bisect_all_steps(lambda v: limitlaw._dh_gap(v, math.pi - v)[0], gap,
+                               np.zeros_like(xs), np.full_like(xs, math.pi), 80)
+    assert np.max(np.abs(v - 0.5 * (lo + hi)) / np.spacing(v)) <= 8
+    f, cdf = dh_density(xs), dh_cdf(xs)
+    assert np.all((f > 0.0) & (cdf >= 0.0) & (cdf <= 1.0))
+
+
+def test_density_grid_matches_meijer_g_oracle_past_the_bisection_noise():
+    # the soft piece solves the gap log(L/x), which does not cancel: the
+    # bisection on log x had stopped 8-28 ulps of t from the root near L,
+    # 2.28e-14, 5.63e-14 and 1.01e-13 from the oracle on these grids
+    for r, n in ((2, 1024), (4, 768), (10, 768)):
+        grid = density_grid(r, n)
+        sel = (grid.x >= 1e-4 * grid.edge) & (grid.x <= 0.99 * grid.edge)
+        ref = np.array([limit_density(r, float(x)) for x in grid.x[sel]])
+        assert np.max(np.abs(grid.f[sel] - ref) / ref) <= 1.5e-14, r
 
 
 # -- edge exponents ------------------------------------------------------------

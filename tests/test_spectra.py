@@ -235,6 +235,17 @@ def test_an_ensemble_walks_its_diagrams_row_groups_once(fallback):
     assert walks.call_count == 1
 
 
+def test_a_tall_ensemble_builds_its_conjugate_diagram_once():
+    # a tall diagram is factored over its conjugate's groups; the conjugate is kept on the
+    # frozen diagram, so three replicas make two walks, the diagram's and the conjugate's
+    lam = Partition((2, 1, 1)).dilate(60)
+    walks = mock.Mock(wraps=itertools.groupby)
+    with mock.patch.object(partitions.itertools, "groupby", walks):
+        shape_ensemble_spectra(lam, 60, EntryDistribution("complex-gaussian"), 3, 5)
+    assert walks.call_count == (2 if matrices._openblas() is not None else 1)
+    assert lam.conjugate() is lam.conjugate() and lam.conjugate().parts == (180,) * 60 + (60,) * 60
+
+
 @pytest.mark.parametrize("layout", [
     lambda a: a,
     np.asfortranarray,  # entries a column apart within a row
