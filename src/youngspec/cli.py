@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -89,18 +90,19 @@ MEMORY_BUDGET = 4 << 30
 # traced peak bytes a sample (28.2 at 2e5, r = 1 to 3: 24 of draws, sorted
 # atoms and counts, the rest one block of 2^14 knots of a distance; 25.0 at
 # 1e6), of the distances' walk beside them (WALK_BYTES: up to 1.01e6 above 29
-# a sample, 1.6e4 to 3e4 samples, r = 1 to 20), a bin (1e3 to 8e3: 665 to 671
-# sample-law, 520 to 530 triangular, 378 to 384 simulate), a law grid point
-# (2e4 to 8e4, r = 1, 2, 4), a pooled eigenvalue, a replica and a knot of the
-# pooled spectra's block (simulate --r and triangular at dim 2 to 200, 2e3 to
-# 1.28e5 eigenvalues: the three put every traced peak at 0.51 to 0.97 of the
-# run's summed need; an eigenvalue costs 24 to 27 above 4.8e4 eigenvalues, its
-# value, sorted atom and count; 376 a replica at dim 1), a moment order (row
-# and JSON: 947 to 989 simulate, kmax 100 to 2e4; 1,112 to 1,335 triangular,
-# kmax 50 to 300) and a diagram box (shape, 1.4e5 to 1.3e6 boxes: 14.1 to
-# 14.5), by tracemalloc over build_record and render_output
-SAMPLE_BYTES, BIN_BYTES, GRID_BYTES, WALK_BYTES = 29, 680, 740, 1_100_000
-EIG_BYTES, REPLICA_BYTES, KNOT_BYTES, ORDER_BYTES, BOX_BYTES = 28, 310, 56, 1350, 15
+# a sample, 1.6e4 to 3e4 samples, r = 1 to 20), a bin (1e3 to 8e3: 368 to 378
+# sample-law, 292 to 295 triangular, 233 to 283 simulate), a law grid point
+# (2e4 to 8e4, r = 1, 2, 4: 442 to 449), a pooled eigenvalue, a replica and a
+# knot of the pooled spectra's block (simulate --r and triangular at dim 2 to
+# 200, 2e3 to 1.28e5 eigenvalues: the three put every traced peak at 0.78 to
+# 0.96 of the run's summed need; an eigenvalue costs 24 to 27 above 4.8e4
+# eigenvalues, its value, sorted atom and count; 243 a replica at dim 1, with
+# its eigenvalue and knot), a moment order (row and JSON: 463 to 484 simulate,
+# kmax 1e3 to 2e4; 510 to 567 triangular, kmax 50 to 300) and a diagram box
+# (shape, 1.4e5 to 1.3e6 boxes: 14.1 to 14.4), by tracemalloc over build_record
+# and render_output
+SAMPLE_BYTES, BIN_BYTES, GRID_BYTES, WALK_BYTES = 29, 380, 455, 1_100_000
+EIG_BYTES, REPLICA_BYTES, KNOT_BYTES, ORDER_BYTES, BOX_BYTES = 28, 165, 56, 575, 15
 _UNIT_BYTES = {"samples": (SAMPLE_BYTES, "draws"), "bins": (BIN_BYTES, "histogram bins"),
                "grid": (GRID_BYTES, "grid points")}
 
@@ -141,13 +143,18 @@ _SETTINGS = {
 }
 
 
-def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``defaults`` maps a subcommand to values replacing its flag defaults."""
+def build_parser(defaults: dict[str, dict] | None = None, only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` maps a subcommand to values replacing its flag defaults.
+
+    With ``only``, the parser has that subcommand's subparser alone.
+    """
     parser = argparse.ArgumentParser(
         prog="youngspec", description="Diagram-shaped random matrix simulation and limit-law evaluation")
     parser.add_argument("--config", help="JSON file with flag defaults (same keys as the config echo)")
     sub = parser.add_subparsers(dest="subcommand")
     for sc, (_, help_line, formats, flags) in _SUBCOMMANDS.items():
+        if only is not None and sc != only:
+            continue
         p = sub.add_parser(sc, help=help_line)
         for name, default in {**flags, "out": None}.items():
             p.add_argument(_flag(name), **_SETTINGS[name][0],
@@ -500,10 +507,42 @@ def _csv(header: list[str], *columns: list) -> str:
     return buf.getvalue()
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+_compact = json.JSONEncoder(allow_nan=False).encode
+_key = json.encoder.encode_basestring_ascii
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_list(inner: str):
+    """The C encoder of a list of scalars, its items on lines indented by ``inner``."""
+    return json.JSONEncoder(allow_nan=False, separators=(",\n" + inner, ": ")).encode
+
+
+def _json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False) of a value with string keys,
+    nested at ``indent``: dicts and lists holding containers are walked here, and each list of
+    scalars and each scalar goes to the C encoder, which raises ValueError on a non-finite float."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = (f"{_key(k)}: {_json(value[k], inner)}" for k in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if value and set(map(type, value)) <= _SCALARS:
+            return f"[\n{inner}{_flat_list(inner)(value)[1:-1]}\n{indent}]"
+        items = (_json(v, inner) for v in value)
+    else:
+        return _compact(value)
+    if not value:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def render_output(record: dict, cfg: RunConfig) -> str:
     """The record as JSON, CSV or text; a value beyond the float range raises OutsideDomainError."""
     try:
-        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        # CSV and text need only the range check, which the compact encoder makes
+        text = _json(record) + "\n" if cfg.format == "json" else _compact(record)
     except ValueError as exc:
         raise OutsideDomainError(f"a {cfg.subcommand} result exceeds the float range") from exc
     res = record["results"]
@@ -533,7 +572,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
     So every typed flag, abbreviated or not, wins; keys the subcommand lacks are ignored.
     """
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     if not (args.config and args.subcommand):
         return args
     try:
@@ -549,7 +588,19 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
     own = {k: v for k, v in stored.items() if k != "subcommand" and hasattr(args, k)}
-    return build_parser({args.subcommand: own}).parse_args(argv)
+    return _parse(argv, {args.subcommand: own}, args.subcommand)
+
+
+def _parse(argv: list[str], defaults: dict[str, dict] | None = None, sc: str | None = None):
+    """argv parsed with only subcommand ``sc``'s subparser (by default the one argv[0] names);
+    an argv naming none, or one with arguments that parser leaves over, goes through the full
+    parser, whose messages and exit codes these are."""
+    sc = sc or (argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
+    if sc is not None:
+        args, rest = build_parser(defaults, sc).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser(defaults).parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

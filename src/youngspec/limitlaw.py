@@ -223,6 +223,15 @@ def _soft_gap(coefs: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return 2.0 * u + np.log(p), 2.0 * dp / p
 
 
+def _log_gap(x: np.ndarray, edge_hi: float, edge_lo: float) -> np.ndarray:
+    """log G, the log of the soft-edge gap log(L/x), that x's angle solves for.
+
+    x - edge_hi is exact near the edge; an x in [L, float L) has gap <= 0 and takes the edge.
+    """
+    gap = -np.log1p(((x - edge_hi) - edge_lo) / edge_hi)
+    return np.log(np.maximum(gap, np.finfo(float).tiny))
+
+
 def _angles(r: int, x: np.ndarray, log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """t and s = 1 - t with x(t) = x, each exact on its side of t = 3/4."""
     hard, soft, coefs, edge_hi, edge_lo = _staircase_pieces(r)
@@ -237,10 +246,7 @@ def _angles(r: int, x: np.ndarray, log_x: np.ndarray) -> tuple[np.ndarray, np.nd
 
     t_hard = np.exp(_solve(hard, log_x[~on_soft], hard_value))
     t[~on_soft], s[~on_soft] = t_hard, 1.0 - t_hard
-    # x - edge_hi is exact near the edge; an x in [L, float L) has gap <= 0 and takes the edge
-    gap = -np.log1p(((x[on_soft] - edge_hi) - edge_lo) / edge_hi)
-    s_soft = np.exp(_solve(soft, np.log(np.maximum(gap, np.finfo(float).tiny)),
-                           lambda u: _soft_gap(coefs, u)))
+    s_soft = np.exp(_solve(soft, _log_gap(x[on_soft], edge_hi, edge_lo), lambda u: _soft_gap(coefs, u)))
     t[on_soft], s[on_soft] = 1.0 - s_soft, s_soft
     return t, s
 
@@ -252,7 +258,10 @@ def _law(r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bound of log x(t) moves t by at most twice their sum over d log x/dt
     (the factor 2 covers the curvature on the flank of the double root at
     the soft edge, while the shift stays below s), which moves log f by
-    |d log f/dt| times that; the rounding of log f itself is added.
+    |d log f/dt| times that; the rounding of log f itself is added. The soft
+    piece, which solves log G and never evaluates log x, takes the residual
+    of log G at u = log s plus the rounding of the target and of log G, over
+    d log G/du: that moves u by du, and s by s(e^du - 1) <= 2 s du.
     """
     log_x = np.log(x)
     t, s = _angles(r, x, log_x)
@@ -267,6 +276,13 @@ def _law(r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     round_x = 4.0 * _EPS * ((r + 1) * (1.0 + np.abs(log_ac)) + 2.0 + np.abs(log_x))
     round_f = 4.0 * _EPS * (r * (1.0 + np.abs(log_ac)) + 1.0 + np.abs(log_c) + np.abs(log_f))
     shift = 2.0 * (np.abs(_log_x(r, sin) - log_x) + round_x) / _dlogx_dt(r, s, sin)
+    hard, _, coefs, edge_hi, edge_lo = _staircase_pieces(r)
+    soft = log_x > hard.ys[-1]
+    target, u = _log_gap(x[soft], edge_hi, edge_lo), np.log(s[soft])
+    log_g, slope = _soft_gap(coefs, u)
+    # a few ulp of the target's log1p and log, of u = log s, exp(2u), P and its coefficients
+    round_g = 4.0 * _EPS * (4.0 + 2.0 * np.abs(target) + 2.0 * np.abs(u))
+    shift[soft] = 2.0 * s[soft] * (np.abs(log_g - target) + round_g) / slope
     err = f * (np.pi * r * b / (a * c) * shift + round_f)
     return f, err, cdf
 

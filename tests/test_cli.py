@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 
 from youngspec import cli, spectra
 from youngspec.cli import RunConfig, build_record, main, render_output
-from youngspec.errors import ConfigError, InvalidRangeError
+from youngspec.errors import ConfigError, InvalidRangeError, OutsideDomainError
 from youngspec.limitlaw import density_with_error, dh_cdf, support_edge
 from youngspec.matrices import EntryDistribution
-from youngspec.partitions import Partition
+from youngspec.partitions import Partition, render
 from youngspec.spectra import StepCDF, histogram, shape_ensemble_spectra, spectra_moments
 from youngspec.streams import substream
 
@@ -732,7 +733,7 @@ def test_samples_memory_budget_refuses_before_drawing(samples, capsys, monkeypat
 def test_refused_total_never_reads_as_the_budget(capsys, monkeypatch):
     # one draw over: the total is rounded up, so it does not read as 4 GiB
     monkeypatch.setattr(cli, "beta_product_samples", _refuse)
-    assert main(["sample-law", "--r", "2", "--samples", "148062889", "--seed", "1"]) == 2
+    assert main(["sample-law", "--r", "2", "--samples", "148063551", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sample-law needs 4.01 GiB, over the 4 GiB budget ("), err
 
@@ -740,7 +741,7 @@ def test_refused_total_never_reads_as_the_budget(capsys, monkeypatch):
 def test_samples_memory_budget_admits_its_largest_count():
     # the draws get what the 4 bins and a distance block leave of the budget
     largest = (cli.MEMORY_BUDGET - 4 * cli.BIN_BYTES - cli.WALK_BYTES) // cli.SAMPLE_BYTES
-    assert largest == 148_064_295
+    assert largest == 148_064_337
     for samples, ok in ((largest, True), (largest + 1, False)):
         cfg = RunConfig(subcommand="sample-law", r=2, samples=samples, seed=1, bins=4)
         if ok:
@@ -862,18 +863,133 @@ def test_parser_matches_golden():
         assert p.get_default("format") == cli._FORMATS[sc][0] == ("text" if sc == "shape" else "json")
 
 
-def test_readme_command_lines_parse():
-    # every `youngspec ...` line of README.md parses; none of them is run
+def _readme_argvs() -> list[list[str]]:
+    """The argv of every `youngspec ...` line of README.md."""
     import shlex
 
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text().replace("\\\n", " ")
-    lines = [ln.split("#")[0] for ln in text.splitlines() if ln.startswith("youngspec ")]
-    assert len(lines) >= 7
+    return [shlex.split(ln.split("#")[0])[1:] for ln in text.splitlines() if ln.startswith("youngspec ")]
+
+
+def _script(name: str):
+    """scripts/<name>.py as a module; importing it runs nothing."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_readme_command_lines_parse():
+    # every `youngspec ...` line of README.md parses; none of them is run
+    argvs = _readme_argvs()
+    assert len(argvs) >= 7
     parser = cli.build_parser()
-    for line in lines:
-        argv = shlex.split(line)[1:]
+    for argv in argvs:
         args = parser.parse_args(argv)
-        assert args.subcommand == argv[0], line
+        assert args.subcommand == argv[0], argv
+
+
+def _dumps(record: dict) -> str:
+    return json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_rendered_golden_records_are_json_dumps_byte_for_byte():
+    for line in _script("golden").ARGVS:
+        args = cli._parse_args(line.split())
+        cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in cli._FIELDS})
+        record = build_record(cfg)
+        assert render_output(record, cfg) == _dumps(record), line
+
+
+@pytest.mark.parametrize("results", [
+    {}, [], [[]], [{}], {"a": {}, "b": [], "c": [[], {}]},
+    [[11, 0], [11, 1], [11, 2]],  # provenance.substreams
+    [{"k": 0, "mean": 1.0, "variance": 0.0}, {"k": 1, "mean": 2.5, "variance": 1e-300}],
+    {"moment_checks": [{"beta_product_matches": True, "contour": 2.0000000000000004, "exact": "2/1"}]},
+    {"diagram": render(Partition([5, 4, 4, 1]).dilate(2)), "quotes": 'a "b" \\ c\td\ne',
+     "non-ascii": "é ☃ \u2028 \U0001f600", "": "empty key", "z\\\"key": None},
+    [0, -1, 10**40, True, False, None, 0.0, -0.0, 5e-324, 1.7976931348623157e308, "s", 1.5],
+    [1, [2, [3, [4.5, "x", None]]], {"b": 1, "a": [True]}],
+    (1, 2), {"t": ((1, 2), [3])}, 7, "text", None, -2.5,
+], ids=["dict", "list", "list-of-empty-list", "list-of-empty-dict", "empties", "substreams",
+        "moment-rows", "moment-checks", "strings", "scalar-leaves", "nested", "tuple",
+        "tuples-inside", "int", "str", "none", "float"])
+def test_render_output_is_json_dumps_byte_for_byte(results):
+    record = {"config": {"subcommand": "law"}, "results": results, "provenance": {"seed": None}}
+    assert render_output(record, RunConfig(subcommand="law")) == _dumps(record)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_render_output_refuses_non_finite_floats(bad, fmt):
+    cfg = RunConfig(subcommand="law", format=fmt)
+    for results in ({"x": bad}, {"grid": {"x": [1.0, bad]}}, {"rows": [{"k": 0, "mean": bad}]},
+                    {"nested": [[1.0], [bad]]}, bad):
+        with pytest.raises(OutsideDomainError, match="law result exceeds the float range"):
+            render_output({"config": {}, "results": results}, cfg)
+
+
+def _outcome(argv, capsys, tmp_path):
+    """main's exit (or SystemExit) code, stdout, stderr and the --out file's text on argv."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit {exc.code}"
+    out, err = capsys.readouterr()
+    written = sorted(f for f in tmp_path.rglob("*.*") if f.name != "cfg.json")
+    texts = [(f.name, f.read_text()) for f in written]
+    for f in written:
+        f.unlink()
+    return code, out, err, texts
+
+
+_OUTCOME_ARGVS = [
+    *_readme_argvs(),
+    *(argv + tail for *_, argv in _script("experiments").EXPERIMENTS
+      for tail in (["--out", "out/record.json"], ["--format", "csv", "--out", "out/table.csv"])),
+    *([sc, "--help"] for sc in cli._SUBCOMMANDS),
+    ["law", "--r", "2", "--gri", "32"],  # an abbreviated flag
+    ["sample-law", "--r", "2", "--s", "5"],  # --samples or --seed
+    ["law", "--r", "two"],
+    ["law", "--r", "4", "--bogus"],  # the top-level parser reports it
+    ["law", "--r", "4", "--config", "cfg.json"],
+    ["law", "--r", "4", "extra"],
+    ["--config", "cfg.json", "law", "--r", "2", "--kmax", "1"],
+    ["--config", "cfg.json", "law", "--r", "2", "--bogus"],
+    ["--config", "cfg.json", "law", "--gr", "20"],
+    ["--config", "cfg.json"],
+    [], ["-h"], ["--help"], ["frobnicate", "--r", "2"], ["--r", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _OUTCOME_ARGVS, ids=[" ".join(a) or "empty" for a in _OUTCOME_ARGVS])
+def test_one_subcommand_parser_changes_no_outcome(argv, capsys, tmp_path, monkeypatch):
+    # main's exit code, output and --out text are those of the full parser's path; no handler
+    # runs, and the record is the parsed config
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_record", lambda cfg: {"config": dataclasses.asdict(cfg)})
+    monkeypatch.setattr(cli, "render_output", lambda record, cfg: json.dumps(record, sort_keys=True) + "\n")
+    monkeypatch.setenv("COLUMNS", "100")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "cfg.json").write_text(json.dumps({"subcommand": "law", "grid": "32", "kmax": 2}))
+    reduced = _outcome(argv, capsys, tmp_path)
+    monkeypatch.setattr(cli, "build_parser", lambda defaults=None, only=None: full(defaults))
+    assert reduced == _outcome(argv, capsys, tmp_path)
+
+
+def test_a_law_run_builds_one_subparser(capsys):
+    import argparse
+    from unittest import mock
+
+    with mock.patch.object(argparse._SubParsersAction, "add_parser", autospec=True,
+                           side_effect=argparse._SubParsersAction.add_parser) as add_parser:
+        assert main(["law", "--r", "1", "--grid", "16", "--kmax", "1"]) == 0
+    assert [call.args[1] for call in add_parser.call_args_list] == ["law"]
+    assert json.loads(capsys.readouterr().out)["config"]["grid"] == 16
 
 
 def _window_sup_reference(pooled, lo, hi):
@@ -955,7 +1071,7 @@ def test_bins_and_grid_memory_budget_admits_its_largest_count():
             ("bins", cli.BIN_BYTES, replica, dict(subcommand="triangular", size=3, replicas=1, seed=1, kmax=1)),
             ("grid", cli.GRID_BYTES, 0, dict(subcommand="law", r=2, tol=1e-5, kmax=1))):
         largest = (cli.MEMORY_BUDGET - rest) // unit
-        assert largest == {"bins": 6_316_123, "grid": 5_804_009}[field]
+        assert largest == {"bins": 11_302_540, "grid": 9_439_488}[field]
         cli._validate(RunConfig(**base, **{field: largest}))
         with pytest.raises(ConfigError, match="budget"):
             cli._validate(RunConfig(**base, **{field: largest + 1}))
@@ -983,13 +1099,13 @@ def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
 
 @pytest.mark.parametrize("argv, parts", [
     # each part alone fits the 4 GiB budget; their sum does not
-    (["sample-law", "--r", "2", "--samples", "148102320", "--bins", "6316128", "--seed", "1"],
+    (["sample-law", "--r", "2", "--samples", "148102320", "--bins", "11302545", "--seed", "1"],
      ["draws 4 GiB", "histogram bins 4 GiB"]),
-    (["triangular", "--size", "12000", "--replicas", "1", "--seed", "1", "--bins", "3000000"],
-     ["one replica's matrices 2.16 GiB", "pooled eigenvalues", "histogram bins 1.9 GiB"]),
+    (["triangular", "--size", "12000", "--replicas", "1", "--seed", "1", "--bins", "5400000"],
+     ["one replica's matrices 2.16 GiB", "pooled eigenvalues", "histogram bins 1.91 GiB"]),
     # 2e9 pooled eigenvalues of 1e6 replicas at dim 2000
     (["simulate", "--r", "2", "--dilation", "1000", "--replicas", "1000000", "--seed", "1"],
-     ["one replica's matrices 0.0615 GiB", "pooled eigenvalues 52.4 GiB"]),
+     ["one replica's matrices 0.0615 GiB", "pooled eigenvalues 52.3 GiB"]),
     (["simulate", "--r", "1", "--dilation", "1", "--replicas", "9" * 400, "--seed", "1"],
      ["pooled eigenvalues inf GiB"]),
     # 1.4e11 glyphs of (5, 4, 4, 1) dilated 10^5 times
@@ -998,7 +1114,7 @@ def test_bins_and_grid_memory_budget_covers_the_traced_peak(cfg, unit):
     (["shape", "--parts", "9" * 400], ["diagram boxes inf GiB"]),
     # where no moment overflows nothing else bounds kmax: 1e8 orders of two replicas
     (["simulate", "--parts", "1", "--dilation", "1", "--entries", "rademacher", "--replicas", "2",
-      "--seed", "1", "--kmax", "100000000"], ["moment rows 126 GiB"]),
+      "--seed", "1", "--kmax", "100000000"], ["moment rows 53.6 GiB"]),
     (["triangular", "--size", "2", "--replicas", "1", "--seed", "1", "--kmax", "9" * 400],
      ["moment rows inf GiB"]),
 ], ids=["sample-law-draws-and-bins", "triangular-replica-and-bins", "simulate-pooled",
@@ -1070,12 +1186,7 @@ def test_summed_memory_budget_covers_the_traced_peak(cfg):
 def test_scripts_command_lines_parse_and_validate(tmp_path, monkeypatch, capsys):
     # each experiment's command lines go through the parser and the rules; no handler runs,
     # nothing is written into the checkout, and every --out is relative to its out/
-    import importlib.util
-
-    path = Path(__file__).resolve().parents[1] / "scripts" / "experiments.py"
-    spec = importlib.util.spec_from_file_location("scripts_experiments", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _script("experiments")
     seen = []
 
     def checked(argv):
